@@ -41,8 +41,9 @@ void BM_HeightMemory(benchmark::State& state) {
     report = tb.report();
     // Real per-peer protocol-state footprint: the instance arena reports
     // what the live dr_peer levels actually occupy (slabs + per-instance
-    // heap), not a link-count estimate.
-    protocol = tb.overlay().arena().stats();
+    // heap), not a link-count estimate; seen_bytes adds each live peer's
+    // duplicate-suppression set beside it.
+    protocol = tb.overlay().memory_stats();
 
     // Real substrate footprint: the sequential R-tree over the same
     // filter population reports its arena size directly
@@ -77,10 +78,15 @@ void BM_HeightMemory(benchmark::State& state) {
       n == 0 ? 0.0
              : static_cast<double>(protocol.total_bytes()) /
                    static_cast<double>(n);
+  state.counters["seen_bytes_per_peer"] =
+      n == 0 ? 0.0
+             : static_cast<double>(protocol.seen_bytes) /
+                   static_cast<double>(n);
 
   results::instance().set_headers(
       {"N", "m", "M", "height", "log_m(N)", "max_peer_links", "memory_bound",
-       "arena_bytes", "arena_B/peer", "rtree_nodes", "rtree_bytes", "legal"});
+       "arena_bytes", "arena_B/peer", "seen_B/peer", "rtree_nodes",
+       "rtree_bytes", "legal"});
   results::instance().add_row(
       {table::cell(n), table::cell(m), table::cell(big_m),
        table::cell(report.height),
@@ -89,6 +95,9 @@ void BM_HeightMemory(benchmark::State& state) {
        table::cell(drt::analysis::predicted_memory(n, m, big_m), 1),
        table::cell(protocol.total_bytes()),
        table::cell(static_cast<double>(protocol.total_bytes()) /
+                       static_cast<double>(std::max<std::size_t>(n, 1)),
+                   1),
+       table::cell(static_cast<double>(protocol.seen_bytes) /
                        static_cast<double>(std::max<std::size_t>(n, 1)),
                    1),
        table::cell(substrate.node_count),

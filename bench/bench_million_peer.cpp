@@ -39,10 +39,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 void run_scale(benchmark::State& state, std::size_t n, std::size_t shards) {
   drt::engine::overlay_backend_config cfg;
-  // Small duplicate-suppression rings: the default 2048-entry ring is
-  // 16 GB of zeros at a million peers and a publish sweep this short
-  // cannot wrap even a small one.
-  cfg.dr.seen_ring = 64;
   // Stretch the stabilize cadence: every join cascade advances sim time
   // past the default 10s period, so populate at the default would spend
   // ~N^2/2 stabilizer firings drowning the scale signal (convergence-
@@ -60,6 +56,7 @@ void run_scale(benchmark::State& state, std::size_t n, std::size_t shards) {
   double stabilize_s = 0.0;
   double publish_s = 0.0;
   double bytes_per_peer = 0.0;
+  double seen_bytes_per_peer = 0.0;
   double cross_messages = 0.0;
   std::uint64_t delivered = 0;
   std::uint64_t interested = 0;
@@ -127,6 +124,8 @@ void run_scale(benchmark::State& state, std::size_t n, std::size_t shards) {
     const auto arena = be.arena_stats();
     bytes_per_peer = static_cast<double>(arena.total_bytes()) /
                      static_cast<double>(be.population());
+    seen_bytes_per_peer = static_cast<double>(arena.seen_bytes) /
+                          static_cast<double>(be.population());
     cross_messages =
         static_cast<double>(be.kernel().metrics().cross_messages);
   }
@@ -136,14 +135,15 @@ void run_scale(benchmark::State& state, std::size_t n, std::size_t shards) {
   state.counters["stabilize_s"] = stabilize_s;
   state.counters["publish_s"] = publish_s;
   state.counters["arena_bytes_per_peer"] = bytes_per_peer;
+  state.counters["seen_bytes_per_peer"] = seen_bytes_per_peer;
   state.counters["cross_messages"] = cross_messages;
   state.counters["joins_per_s"] =
       populate_s == 0.0 ? 0.0 : static_cast<double>(n) / populate_s;
 
   results::instance().set_headers({"N", "shards", "populate_s", "churn_s",
                                    "stabilize_s", "publish_s", "joins/s",
-                                   "arena_B/peer", "cross_msgs", "delivered",
-                                   "interested"});
+                                   "arena_B/peer", "seen_B/peer",
+                                   "cross_msgs", "delivered", "interested"});
   results::instance().add_row(
       {table::cell(n), table::cell(shards), table::cell(populate_s, 2),
        table::cell(churn_s, 2), table::cell(stabilize_s, 2),
@@ -151,7 +151,7 @@ void run_scale(benchmark::State& state, std::size_t n, std::size_t shards) {
        table::cell(populate_s == 0.0 ? 0.0
                                      : static_cast<double>(n) / populate_s,
                    0),
-       table::cell(bytes_per_peer, 1),
+       table::cell(bytes_per_peer, 1), table::cell(seen_bytes_per_peer, 1),
        table::cell(static_cast<std::size_t>(cross_messages)),
        table::cell(delivered), table::cell(interested)});
 }

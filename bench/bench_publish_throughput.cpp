@@ -53,7 +53,6 @@ void run_throughput(benchmark::State& state, std::size_t n, std::size_t batch,
     // stay sound — join paths mark their delta eagerly — and two
     // explicit rounds below run the full rebuilds.
     cfg.dr.stabilize_period = 5000.0;
-    cfg.dr.seen_ring = 64;
   }
 
   drt::engine::drtree_backend be(cfg);

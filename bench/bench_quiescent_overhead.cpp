@@ -49,11 +49,10 @@ const char* mode_name(drt::overlay::stabilize_mode m) {
 void run_overhead(benchmark::State& state, std::size_t n, std::size_t shards,
                   drt::overlay::stabilize_mode mode) {
   drt::engine::overlay_backend_config cfg;
-  // Same scale knobs as bench_million_peer: small dedup rings, and a
-  // stretched stabilize cadence so populate is not drowned in O(N^2/2)
-  // stabilizer firings — each step_round() still advances exactly one
-  // period, firing every due pass whatever the period's length.
-  cfg.dr.seen_ring = 64;
+  // Same scale knob as bench_million_peer: a stretched stabilize cadence
+  // so populate is not drowned in O(N^2/2) stabilizer firings — each
+  // step_round() still advances exactly one period, firing every due
+  // pass whatever the period's length.
   cfg.dr.stabilize_period = 5000.0;
   cfg.dr.stabilize = mode;
   cfg.net.seed = 2007;

@@ -74,6 +74,10 @@ struct arena_stats {
   std::size_t live = 0;        ///< slots currently acquired
   std::size_t slab_bytes = 0;  ///< chunk storage
   std::size_t heap_bytes = 0;  ///< dynamic state owned by the slots
+  /// The live peers' duplicate-suppression sets (dr_peer::seen_bytes),
+  /// filled by dr_overlay::memory_stats.  Not part of total_bytes(), so
+  /// arena bytes/peer stay comparable with runs that predate it.
+  std::size_t seen_bytes = 0;
   std::size_t total_bytes() const { return slab_bytes + heap_bytes; }
 };
 

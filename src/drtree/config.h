@@ -106,10 +106,12 @@ struct dr_config {
   /// routes are O(log N).
   std::size_t max_route_hops = 64;
 
-  /// Capacity of each peer's recently-seen event-id ring (the
-  /// dissemination loop guard).  The ring is linear-scanned on every
-  /// event arrival and costs 8 bytes per entry per peer, so million-peer
-  /// runs shrink it; the default matches the historical constant.
+  /// How many recently accepted event ids each peer remembers to drop
+  /// duplicates (the dissemination loop guard, drtree/seen_set.h).  Each
+  /// arrival costs O(1); storage grows with the ids a peer has actually
+  /// seen (~16 bytes per id) and stops at this cap, so a peer that never
+  /// sees an event owns none.  The default is the historical constant the
+  /// golden digests pin.
   std::size_t seen_ring = 2048;
 
   /// The workspace used to clamp unbounded filters for area heuristics.

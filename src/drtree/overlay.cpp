@@ -159,6 +159,12 @@ repair_stats dr_overlay::total_repairs() const {
   return total;
 }
 
+arena_stats dr_overlay::memory_stats() const {
+  auto st = arena_.stats();
+  for_each_live([&](peer_id id) { st.seen_bytes += peer(id).seen_bytes(); });
+  return st;
+}
+
 std::vector<peer_id> dr_overlay::root_peers() const {
   std::vector<peer_id> roots;
   for_each_live([&](peer_id id) {

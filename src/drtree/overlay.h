@@ -234,6 +234,10 @@ class dr_overlay {
   instance_arena& arena() { return arena_; }
   const instance_arena& arena() const { return arena_; }
 
+  /// The arena's footprint plus the live peers' duplicate-suppression
+  /// sets (arena_stats::seen_bytes).
+  arena_stats memory_stats() const;
+
   // ---------------------------------------------------------- dirty set
   // Dirty-set scheduling (stabilize_mode::dirty, DESIGN.md §11): a bitmap
   // over arena slots plus a mark-order ring.  Every protocol mutation

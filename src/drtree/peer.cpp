@@ -28,8 +28,7 @@ constexpr std::uint64_t kReorgMinEvents = 16;
 }  // namespace
 
 dr_peer::dr_peer(dr_overlay& overlay, box filter)
-    : overlay_(overlay), filter_(filter) {
-  seen_events_.assign(std::max<std::size_t>(1, overlay.config().seen_ring), 0);
+    : overlay_(overlay), filter_(filter), seen_(overlay.config().seen_ring) {
   // Every peer always owns its leaf instance; a fresh peer is the root of
   // its own single-node fragment.
   const auto slot = overlay_.arena().acquire(0);
@@ -1453,12 +1452,7 @@ void dr_peer::stabilize_pass() {
 // --------------------------------------------- dissemination (§2.3/§3)
 
 bool dr_peer::already_seen(std::uint64_t event_id) {
-  for (const auto e : seen_events_) {
-    if (e == event_id) return true;
-  }
-  seen_events_[seen_cursor_] = event_id;
-  seen_cursor_ = (seen_cursor_ + 1) % seen_events_.size();
-  return false;
+  return !seen_.insert(event_id);
 }
 
 void dr_peer::deliver_local(const spatial::event& ev, std::size_t hop) {

@@ -21,6 +21,7 @@
 #include "drtree/arena.h"
 #include "drtree/config.h"
 #include "drtree/messages.h"
+#include "drtree/seen_set.h"
 #include "sim/simulator.h"
 #include "spatial/types.h"
 
@@ -96,6 +97,10 @@ class dr_peer : public sim::process {
   std::vector<std::size_t> instance_heights() const;
 
   const repair_stats& repairs() const { return repairs_; }
+
+  /// Heap held by the duplicate-suppression set: grows with the event
+  /// ids this peer has accepted, capped by dr_config::seen_ring.
+  std::size_t seen_bytes() const { return seen_.heap_bytes(); }
 
   // ------------------------------------- dirty-set scheduling (§11)
   /// The arena slot dr_overlay::mark_dirty stamps for a mark at `h`:
@@ -305,10 +310,9 @@ class dr_peer : public sim::process {
   std::vector<level_ref> levels_;
   repair_stats repairs_;
 
-  // Dissemination loop guard under corrupted topologies: recently seen
-  // event ids (bounded ring).
-  std::vector<std::uint64_t> seen_events_;
-  std::size_t seen_cursor_ = 0;
+  // Dissemination loop guard under corrupted topologies: the last
+  // dr_config::seen_ring event ids this peer accepted.
+  seen_set seen_;
 
   /// Counts compute_mbr calls that left an interior MBR unchanged; every
   /// kSummaryRefreshStride-th one still rebuilds the summary so bits of

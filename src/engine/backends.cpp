@@ -447,11 +447,12 @@ std::size_t sharded_drtree_backend::dirty_pending(std::size_t shard) const {
 overlay::arena_stats sharded_drtree_backend::arena_stats() const {
   overlay::arena_stats total;
   for (const auto& ov : overlays_) {
-    const auto st = ov->arena().stats();
+    const auto st = ov->memory_stats();
     total.slots += st.slots;
     total.live += st.live;
     total.slab_bytes += st.slab_bytes;
     total.heap_bytes += st.heap_bytes;
+    total.seen_bytes += st.seen_bytes;
   }
   return total;
 }

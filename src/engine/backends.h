@@ -144,7 +144,8 @@ class sharded_drtree_backend final : public backend {
   /// full mode) — lets drivers see which shards still have repair work.
   std::size_t dirty_pending(std::size_t shard) const;
 
-  /// Total protocol-state footprint across all shard arenas.
+  /// Total protocol-state footprint across all shards: the instance
+  /// arenas plus the live peers' duplicate-suppression sets.
   overlay::arena_stats arena_stats() const;
 
  private:

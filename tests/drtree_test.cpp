@@ -413,14 +413,18 @@ TEST_P(VariationTest, JoinsLeavesStayLegal) {
   EXPECT_EQ(acc.false_negatives, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Configs, VariationTest,
-    ::testing::Values(
-        variation{rtree::split_method::linear, 2, 4, "linear_m2M4"},
-        variation{rtree::split_method::quadratic, 2, 8, "quadratic_m2M8"},
-        variation{rtree::split_method::rstar, 3, 6, "rstar_m3M6"},
-        variation{rtree::split_method::quadratic, 4, 10, "quadratic_m4M10"}),
-    [](const auto& info) { return info.param.name; });
+// Static storage zero-fills the struct padding, so the GetParam() bytes
+// gtest prints next to each test name do not pick up stack garbage.
+constexpr variation kVariations[] = {
+    {rtree::split_method::linear, 2, 4, "linear_m2M4"},
+    {rtree::split_method::quadratic, 2, 8, "quadratic_m2M8"},
+    {rtree::split_method::rstar, 3, 6, "rstar_m3M6"},
+    {rtree::split_method::quadratic, 4, 10, "quadratic_m4M10"},
+};
+
+INSTANTIATE_TEST_SUITE_P(Configs, VariationTest,
+                         ::testing::ValuesIn(kVariations),
+                         [](const auto& info) { return info.param.name; });
 
 class ElectionTest : public ::testing::TestWithParam<election_policy> {};
 

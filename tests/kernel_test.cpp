@@ -309,6 +309,13 @@ TEST(ShardedBackend, PublishCrossesShardsThroughTheKernel) {
   const auto st = be.arena_stats();
   EXPECT_EQ(st.live, 2u);
   EXPECT_GT(st.total_bytes(), 0u);
+  // Both peers accepted the event, so each shard's dedup sets hold it,
+  // and the backend's seen_bytes is the sum over shards.
+  const auto seen0 = be.overlay(0).memory_stats().seen_bytes;
+  const auto seen1 = be.overlay(1).memory_stats().seen_bytes;
+  EXPECT_GT(seen0, 0u);
+  EXPECT_GT(seen1, 0u);
+  EXPECT_EQ(st.seen_bytes, seen0 + seen1);
 }
 
 }  // namespace

@@ -347,6 +347,67 @@ TEST(DynamicModel, DuplicationDeliversTwiceWithIntactPayload) {
   EXPECT_EQ(s.metrics().messages_delivered, 2u);
 }
 
+// ------------------------------------------------ duplicate suppression
+
+// A timeline on which the per-peer duplicate guard actually fires: over a
+// third of all messages grow a late copy, the corruptor scrambles the
+// tree, and events are published (scalar and in batches) while the
+// stabilizer is still repairing it.  With `seen_ring` 3 a batch of 16
+// overruns the guard, so the late copies of its first events get through
+// again — which pins the FIFO eviction order, not just the hit path.
+engine::scenario duplicate_heavy() {
+  net::dynamic_model_config dyn;
+  dyn.duplicate = 0.35;
+  dyn.reorder = 0.1;
+  return engine::scenario::make("duplicate_heavy")
+      .seed(5)
+      .net(dyn)
+      .populate(40)
+      .converge()
+      .corruption_burst(0.15)
+      .publish_sweep(30)
+      .step_rounds(2)
+      .publish_batch(48, 16)
+      .converge()
+      .publish_sweep(20)
+      .build();
+}
+
+struct dedup_run {
+  std::uint64_t digest = 0;
+  std::uint64_t duplicated = 0;
+};
+
+dedup_run run_duplicate_heavy(std::size_t seen_ring) {
+  overlay_backend_config bc;
+  bc.net.seed = 19;
+  bc.dr.seen_ring = seen_ring;
+  const auto sc = duplicate_heavy();
+  drtree_backend be(engine::configured_for(sc, bc));
+  scenario_runner runner(be);
+  const auto rec = runner.run(sc);
+  return {rec.digest(), be.overlay().sim().metrics().messages_duplicated};
+}
+
+// Captured on the original guard, a linear scan over a zero-filled ring
+// of `seen_ring` ids; any replacement must suppress exactly the same
+// copies.
+constexpr std::uint64_t kGoldenDuplicateHeavy = 3762098125497991398ull;
+constexpr std::uint64_t kGoldenDuplicateHeavyRing3 = 10644789096093426521ull;
+
+TEST(DynamicModel, DuplicateSuppressionMatchesGoldenDigests) {
+  const auto wide = run_duplicate_heavy(2048);
+  EXPECT_GT(wide.duplicated, 0u);  // the guard had copies to suppress
+  EXPECT_EQ(wide.digest, kGoldenDuplicateHeavy);
+
+  const auto narrow = run_duplicate_heavy(3);
+  EXPECT_GT(narrow.duplicated, 0u);
+  EXPECT_EQ(narrow.digest, kGoldenDuplicateHeavyRing3);
+  // Eviction is observable on this timeline: a 3-entry guard lets
+  // copies through that a 2048-entry one suppresses.
+  EXPECT_NE(narrow.digest, wide.digest);
+}
+
 TEST(DynamicModel, DegradationStretchesDelaysAndStacksLoss) {
   // Base delays in [0.5, 1.5]; a held 4x degradation must push every
   // delivery past the undegraded maximum.
