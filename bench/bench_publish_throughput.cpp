@@ -36,9 +36,10 @@ using drt::bench::results;
 using drt::overlay::summary_mode;
 using drt::util::table;
 
+// Benchmark argument: 0 = mbr, 2 = both — the benchmark names and the
+// committed baselines carry these numbers.
 summary_mode mode_of(int m) {
-  return m == 0 ? summary_mode::mbr
-                : (m == 1 ? summary_mode::grid : summary_mode::both);
+  return m == 0 ? summary_mode::mbr : summary_mode::both;
 }
 
 void run_throughput(benchmark::State& state, std::size_t n, std::size_t batch,

@@ -118,11 +118,12 @@ struct dr_config {
   spatial::box workspace = geo::make_rect2(0, 0, 1000, 1000);
 
   /// Publish-path subtree summaries (DESIGN.md §9).  `mbr` is the paper's
-  /// routing, bit-for-bit; `grid`/`both` additionally maintain a k×k
-  /// occupancy bitmap per instance so the event fan-out can prune a
-  /// non-matching subtree with one bit probe.  Maintenance is incremental
-  /// (join paths OR their delta in; full rebuilds piggyback on the
-  /// CHECK_MBR stabilizer) — no extra message round ever.
+  /// routing, bit-for-bit; `both` additionally maintains a k×k occupancy
+  /// bitmap per instance and admits an event into a child only when its
+  /// MBR contains the point AND the cell bit is set, so the fan-out
+  /// prunes a non-matching subtree with one bit probe.  Maintenance is
+  /// incremental (join paths OR their delta in; full rebuilds piggyback on
+  /// the CHECK_MBR stabilizer) — no extra message round ever.
   summary_mode summary = summary_mode::mbr;
 
   /// Occupancy-grid resolution k (k×k cells, 1..8) when summaries are

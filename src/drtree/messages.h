@@ -1,8 +1,10 @@
 // Protocol messages of the DR-tree overlay (Figures 8-14 of the paper).
 //
-// All messages are one value type dispatched on `kind`; unused fields stay
-// defaulted.  Heights count from the leaves (leaf = 0), see DESIGN.md §5 —
-// the paper's level l at a node of height h is l = root_height - h.
+// Membership, stabilization and search messages are one value type
+// (dr_msg) dispatched on `kind`, unused fields defaulted; events ride the
+// size-prefixed dr_batch_msg envelope.  Heights count from the leaves
+// (leaf = 0), see DESIGN.md §5 — the paper's level l at a node of height
+// h is l = root_height - h.
 #ifndef DRT_DRTREE_MESSAGES_H
 #define DRT_DRTREE_MESSAGES_H
 
@@ -25,22 +27,15 @@ enum class msg_kind : std::uint8_t {
   check_structure,          ///< compaction request at height `h`
   initiate_new_connection,  ///< dissolve subtree: every leaf rejoins
 
-  // Event dissemination (§2.3/§3).
-  event_up,    ///< event climbing toward the root
-  event_down,  ///< event descending a subtree at height `h`
+  // Event dissemination (§2.3/§3), both carried by dr_batch_msg.
+  event_up,    ///< events climbing toward the root
+  event_down,  ///< events descending a subtree at height `h`
 
   // Distributed range search (§1: the balanced structure "makes it
   // suitable for performing efficient data storage or search").
   search_up,    ///< query climbing toward the root
   search_down,  ///< query descending a subtree at height `h`
   search_hit,   ///< a leaf whose filter intersects the query reports back
-
-  // Batched event dissemination (DESIGN.md §9): k co-located events share
-  // one envelope and one tree descent, splitting only where children's
-  // summaries diverge.  Appended at the end — kind values are wire
-  // identity (the golden trace digests hash them).
-  batch_up,    ///< event batch climbing toward the root
-  batch_down,  ///< event batch descending a subtree at height `h`
 };
 
 inline const char* to_string(msg_kind k) {
@@ -55,8 +50,6 @@ inline const char* to_string(msg_kind k) {
     case msg_kind::search_up: return "SEARCH_UP";
     case msg_kind::search_down: return "SEARCH_DOWN";
     case msg_kind::search_hit: return "SEARCH_HIT";
-    case msg_kind::batch_up: return "BATCH_UP";
-    case msg_kind::batch_down: return "BATCH_DOWN";
   }
   return "?";
 }
@@ -91,37 +84,36 @@ struct dr_msg {
   spatial::peer_id reply_to = spatial::kNoPeer;
 };
 
-/// The lean message of the event hot path (event_up / event_down): just
-/// the event plus routing counters.  Events used to ride the full dr_msg
-/// — 32 bytes of MBR plus join/search fields that dissemination never
-/// reads — pushing every hop into a 64-byte-larger pool size class.
-struct dr_event_msg {
-  msg_kind kind = msg_kind::event_down;
-  std::uint32_t h = 0;          ///< target height (top() bounds it anyway)
-  std::uint32_t hops_left = 0;  ///< remaining hop budget
-  std::uint32_t hop = 0;        ///< network messages traversed so far
-  spatial::event ev{};
-};
-
-/// A batch of co-located events sharing one envelope and one descent
-/// (DESIGN.md §9).  Sent size-prefixed (sim::simulator::send_prefix): a
-/// k-event batch occupies bytes_for(k), not the full-capacity struct, so
-/// small batches ride small pool classes.  Receivers must only read
-/// events[0..count).
+/// The one event-dissemination message (§2.3/§3, DESIGN.md §9): up to
+/// kMaxEvents co-located events sharing one envelope and one descent,
+/// split only where children's admit sets diverge.  `kind` is event_up or
+/// event_down; a single publish is the one-event case.  Sent size-prefixed
+/// (sim::simulator::send_prefix): a k-event envelope occupies
+/// bytes_for(k), not the full-capacity struct, so small envelopes ride
+/// small pool classes.  Receivers must only read events[0..count).
 struct dr_batch_msg {
-  /// Capacity per envelope; multi_publish chunks larger requests.  Chosen
-  /// so a full batch (32 B/event) stays well inside the payload pool's
+  /// Capacity per envelope; publishers chunk larger requests.  Chosen so
+  /// a full envelope (32 B/event) stays well inside the payload pool's
   /// largest size class.
   static constexpr std::size_t kMaxEvents = 64;
 
-  msg_kind kind = msg_kind::batch_down;
-  std::uint32_t count = 0;
-  std::uint32_t h = 0;
-  std::uint32_t hops_left = 0;
-  std::uint32_t hop = 0;
-  spatial::event events[kMaxEvents];
+  /// Leaves events[] unwritten: spatial::event has default member
+  /// initializers, so a plain array would store all kMaxEvents slots
+  /// (2 KiB) every time a hop builds an envelope or a filtered subset.
+  /// Whoever builds one writes events[0..count); decoders that need a
+  /// defined tail zero it themselves (rpc::read_batch).
+  dr_batch_msg() {}
 
-  /// Wire size of a batch holding `n` events.
+  msg_kind kind = msg_kind::event_down;
+  std::uint32_t count = 0;
+  std::uint32_t h = 0;          ///< target height (top() bounds it anyway)
+  std::uint32_t hops_left = 0;  ///< remaining hop budget
+  std::uint32_t hop = 0;        ///< network messages traversed so far
+  union {
+    spatial::event events[kMaxEvents];
+  };
+
+  /// Wire size of an envelope holding `n` events.
   static constexpr std::size_t bytes_for(std::size_t n) {
     return offsetof(dr_batch_msg, events) + n * sizeof(spatial::event);
   }
@@ -136,9 +128,10 @@ struct dr_batch_msg {
 // rides (64 B quanta after the 32 B block header).
 static_assert(std::is_trivially_copyable_v<dr_msg>);
 static_assert(sizeof(dr_msg) <= 96, "dr_msg crossed into a larger class");
-static_assert(std::is_trivially_copyable_v<dr_event_msg>);
-static_assert(sizeof(dr_event_msg) <= 48,
-              "the event hot path must stay one cache line with header");
+// A single publish (one-event envelope) stays in the 128 B class: block
+// header plus payload within two 64 B quanta.
+static_assert(sim::envelope::kHeaderBytes + dr_batch_msg::bytes_for(1) <= 128,
+              "a single published event must not cross into a larger class");
 static_assert(std::is_trivially_copyable_v<dr_batch_msg> &&
               std::is_trivially_destructible_v<dr_batch_msg>);
 static_assert(dr_batch_msg::bytes_for(dr_batch_msg::kMaxEvents) <=

@@ -239,46 +239,90 @@ void dr_overlay::record_delivery(std::uint64_t event_id, peer_id p,
   worst = std::max(worst, hop);
 }
 
+std::vector<publish_result> dr_overlay::multi_publish_and_drain(
+    peer_id publisher, const spatial::pt* values, std::size_t n,
+    std::uint64_t max_steps) {
+  std::vector<publish_result> out;
+  if (n == 0) return out;
+  const auto first_id = next_event_id_;
+  next_event_id_ += n;
+  const auto msgs_before = sim_.metrics().messages_sent;
+  multi_publish_begin(publisher, first_id, values, n);
+  sim_.run_steps(max_steps);
+  const auto msgs_after = sim_.metrics().messages_sent;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // The first result carries the shared total; `msgs_after` as the
+    // baseline zeroes the rest.
+    out.push_back(publish_finish(first_id + i, values[i],
+                                 i == 0 ? msgs_before : msgs_after));
+  }
+  return out;
+}
+
 publish_result dr_overlay::publish_and_drain(peer_id publisher,
                                              const spatial::pt& value,
                                              std::uint64_t max_steps) {
-  const auto event_id = next_event_id();
-  const auto msgs_before = sim_.metrics().messages_sent;
-  publish_begin(publisher, event_id, value);
-  sim_.run_steps(max_steps);
-  return publish_finish(event_id, value, msgs_before);
+  return std::move(
+      multi_publish_and_drain(publisher, &value, 1, max_steps).front());
+}
+
+void dr_overlay::multi_publish_begin(peer_id publisher,
+                                     std::uint64_t first_event_id,
+                                     const spatial::pt* values,
+                                     std::size_t n) {
+  DRT_EXPECT(alive(publisher));
+  publish_from(publisher, first_event_id, values, n);
+}
+
+void dr_overlay::inject_multi_publish(std::uint64_t first_event_id,
+                                      const spatial::pt* values,
+                                      std::size_t n) {
+  const auto entry = entry_peer();
+  if (entry == kNoPeer) return;  // empty shard: nothing to deliver
+  publish_from(entry, first_event_id, values, n);
 }
 
 void dr_overlay::publish_begin(peer_id publisher, std::uint64_t event_id,
                                const spatial::pt& value) {
-  DRT_EXPECT(alive(publisher));
-  trace_emit(obs::trace_kind::publish, publisher, event_id);
-  spatial::event ev;
-  ev.id = event_id;
-  ev.publisher = publisher;
-  ev.value = value;
-  peer(publisher).publish(ev);
+  multi_publish_begin(publisher, event_id, &value, 1);
 }
 
 void dr_overlay::inject_publish(std::uint64_t event_id,
                                 const spatial::pt& value) {
-  // Entry point: the first live root fragment, else any live peer.
-  peer_id target = kNoPeer;
+  inject_multi_publish(event_id, &value, 1);
+}
+
+peer_id dr_overlay::entry_peer() const {
+  peer_id entry = kNoPeer;
   for_each_live([&](peer_id id) {
-    if (target == kNoPeer) target = id;
+    if (entry == kNoPeer) entry = id;
     if (peer(id).is_root()) {
-      target = id;
+      entry = id;
       return false;
     }
     return true;
   });
-  if (target == kNoPeer) return;  // empty shard: nothing to deliver
-  trace_emit(obs::trace_kind::publish, target, event_id);
-  spatial::event ev;
-  ev.id = event_id;
-  ev.publisher = target;
-  ev.value = value;
-  peer(target).publish(ev);
+  return entry;
+}
+
+void dr_overlay::publish_from(peer_id origin, std::uint64_t first_event_id,
+                              const spatial::pt* values, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    trace_emit(obs::trace_kind::publish, origin, first_event_id + i);
+  }
+  dr_batch_msg chunk;  // only events[0, k) are written
+  for (std::size_t done = 0; done < n;) {
+    const auto k = std::min(n - done, dr_batch_msg::kMaxEvents);
+    for (std::size_t i = 0; i < k; ++i) {
+      auto& ev = chunk.events[i];
+      ev.id = first_event_id + done + i;
+      ev.publisher = origin;
+      ev.value = values[done + i];
+    }
+    peer(origin).publish(chunk.events, k);
+    done += k;
+  }
 }
 
 publish_result dr_overlay::publish_finish(std::uint64_t event_id,
@@ -333,69 +377,6 @@ publish_result dr_overlay::publish_finish(std::uint64_t event_id,
   deliveries_.erase(ev.id);
   delivery_hops_.erase(ev.id);
   return r;
-}
-
-std::vector<publish_result> dr_overlay::multi_publish_and_drain(
-    peer_id publisher, const spatial::pt* values, std::size_t n,
-    std::uint64_t max_steps) {
-  std::vector<publish_result> out;
-  if (n == 0) return out;
-  std::vector<std::uint64_t> ids(n);
-  for (auto& id : ids) id = next_event_id();
-  const auto msgs_before = sim_.metrics().messages_sent;
-  multi_publish_begin(publisher, ids.data(), values, n);
-  sim_.run_steps(max_steps);
-  const auto msgs_after = sim_.metrics().messages_sent;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Passing msgs_after as the baseline zeroes each per-event message
-    // delta; the shared batch total lands on the first result below.
-    out.push_back(publish_finish(ids[i], values[i], msgs_after));
-  }
-  out.front().messages = msgs_after - msgs_before;
-  return out;
-}
-
-void dr_overlay::multi_publish_begin(peer_id publisher,
-                                     const std::uint64_t* event_ids,
-                                     const spatial::pt* values,
-                                     std::size_t n) {
-  DRT_EXPECT(alive(publisher));
-  if (n == 0) return;
-  std::vector<spatial::event> evs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    evs[i].id = event_ids[i];
-    evs[i].publisher = publisher;
-    evs[i].value = values[i];
-    trace_emit(obs::trace_kind::publish, publisher, event_ids[i]);
-  }
-  peer(publisher).multi_publish(evs.data(), n);
-}
-
-void dr_overlay::inject_multi_publish(const std::uint64_t* event_ids,
-                                      const spatial::pt* values,
-                                      std::size_t n) {
-  if (n == 0) return;
-  // Same entry-point choice as inject_publish: the first live root
-  // fragment, else any live peer.
-  peer_id target = kNoPeer;
-  for_each_live([&](peer_id id) {
-    if (target == kNoPeer) target = id;
-    if (peer(id).is_root()) {
-      target = id;
-      return false;
-    }
-    return true;
-  });
-  if (target == kNoPeer) return;  // empty shard: nothing to deliver
-  std::vector<spatial::event> evs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    evs[i].id = event_ids[i];
-    evs[i].publisher = target;
-    evs[i].value = values[i];
-    trace_emit(obs::trace_kind::publish, target, event_ids[i]);
-  }
-  peer(target).multi_publish(evs.data(), n);
 }
 
 // ------------------------------------------------------------ dirty set

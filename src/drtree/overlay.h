@@ -139,8 +139,20 @@ class dr_overlay {
   spatial::peer_id contact_node(spatial::peer_id asking) const;
 
   // ----------------------------------------------------- dissemination
-  /// Publish from `publisher` and drain the network; returns accuracy and
-  /// cost accounting against brute-force ground truth.
+  // One path (DESIGN.md §9): every publication travels in dr_batch_msg
+  // envelopes of up to dr_batch_msg::kMaxEvents events, and the
+  // single-event entry points are its n = 1 calls.
+
+  /// Publish all `values` from one publisher and drain; returns per-event
+  /// accuracy and cost accounting against brute-force ground truth.  Each
+  /// event is delivered exactly as when published alone on a quiescent
+  /// tree; `messages` reports the shared total on the FIRST result (0 on
+  /// the rest) — splitting a shared envelope's cost per event would be
+  /// arbitrary.
+  std::vector<publish_result> multi_publish_and_drain(
+      spatial::peer_id publisher, const spatial::pt* values, std::size_t n,
+      std::uint64_t max_steps = 1000000);
+  /// Publish one value from `publisher` and drain.
   publish_result publish_and_drain(spatial::peer_id publisher,
                                    const spatial::pt& value,
                                    std::uint64_t max_steps = 1000000);
@@ -148,38 +160,27 @@ class dr_overlay {
   // Split publication path for callers that own the drive loop (the
   // sharded kernel backend publishes in one shard, injects into the
   // others, drains them all at kernel barriers, then collects per-shard
-  // accounting).  publish_and_drain == begin + run_steps + finish.
-  /// Start a publication with a caller-allocated event id; no draining.
+  // accounting).  multi_publish_and_drain == begin + run_steps + finish.
+  // Events take the caller-allocated ids first_event_id, first_event_id
+  // + 1, ..., paired with values[0], values[1], ...; no draining.
+  void multi_publish_begin(spatial::peer_id publisher,
+                           std::uint64_t first_event_id,
+                           const spatial::pt* values, std::size_t n);
+  /// Inject externally published events into this overlay's tree: they
+  /// enter at the root (first live root fragment, else any live peer)
+  /// and disseminate as if published there.  The entry peer records a
+  /// delivery unconditionally — up to one extra false positive per event
+  /// and injected shard, the documented cost of cross-shard fan-out.
+  void inject_multi_publish(std::uint64_t first_event_id,
+                            const spatial::pt* values, std::size_t n);
   void publish_begin(spatial::peer_id publisher, std::uint64_t event_id,
                      const spatial::pt& value);
-  /// Inject an externally published event into this overlay's tree: it
-  /// enters at the root (first live root fragment, else any live peer)
-  /// and disseminates as if published there.  The entry peer records a
-  /// delivery unconditionally — up to one extra false positive per
-  /// injected shard, the documented cost of cross-shard fan-out.
   void inject_publish(std::uint64_t event_id, const spatial::pt& value);
   /// Accuracy/cost accounting for `event_id` after the caller drained;
   /// `messages_before` is sim().metrics().messages_sent at begin time.
   publish_result publish_finish(std::uint64_t event_id,
                                 const spatial::pt& value,
                                 std::uint64_t messages_before);
-
-  /// Publish all `values` from one publisher as batch envelopes (DESIGN.md
-  /// §9) and drain; per-event accounting is identical to publishing each
-  /// value alone on a quiescent tree, except that `messages` reports the
-  /// shared batch total on the FIRST result (0 on the rest) — splitting a
-  /// shared envelope's cost per event would be arbitrary.
-  std::vector<publish_result> multi_publish_and_drain(
-      spatial::peer_id publisher, const spatial::pt* values, std::size_t n,
-      std::uint64_t max_steps = 1000000);
-
-  // Split batch path, mirroring publish_begin/inject_publish for the
-  // sharded kernel backend.  event_ids[i] pairs with values[i].
-  void multi_publish_begin(spatial::peer_id publisher,
-                           const std::uint64_t* event_ids,
-                           const spatial::pt* values, std::size_t n);
-  void inject_multi_publish(const std::uint64_t* event_ids,
-                            const spatial::pt* values, std::size_t n);
 
   /// Record that `p` received event `id` after `hop` messages (called by
   /// peers).
@@ -317,6 +318,14 @@ class dr_overlay {
   /// Reachability changed globally (partition installed or healed):
   /// every live peer must re-check against the new oracle.
   void mark_all_live();
+
+  /// Where injected events enter: the first live root fragment, else any
+  /// live peer; kNoPeer when the overlay is empty.  An O(N) walk.
+  spatial::peer_id entry_peer() const;
+  /// Hand the events to `origin`'s publish in envelopes of at most
+  /// dr_batch_msg::kMaxEvents.
+  void publish_from(spatial::peer_id origin, std::uint64_t first_event_id,
+                    const spatial::pt* values, std::size_t n);
 
   dr_config config_;
   /// Declared before sim_: the simulator owns the dr_peer processes,

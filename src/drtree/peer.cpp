@@ -382,11 +382,6 @@ void dr_peer::send_msg(peer_id to, dr_msg m) {
                      std::move(m));
 }
 
-void dr_peer::send_event(peer_id to, const dr_event_msg& m) {
-  if (to == kNoPeer) return;
-  sim().send<dr_event_msg>(id(), to, static_cast<std::uint64_t>(m.kind), m);
-}
-
 void dr_peer::send_batch(peer_id to, const dr_batch_msg& m) {
   if (to == kNoPeer) return;
   sim().send_prefix<dr_batch_msg>(id(), to, static_cast<std::uint64_t>(m.kind),
@@ -395,33 +390,20 @@ void dr_peer::send_batch(peer_id to, const dr_batch_msg& m) {
 
 void dr_peer::on_message(sim::process_id from, std::uint64_t type,
                          const sim::envelope& msg) {
-  // The wire type doubles as the msg_kind (send_msg/send_event/send_batch
-  // all stamp it), so the payload struct can differ per kind: the event
-  // hot path rides the lean dr_event_msg, batches ride the variable-size
-  // dr_batch_msg, everything else the full dr_msg.
+  // The wire type doubles as the msg_kind (send_msg/send_batch both stamp
+  // it), so the payload struct can differ per kind: events ride the
+  // variable-size dr_batch_msg, everything else the full dr_msg.
   switch (static_cast<msg_kind>(type)) {
     case msg_kind::event_up: {
-      const auto* m = msg.visit<dr_event_msg>();
+      const auto* m = msg.visit<dr_batch_msg>();
       DRT_EXPECT(m != nullptr);
-      handle_event_up(static_cast<peer_id>(from), *m);
+      handle_events_up(static_cast<peer_id>(from), *m);
       return;
     }
     case msg_kind::event_down: {
-      const auto* m = msg.visit<dr_event_msg>();
-      DRT_EXPECT(m != nullptr);
-      handle_event_down(*m);
-      return;
-    }
-    case msg_kind::batch_up: {
       const auto* m = msg.visit<dr_batch_msg>();
       DRT_EXPECT(m != nullptr);
-      handle_batch_up(static_cast<peer_id>(from), *m);
-      return;
-    }
-    case msg_kind::batch_down: {
-      const auto* m = msg.visit<dr_batch_msg>();
-      DRT_EXPECT(m != nullptr);
-      handle_batch_down(*m);
+      handle_events_down(*m);
       return;
     }
     default: break;
@@ -990,9 +972,7 @@ void dr_peer::summary_mark(instance& ins, const box& b) {
 }
 
 bool dr_peer::admits(const instance& ins, const spatial::pt& v) const {
-  const auto mode = overlay_.config().summary;
-  if (mode == summary_mode::mbr) return ins.mbr.contains(v);
-  return summary_admits(mode, ins.summary, ins.mbr, v);
+  return summary_admits(overlay_.config().summary, ins.summary, ins.mbr, v);
 }
 
 void dr_peer::check_mbr(std::size_t h) {
@@ -1459,30 +1439,8 @@ void dr_peer::deliver_local(const spatial::event& ev, std::size_t hop) {
   overlay_.record_delivery(ev.id, pid(), hop);
 }
 
-void dr_peer::publish(const spatial::event& ev) {
-  already_seen(ev.id);
-  deliver_local(ev, 0);
-  const auto k = top();
-  record_instance_event(k, ev);
-  forward_down(k, ev, 0);
-  if (!is_root()) {
-    dr_event_msg m;
-    m.kind = msg_kind::event_up;
-    m.ev = ev;
-    m.h = static_cast<std::uint32_t>(k + 1);
-    m.hops_left =
-        static_cast<std::uint32_t>(overlay_.config().max_route_hops);
-    m.hop = 1;
-    send_event(inst(k).parent, m);
-  }
-}
-
-void dr_peer::multi_publish(const spatial::event* evs, std::size_t n) {
-  while (n > dr_batch_msg::kMaxEvents) {
-    multi_publish(evs, dr_batch_msg::kMaxEvents);
-    evs += dr_batch_msg::kMaxEvents;
-    n -= dr_batch_msg::kMaxEvents;
-  }
+void dr_peer::publish(const spatial::event* evs, std::size_t n) {
+  DRT_EXPECT(n <= dr_batch_msg::kMaxEvents);
   if (n == 0) return;
   const auto k = top();
   for (std::size_t i = 0; i < n; ++i) {
@@ -1493,49 +1451,14 @@ void dr_peer::multi_publish(const spatial::event* evs, std::size_t n) {
   fan_out_batch(k, evs, static_cast<std::uint32_t>(n), 0, kNoPeer);
   if (!is_root()) {
     dr_batch_msg m;
-    m.kind = msg_kind::batch_up;
+    m.kind = msg_kind::event_up;
     m.count = static_cast<std::uint32_t>(n);
     m.h = static_cast<std::uint32_t>(k + 1);
     m.hops_left =
         static_cast<std::uint32_t>(overlay_.config().max_route_hops);
     m.hop = 1;
-    for (std::size_t i = 0; i < n; ++i) m.events[i] = evs[i];
+    std::copy_n(evs, n, m.events);
     send_batch(inst(k).parent, m);
-  }
-}
-
-void dr_peer::forward_down(std::size_t h, const spatial::event& ev,
-                           std::size_t hop) {
-  if (h == 0) return;
-  const auto* ins = find_inst(h);
-  if (ins == nullptr) return;
-  fan_out_children(*ins, h, ev, hop, kNoPeer);
-}
-
-void dr_peer::fan_out_children(const instance& ins, std::size_t h,
-                               const spatial::event& ev, std::size_t hop,
-                               peer_id skip) {
-  for (const auto q : ins.children) {
-    if (q == skip) continue;
-    if (q == pid()) {
-      const auto* own = find_inst(h - 1);
-      if (own != nullptr && admits(*own, ev.value)) {
-        record_instance_event(h - 1, ev);
-        forward_down(h - 1, ev, hop);
-      }
-      continue;
-    }
-    if (!sees(q)) continue;
-    const auto* qi = overlay_.peer(q).find_inst(h - 1);
-    if (qi == nullptr || !admits(*qi, ev.value)) continue;
-    dr_event_msg m;
-    m.kind = msg_kind::event_down;
-    m.ev = ev;
-    m.h = static_cast<std::uint32_t>(h - 1);
-    m.hops_left =
-        static_cast<std::uint32_t>(overlay_.config().max_route_hops);
-    m.hop = static_cast<std::uint32_t>(hop + 1);
-    send_event(q, m);
   }
 }
 
@@ -1550,61 +1473,77 @@ void dr_peer::fan_out_batch(std::size_t h, const spatial::event* evs,
       const auto* own = find_inst(h - 1);
       if (own == nullptr) continue;
       // Own-chain descent stays in-process: filter into a stack-local
-      // sub-batch (recursion depth = tree height, so the stack cost is
+      // subset (recursion depth = tree height, so the stack cost is
       // bounded and tiny).
-      spatial::event sub[dr_batch_msg::kMaxEvents];
-      std::uint32_t cnt = 0;
+      dr_batch_msg sub;
       for (std::uint32_t i = 0; i < n; ++i) {
         if (!admits(*own, evs[i].value)) continue;
         record_instance_event(h - 1, evs[i]);
-        sub[cnt++] = evs[i];
+        sub.events[sub.count++] = evs[i];
       }
-      fan_out_batch(h - 1, sub, cnt, hop, kNoPeer);
+      fan_out_batch(h - 1, sub.events, sub.count, hop, kNoPeer);
       continue;
     }
     if (!sees(q)) continue;
     const auto* qi = overlay_.peer(q).find_inst(h - 1);
     if (qi == nullptr) continue;
-    // Split point of the batch protocol: each child gets the subset its
-    // summary admits; children admitting nothing are pruned envelope-free.
+    // Split point of the envelope: each child gets the subset its summary
+    // admits; children admitting nothing are pruned envelope-free.
     dr_batch_msg m;
-    m.kind = msg_kind::batch_down;
-    m.h = static_cast<std::uint32_t>(h - 1);
-    m.hops_left =
-        static_cast<std::uint32_t>(overlay_.config().max_route_hops);
-    m.hop = static_cast<std::uint32_t>(hop + 1);
     for (std::uint32_t i = 0; i < n; ++i) {
       if (admits(*qi, evs[i].value)) m.events[m.count++] = evs[i];
     }
     if (m.count == 0) continue;
+    m.kind = msg_kind::event_down;
+    m.h = static_cast<std::uint32_t>(h - 1);
+    m.hops_left =
+        static_cast<std::uint32_t>(overlay_.config().max_route_hops);
+    m.hop = static_cast<std::uint32_t>(hop + 1);
     send_batch(q, m);
   }
 }
 
-void dr_peer::handle_event_down(const dr_event_msg& m) {
-  if (already_seen(m.ev.id)) return;
-  deliver_local(m.ev, m.hop);
-  // The addressed instance can have been dissolved by a concurrent
-  // promotion/compaction; fall back to the current top so the event still
-  // reaches this peer's (re-homed) subtree — no false negatives from
-  // in-flight reconfiguration.
-  const std::size_t h = std::min<std::size_t>(m.h, top());
-  record_instance_event(h, m.ev);
-  forward_down(h, m.ev, m.hop);
+void dr_peer::accept_fresh(const dr_batch_msg& m, dr_batch_msg& fresh) {
+  // Per-event dedup: an envelope merging seen and fresh events still
+  // delivers exactly the fresh subset.
+  for (std::uint32_t i = 0; i < m.count; ++i) {
+    if (already_seen(m.events[i].id)) continue;
+    deliver_local(m.events[i], m.hop);
+    fresh.events[fresh.count++] = m.events[i];
+  }
 }
 
-void dr_peer::handle_event_up(peer_id from, const dr_event_msg& m) {
-  if (already_seen(m.ev.id)) return;
-  deliver_local(m.ev, m.hop);
+void dr_peer::handle_events_down(const dr_batch_msg& m) {
+  dr_batch_msg fresh;
+  accept_fresh(m, fresh);
+  if (fresh.count == 0) return;
+  // The addressed instance can have been dissolved by a concurrent
+  // promotion/compaction; fall back to the current top so the events
+  // still reach this peer's (re-homed) subtree — no false negatives from
+  // in-flight reconfiguration.
+  const std::size_t h = std::min<std::size_t>(m.h, top());
+  for (std::uint32_t i = 0; i < fresh.count; ++i) {
+    record_instance_event(h, fresh.events[i]);
+  }
+  fan_out_batch(h, fresh.events, fresh.count, m.hop, kNoPeer);
+}
+
+void dr_peer::handle_events_up(peer_id from, const dr_batch_msg& m) {
+  // The fresh subset is also the envelope forwarded to the parent.
+  dr_batch_msg up;
+  accept_fresh(m, up);
+  if (up.count == 0) return;
   peer_id from_child = from;
   std::size_t h = std::min<std::size_t>(m.h, top());  // may have dissolved
   std::size_t hops = m.hops_left;
   while (true) {
     const auto* ins = find_inst(h);
     if (ins == nullptr) return;
-    record_instance_event(h, m.ev);
+    for (std::uint32_t i = 0; i < up.count; ++i) {
+      record_instance_event(h, up.events[i]);
+    }
     // "down every sibling subtree encountered on the path to the root".
-    fan_out_children(*ins, h, m.ev, m.hop, from_child);
+    fan_out_batch(h, up.events, up.count, m.hop, from_child);
     if (ins->parent == pid()) {
       if (h < top()) {
         from_child = pid();  // continue up this peer's own chain
@@ -1614,65 +1553,10 @@ void dr_peer::handle_event_up(peer_id from, const dr_event_msg& m) {
       return;  // reached the root
     }
     if (hops == 0) return;
-    dr_event_msg up = m;
+    up.kind = msg_kind::event_up;
     up.h = static_cast<std::uint32_t>(h + 1);
     up.hops_left = static_cast<std::uint32_t>(hops - 1);
     up.hop = m.hop + 1;
-    send_event(ins->parent, up);
-    return;
-  }
-}
-
-void dr_peer::handle_batch_down(const dr_batch_msg& m) {
-  // Per-event dedup: the scalar path drops a whole message when its event
-  // was seen; here each event is filtered individually so a batch merging
-  // seen and fresh events still delivers exactly the fresh subset.
-  spatial::event fresh[dr_batch_msg::kMaxEvents];
-  std::uint32_t cnt = 0;
-  for (std::uint32_t i = 0; i < m.count; ++i) {
-    if (already_seen(m.events[i].id)) continue;
-    deliver_local(m.events[i], m.hop);
-    fresh[cnt++] = m.events[i];
-  }
-  if (cnt == 0) return;
-  const std::size_t h = std::min<std::size_t>(m.h, top());
-  for (std::uint32_t i = 0; i < cnt; ++i) record_instance_event(h, fresh[i]);
-  fan_out_batch(h, fresh, cnt, m.hop, kNoPeer);
-}
-
-void dr_peer::handle_batch_up(peer_id from, const dr_batch_msg& m) {
-  spatial::event fresh[dr_batch_msg::kMaxEvents];
-  std::uint32_t cnt = 0;
-  for (std::uint32_t i = 0; i < m.count; ++i) {
-    if (already_seen(m.events[i].id)) continue;
-    deliver_local(m.events[i], m.hop);
-    fresh[cnt++] = m.events[i];
-  }
-  if (cnt == 0) return;
-  peer_id from_child = from;
-  std::size_t h = std::min<std::size_t>(m.h, top());
-  std::size_t hops = m.hops_left;
-  while (true) {
-    const auto* ins = find_inst(h);
-    if (ins == nullptr) return;
-    for (std::uint32_t i = 0; i < cnt; ++i) record_instance_event(h, fresh[i]);
-    fan_out_batch(h, fresh, cnt, m.hop, from_child);
-    if (ins->parent == pid()) {
-      if (h < top()) {
-        from_child = pid();
-        ++h;
-        continue;
-      }
-      return;
-    }
-    if (hops == 0) return;
-    dr_batch_msg up;
-    up.kind = msg_kind::batch_up;
-    up.count = cnt;
-    up.h = static_cast<std::uint32_t>(h + 1);
-    up.hops_left = static_cast<std::uint32_t>(hops - 1);
-    up.hop = m.hop + 1;
-    for (std::uint32_t i = 0; i < cnt; ++i) up.events[i] = fresh[i];
     send_batch(ins->parent, up);
     return;
   }

@@ -131,16 +131,13 @@ class dr_peer : public sim::process {
   /// rejoin through the oracle.  The caller crashes the process.
   void leave_with_handoff();
 
-  /// Publish an event (§2.3/§3 dissemination).
-  void publish(const spatial::event& ev);
-
-  /// Publish `n` events as batch envelopes (DESIGN.md §9): the whole
-  /// batch is routed once and split only where children's admit sets
-  /// diverge, so k co-located events cost one tree traversal instead of
-  /// k.  Per-event delivery/dedup semantics are identical to calling
-  /// publish() n times on a quiescent tree.  Batches larger than
-  /// dr_batch_msg::kMaxEvents are chunked.
-  void multi_publish(const spatial::event* evs, std::size_t n);
+  /// Publish `n` <= dr_batch_msg::kMaxEvents events (§2.3/§3
+  /// dissemination) in one envelope (DESIGN.md §9): climb to the root and
+  /// descend every sibling subtree whose admit test passes, routing the
+  /// events once and splitting only where children's admit sets diverge.
+  /// On a quiescent tree each event is delivered exactly as when published
+  /// alone; n = 1 is a single publish.
+  void publish(const spatial::event* evs, std::size_t n);
 
   /// Start a distributed range search: route `query` to the root, then
   /// down every subtree whose MBR intersects it; every leaf whose filter
@@ -172,10 +169,8 @@ class dr_peer : public sim::process {
   void handle_leave(const dr_msg& m);
   void handle_check_structure_msg(const dr_msg& m);
   void handle_initiate_new_connection(const dr_msg& m);
-  void handle_event_up(spatial::peer_id from, const dr_event_msg& m);
-  void handle_event_down(const dr_event_msg& m);
-  void handle_batch_up(spatial::peer_id from, const dr_batch_msg& m);
-  void handle_batch_down(const dr_batch_msg& m);
+  void handle_events_up(spatial::peer_id from, const dr_batch_msg& m);
+  void handle_events_down(const dr_batch_msg& m);
   void handle_search_up(const dr_msg& m);
   void handle_search_down(const dr_msg& m);
 
@@ -244,21 +239,16 @@ class dr_peer : public sim::process {
 
   // Dissemination helpers.  `hop` counts network messages traversed.
   void deliver_local(const spatial::event& ev, std::size_t hop);
-  void forward_down(std::size_t h, const spatial::event& ev,
-                    std::size_t hop);
-  /// The sibling fan-out shared by forward_down and handle_event_up: push
-  /// `ev` into every child subtree of `ins` (an instance at height `h`)
-  /// that admits it, skipping `skip` — the child the event arrived from
-  /// (kNoPeer when descending, where nothing is skipped).
-  void fan_out_children(const instance& ins, std::size_t h,
-                        const spatial::event& ev, std::size_t hop,
-                        spatial::peer_id skip);
-  /// Batch analogue of fan_out_children + forward_down: push the events
-  /// into every child subtree of the instance at `h`, re-filtering the
-  /// batch against each child's admit test and sending one (smaller)
-  /// envelope per diverging child.  Recurses down the own-instance chain.
+  /// The sibling fan-out: push the events into every child subtree of the
+  /// instance at `h`, re-filtering them against each child's admit test
+  /// and sending one envelope per child that admits any, skipping `skip`
+  /// — the child the events arrived from (kNoPeer when descending).
+  /// Recurses down the own-instance chain.
   void fan_out_batch(std::size_t h, const spatial::event* evs,
                      std::uint32_t n, std::size_t hop, spatial::peer_id skip);
+  /// Deliver every event of `m` this peer has not seen before and append
+  /// it to `fresh`.
+  void accept_fresh(const dr_batch_msg& m, dr_batch_msg& fresh);
   bool already_seen(std::uint64_t event_id);
 
   // FP-driven reorganization (§3.2, E15).
@@ -266,9 +256,8 @@ class dr_peer : public sim::process {
   void maybe_reorganize(std::size_t h);
 
   void send_msg(spatial::peer_id to, dr_msg m);
-  void send_event(spatial::peer_id to, const dr_event_msg& m);
-  /// Sends only the used prefix of the batch (bytes_for(count)), so small
-  /// batches ride small pool size classes.
+  /// Sends only the used prefix of the envelope (bytes_for(count)), so
+  /// small envelopes ride small pool size classes.
   void send_batch(spatial::peer_id to, const dr_batch_msg& m);
   void rejoin_fragment(std::size_t h);
 

@@ -10,8 +10,9 @@
 // A `subtree_summary` refines the MBR with a k×k occupancy bitmap over a
 // bounded *frame* (the instance MBR clamped to the workspace at the last
 // full rebuild): a bit is set iff some live leaf filter below the
-// instance may overlap that cell.  The admit test is one array lookup and
-// one bit probe — a non-matching subtree is pruned without descending.
+// instance may overlap that cell.  With `summary = both` the admit test
+// is the MBR test plus one bit probe — a non-matching subtree is pruned
+// without descending; `summary = mbr` keeps the paper's MBR-only routing.
 //
 // Soundness contract (checked by overlay::checker): the summary must
 // OVER-approximate the true filter set below the instance.  Every point v
@@ -41,14 +42,12 @@ namespace drt::overlay {
 /// (`dr_config::summary`).
 enum class summary_mode : std::uint8_t {
   mbr,   ///< coarsened MBR only — the paper's routing, bit-for-bit
-  grid,  ///< occupancy bitmap inside the frame, MBR fallback outside
-  both,  ///< MBR test AND occupancy bitmap (tightest pruning)
+  both,  ///< MBR test AND occupancy bitmap inside the frame
 };
 
 inline const char* to_string(summary_mode m) {
   switch (m) {
     case summary_mode::mbr: return "mbr";
-    case summary_mode::grid: return "grid";
     case summary_mode::both: return "both";
   }
   return "?";
@@ -184,11 +183,11 @@ struct subtree_summary {
 /// instance with this summary and MBR for an event at `v`?
 inline bool summary_admits(summary_mode mode, const subtree_summary& s,
                            const spatial::box& mbr, const spatial::pt& v) {
-  if (mode == summary_mode::mbr) return mbr.contains(v);
-  if (!s.valid() || !s.frame.contains(v)) return mbr.contains(v);
-  const bool occupied = s.test(v);
-  if (mode == summary_mode::grid) return occupied;
-  return occupied && mbr.contains(v);
+  if (!mbr.contains(v)) return false;
+  if (mode == summary_mode::mbr || !s.valid() || !s.frame.contains(v)) {
+    return true;
+  }
+  return s.test(v);
 }
 
 }  // namespace drt::overlay

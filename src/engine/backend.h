@@ -146,8 +146,8 @@ class backend {
   /// Publish `n` events from one publisher as a batch and drain once,
   /// returning ONE aggregated report (per-event sums; messages = total
   /// network cost of the whole batch).  Backends with a native batch path
-  /// (the DR-tree's multi_publish envelopes) override this; the default
-  /// is the semantic baseline — n scalar publishes — so every backend
+  /// (the DR-tree's shared event envelopes) override this; the default
+  /// is the semantic baseline — n single publishes — so every backend
   /// accepts batch scenarios and the comparison stays honest.
   virtual delivery_report publish_batch(sub_id publisher,
                                         const spatial::pt* values,

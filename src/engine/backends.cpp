@@ -135,17 +135,7 @@ sub_id drtree_backend::root() const {
 
 delivery_report drtree_backend::publish(sub_id publisher,
                                         const spatial::pt& value) {
-  const auto r =
-      overlay_->publish_and_drain(static_cast<spatial::peer_id>(publisher),
-                                  value);
-  delivery_report d;
-  d.interested = r.interested;
-  d.delivered = r.delivered;
-  d.false_positives = r.false_positives;
-  d.false_negatives = r.false_negatives;
-  d.messages = r.messages;
-  d.max_hops = r.max_hops;
-  return d;
+  return publish_batch(publisher, &value, 1);
 }
 
 delivery_report drtree_backend::publish_batch(sub_id publisher,
@@ -304,59 +294,28 @@ sub_id sharded_drtree_backend::root() const {
 
 delivery_report sharded_drtree_backend::publish(sub_id publisher,
                                                 const spatial::pt& value) {
-  const auto& sl = at(publisher);
-  const auto event_id = next_event_id_++;
-  std::vector<std::uint64_t> before(overlays_.size(), 0);
-  for (std::size_t i = 0; i < overlays_.size(); ++i) {
-    before[i] = overlays_[i]->sim().metrics().messages_sent;
-  }
-  overlays_[sl.shard]->publish_begin(sl.local, event_id, value);
-  for (std::size_t d = 0; d < overlays_.size(); ++d) {
-    if (d == sl.shard) continue;
-    kernel_.post(sl.shard, d, sizeof(overlay::dr_msg),
-                 [this, d, event_id, value](sim::simulator&) {
-                   overlays_[d]->inject_publish(event_id, value);
-                 });
-  }
-  kernel_.settle();
-
-  delivery_report rep;
-  for (std::size_t i = 0; i < overlays_.size(); ++i) {
-    const auto r = overlays_[i]->publish_finish(event_id, value, before[i]);
-    rep.interested += r.interested;
-    rep.delivered += r.delivered;
-    rep.false_positives += r.false_positives;
-    rep.false_negatives += r.false_negatives;
-    rep.messages += r.messages;
-    rep.max_hops = std::max(rep.max_hops, r.max_hops);
-  }
-  if (overlays_.size() > 1) {
-    rep.messages += overlays_.size() - 1;  // the cross-shard injections
-  }
-  return rep;
+  return publish_batch(publisher, &value, 1);
 }
 
 delivery_report sharded_drtree_backend::publish_batch(
     sub_id publisher, const spatial::pt* values, std::size_t n) {
   if (n == 0) return {};
   const auto& sl = at(publisher);
-  std::vector<std::uint64_t> ids(n);
-  for (auto& id : ids) id = next_event_id_++;
-  std::vector<spatial::pt> vals(values, values + n);
+  const auto first_id = next_event_id_;
+  next_event_id_ += n;
   std::vector<std::uint64_t> before(overlays_.size(), 0);
   for (std::size_t i = 0; i < overlays_.size(); ++i) {
     before[i] = overlays_[i]->sim().metrics().messages_sent;
   }
-  overlays_[sl.shard]->multi_publish_begin(sl.local, ids.data(), vals.data(),
-                                           n);
+  overlays_[sl.shard]->multi_publish_begin(sl.local, first_id, values, n);
   for (std::size_t d = 0; d < overlays_.size(); ++d) {
     if (d == sl.shard) continue;
     // One cross-shard injection per shard carries the whole batch — the
-    // sharded analogue of the batch envelope's single descent.
+    // sharded analogue of the envelope's single descent.  `values` stays
+    // valid: settle() below runs every posted injection.
     kernel_.post(sl.shard, d, overlay::dr_batch_msg::bytes_for(n),
-                 [this, d, ids, vals](sim::simulator&) {
-                   overlays_[d]->inject_multi_publish(ids.data(), vals.data(),
-                                                      ids.size());
+                 [this, d, first_id, values, n](sim::simulator&) {
+                   overlays_[d]->inject_multi_publish(first_id, values, n);
                  });
   }
   kernel_.settle();
@@ -364,15 +323,16 @@ delivery_report sharded_drtree_backend::publish_batch(
   delivery_report rep;
   for (std::size_t i = 0; i < overlays_.size(); ++i) {
     const auto after = overlays_[i]->sim().metrics().messages_sent;
-    rep.messages += after - before[i];
     for (std::size_t e = 0; e < n; ++e) {
-      // `after` as the baseline zeroes the per-event message delta; the
-      // shard's batch total was added once above.
-      const auto r = overlays_[i]->publish_finish(ids[e], vals[e], after);
+      // The shard's first event carries its whole message delta; `after`
+      // as the baseline zeroes the rest.
+      const auto r = overlays_[i]->publish_finish(
+          first_id + e, values[e], e == 0 ? before[i] : after);
       rep.interested += r.interested;
       rep.delivered += r.delivered;
       rep.false_positives += r.false_positives;
       rep.false_negatives += r.false_negatives;
+      rep.messages += r.messages;
       rep.max_hops = std::max(rep.max_hops, r.max_hops);
     }
   }

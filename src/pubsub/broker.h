@@ -100,7 +100,7 @@ class broker {
 
   /// Publish `n` events in one overlay batch (DESIGN.md §9): the events
   /// share envelopes and tree descents, so the network cost is far below
-  /// n scalar publishes.  Returns one outcome per event with the same
+  /// n single publishes.  Returns one outcome per event with the same
   /// client-level accounting as publish(); the shared batch message total
   /// is reported on the FIRST outcome (0 on the rest).
   std::vector<publish_outcome> publish_batch(client_id publisher,

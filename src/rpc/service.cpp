@@ -305,26 +305,7 @@ void service::handle_publish(connection& conn, const frame_view& frame) {
     send_error(conn, frame.seq, wire_errc::bad_request);
     return;
   }
-  report_body reply;
-  auto owner = owners_.find(body.publisher);
-  if (owner == owners_.end() || owner->second != conn.fd ||
-      !be_.alive(body.publisher)) {
-    send_bytes(conn, frame_type::publish_report, frame.seq, &reply,
-               sizeof(reply));  // ok = 0
-    return;
-  }
-  const auto result = be_.overlay().publish_and_drain(
-      static_cast<spatial::peer_id>(body.publisher), body.value);
-  push_deliveries(result, body.publisher, body.value);
-  reply.interested = result.interested;
-  reply.delivered = result.delivered;
-  reply.false_positives = result.false_positives;
-  reply.false_negatives = result.false_negatives;
-  reply.messages = result.messages;
-  reply.max_hops = static_cast<std::uint32_t>(result.max_hops);
-  reply.ok = 1;
-  send_bytes(conn, frame_type::publish_report, frame.seq, &reply,
-             sizeof(reply));
+  publish_and_reply(conn, frame.seq, body.publisher, &body.value, 1);
 }
 
 void service::handle_publish_batch(connection& conn, const frame_view& frame) {
@@ -333,21 +314,27 @@ void service::handle_publish_batch(connection& conn, const frame_view& frame) {
     send_error(conn, frame.seq, wire_errc::bad_request);
     return;
   }
-  const std::uint64_t publisher = batch.events[0].publisher;
-  report_body reply;
-  auto owner = owners_.find(publisher);
-  if (owner == owners_.end() || owner->second != conn.fd ||
-      !be_.alive(publisher)) {
-    send_bytes(conn, frame_type::publish_report, frame.seq, &reply,
-               sizeof(reply));  // ok = 0
-    return;
-  }
   spatial::pt values[overlay::dr_batch_msg::kMaxEvents];
   for (std::uint32_t i = 0; i < batch.count; ++i) {
     values[i] = batch.events[i].value;
   }
+  publish_and_reply(conn, frame.seq, batch.events[0].publisher, values,
+                    batch.count);
+}
+
+void service::publish_and_reply(connection& conn, std::uint32_t seq,
+                                std::uint64_t publisher,
+                                const spatial::pt* values, std::size_t n) {
+  report_body reply;
+  auto owner = owners_.find(publisher);
+  if (owner == owners_.end() || owner->second != conn.fd ||
+      !be_.alive(publisher)) {
+    send_bytes(conn, frame_type::publish_report, seq, &reply,
+               sizeof(reply));  // ok = 0
+    return;
+  }
   const auto results = be_.overlay().multi_publish_and_drain(
-      static_cast<spatial::peer_id>(publisher), values, batch.count);
+      static_cast<spatial::peer_id>(publisher), values, n);
   for (std::size_t i = 0; i < results.size(); ++i) {
     push_deliveries(results[i], publisher, values[i]);
     reply.interested += results[i].interested;
@@ -359,8 +346,7 @@ void service::handle_publish_batch(connection& conn, const frame_view& frame) {
         reply.max_hops, static_cast<std::uint32_t>(results[i].max_hops));
   }
   reply.ok = 1;
-  send_bytes(conn, frame_type::publish_report, frame.seq, &reply,
-             sizeof(reply));
+  send_bytes(conn, frame_type::publish_report, seq, &reply, sizeof(reply));
 }
 
 void service::handle_stat(connection& conn, const frame_view& frame) {

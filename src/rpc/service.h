@@ -130,6 +130,13 @@ class service {
   void handle_unsubscribe(connection& conn, const frame_view& frame);
   void handle_publish(connection& conn, const frame_view& frame);
   void handle_publish_batch(connection& conn, const frame_view& frame);
+  /// The drain-and-reply both publish frames share: publish `values` from
+  /// `publisher` as one batch, push each delivery to its subscriber and
+  /// answer `seq` with the summed report (ok = 0 unless `publisher` is a
+  /// live subscription owned by `conn`).
+  void publish_and_reply(connection& conn, std::uint32_t seq,
+                         std::uint64_t publisher, const spatial::pt* values,
+                         std::size_t n);
   void handle_stat(connection& conn, const frame_view& frame);
   void handle_active(connection& conn, const frame_view& frame);
   void handle_stats(connection& conn, const frame_view& frame);

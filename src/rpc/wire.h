@@ -335,8 +335,10 @@ inline bool read_batch(const frame_view& f, overlay::dr_batch_msg& out) {
       f.size > sizeof(overlay::dr_batch_msg)) {
     return false;
   }
-  out = overlay::dr_batch_msg{};
-  std::memcpy(&out, f.payload, f.size);
+  // The envelope's constructor leaves its events unwritten; zero the
+  // whole struct so the tail past `count` reads as zeros, never garbage.
+  std::memset(static_cast<void*>(&out), 0, sizeof(out));
+  std::memcpy(static_cast<void*>(&out), f.payload, f.size);
   return out.count <= overlay::dr_batch_msg::kMaxEvents &&
          f.size == overlay::dr_batch_msg::bytes_for(out.count);
 }

@@ -149,10 +149,14 @@ class envelope {
   envelope& operator=(const envelope&) = delete;
   ~envelope() { reset(); }
 
+  /// Bytes of block header in front of every payload; a payload's pool
+  /// class is that of kHeaderBytes + its size.
+  static constexpr std::size_t kHeaderBytes = 32;
+
   /// Payloads up to this size ride pooled (recycled, allocation-free in
   /// steady state) blocks; bigger ones fall back to the global allocator.
   static constexpr std::size_t kMaxPooledPayload =
-      payload_pool::kMaxPooledBytes - 32;
+      payload_pool::kMaxPooledBytes - kHeaderBytes;
 
   /// Wrap `value` into a pool block.  The pool must outlive the envelope.
   template <typename T>
@@ -235,7 +239,7 @@ class envelope {
     std::uint32_t bytes;  ///< total block size including this header
     std::uint32_t reserved;
   };
-  static_assert(sizeof(block_header) == 32);
+  static_assert(sizeof(block_header) == kHeaderBytes);
   static_assert(alignof(block_header) <= alignof(std::max_align_t));
 
   block_header* header() const {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 #include "analysis/harness.h"
@@ -392,6 +393,11 @@ struct variation {
   const char* name;
 };
 
+// gtest prints GetParam() next to each test name (and so into the ctest
+// name); without this it dumps the raw struct bytes, including the
+// address-space-dependent `name` pointer.
+void PrintTo(const variation& v, std::ostream* os) { *os << v.name; }
+
 class VariationTest : public ::testing::TestWithParam<variation> {};
 
 TEST_P(VariationTest, JoinsLeavesStayLegal) {
@@ -413,8 +419,6 @@ TEST_P(VariationTest, JoinsLeavesStayLegal) {
   EXPECT_EQ(acc.false_negatives, 0u);
 }
 
-// Static storage zero-fills the struct padding, so the GetParam() bytes
-// gtest prints next to each test name do not pick up stack garbage.
 constexpr variation kVariations[] = {
     {rtree::split_method::linear, 2, 4, "linear_m2M4"},
     {rtree::split_method::quadratic, 2, 8, "quadratic_m2M8"},

@@ -1,7 +1,7 @@
-// Batched publication (DESIGN.md §9): delivery equivalence between the
-// multi_publish envelope path and per-event publishes, subtree-summary
-// soundness (bitmap admits over-approximate the filter set below), and
-// the batch/summary cost wins the bench gates on.
+// Batched publication (DESIGN.md §9): delivery equivalence between
+// multi-event envelopes and one-event publishes, the envelope's wire
+// kinds, subtree-summary soundness (bitmap admits over-approximate the
+// filter set below), and the batch/summary cost wins the bench gates on.
 //
 // The equivalence harness runs *twin* overlays: identical config, seed,
 // and operation sequence produce bit-identical trees, so the scalar twin
@@ -119,8 +119,7 @@ void expect_equivalent(twin_overlays& tw, peer_id publisher,
 // ------------------------------------------------- delivery equivalence
 
 TEST(PublishBatch, DeliveryEquivalenceAcrossConfigs) {
-  const summary_mode modes[] = {summary_mode::mbr, summary_mode::grid,
-                                summary_mode::both};
+  const summary_mode modes[] = {summary_mode::mbr, summary_mode::both};
   const std::size_t populations[] = {24, 64};
   const std::size_t batches[] = {4, 16, 64};
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -165,8 +164,8 @@ TEST(PublishBatch, EquivalenceMidChurnWithCrashes) {
 }
 
 TEST(PublishBatch, ChunksBeyondEnvelopeCapacity) {
-  // More events than one dr_batch_msg holds: multi_publish must chunk
-  // transparently and still deliver every event exactly once.
+  // More events than one dr_batch_msg holds: multi_publish_and_drain must
+  // chunk transparently and still deliver every event exactly once.
   twin_overlays tw(frozen_dr(summary_mode::both), 5);
   const auto filters = gen_filters(42, 32);
   const auto publisher = tw.populate(filters);
@@ -192,6 +191,43 @@ TEST(PublishBatch, BatchedCostsFewerMessages) {
 
   EXPECT_LT(batched_messages, scalar_messages)
       << "a shared envelope must beat per-event routing";
+}
+
+TEST(PublishBatch, EnvelopesTravelAsEventKindsOnly) {
+  // Batched and single publishes ride one envelope whose wire kinds are
+  // event_up / event_down at every event count — the kind values the
+  // golden delivery digests hash.
+  dr_overlay ov(frozen_dr(summary_mode::mbr), twin_overlays::seeded(61));
+  const auto filters = gen_filters(62, 48);
+  for (const auto& f : filters) ov.add_peer_and_settle(f);
+  peer_id publisher = spatial::kNoPeer;
+  ov.for_each_live([&](peer_id p) {
+    if (ov.peer(p).is_root()) return true;
+    publisher = p;  // a non-root publisher sends event_up as well
+    return false;
+  });
+  ASSERT_NE(publisher, spatial::kNoPeer);
+
+  std::uint64_t up = 0, down = 0, other = 0;
+  ov.sim().set_trace([&](const sim::simulator::trace_event& e) {
+    if (e.type == static_cast<std::uint64_t>(msg_kind::event_up)) {
+      ++up;
+    } else if (e.type == static_cast<std::uint64_t>(msg_kind::event_down)) {
+      ++down;
+    } else {
+      ++other;
+    }
+  });
+  const auto values = gen_events(63, 16, filters);
+  const auto batched =
+      ov.multi_publish_and_drain(publisher, values.data(), values.size());
+  const auto single = ov.publish_and_drain(publisher, values.front());
+  ov.sim().set_trace(nullptr);
+
+  EXPECT_GT(up, 0u);
+  EXPECT_GT(down, 0u);
+  EXPECT_EQ(other, 0u);
+  EXPECT_EQ(up + down, batched.front().messages + single.messages);
 }
 
 // ------------------------------------------------------ backend parity
@@ -376,18 +412,16 @@ TEST(SubtreeSummary, AdmitNeverPrunesInsideFilters) {
 // ------------------------------------------------ checker summary rule
 
 TEST(SummarySoundness, CheckerRuleQuietOnConvergedTrees) {
-  for (const auto mode : {summary_mode::grid, summary_mode::both}) {
-    analysis::harness_config hc;
-    hc.dr = frozen_dr(mode);
-    hc.dr.stabilize_period = 10.0;
-    hc.net.seed = 23;
-    analysis::testbed tb(hc);
-    tb.populate(48);
-    ASSERT_GE(tb.converge(200), 0);
-    const auto r = tb.report();
-    EXPECT_TRUE(r.legal()) << r.violations.front();
-    EXPECT_EQ(r.summary_violations, 0u);
-  }
+  analysis::harness_config hc;
+  hc.dr = frozen_dr(summary_mode::both);
+  hc.dr.stabilize_period = 10.0;
+  hc.net.seed = 23;
+  analysis::testbed tb(hc);
+  tb.populate(48);
+  ASSERT_GE(tb.converge(200), 0);
+  const auto r = tb.report();
+  EXPECT_TRUE(r.legal()) << r.violations.front();
+  EXPECT_EQ(r.summary_violations, 0u);
 }
 
 TEST(SummarySoundness, CheckerRuleHoldsUnderChurnAndCrashSoak) {

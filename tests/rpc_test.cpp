@@ -153,8 +153,8 @@ TEST(WireCodec, FuzzRoundTripsPrefixEncodedBatchesAtEveryCount) {
   for (std::size_t count = 0; count <= overlay::dr_batch_msg::kMaxEvents;
        ++count) {
     overlay::dr_batch_msg in{};
-    in.kind = rng.chance(0.5) ? overlay::msg_kind::batch_down
-                              : overlay::msg_kind::batch_up;
+    in.kind = rng.chance(0.5) ? overlay::msg_kind::event_down
+                              : overlay::msg_kind::event_up;
     in.count = static_cast<std::uint32_t>(count);
     in.h = static_cast<std::uint32_t>(rng.uniform_int(0, 31));
     in.hops_left = static_cast<std::uint32_t>(rng.uniform_int(0, 255));
