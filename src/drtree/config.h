@@ -30,7 +30,7 @@ inline const char* to_string(election_policy p) {
   return "?";
 }
 
-/// Which stabilization modules run on the periodic timer.  Disabling
+/// Which stabilization modules a stabilize pass runs.  Disabling
 /// modules is used by failure-injection tests to show each module is
 /// *necessary* (the structure then fails to recover from the fault class
 /// that module repairs).
@@ -41,28 +41,6 @@ struct stabilizer_switches {
   bool check_cover = true;      // Fig. 13
   bool check_structure = true;  // Fig. 14
 };
-
-/// How the periodic stabilization pass is scheduled (DESIGN.md §11).
-/// `full` is the paper's schedule, bit-for-bit: every peer runs every
-/// CHECK_* module every period.  `dirty` visits a peer's chain only when
-/// the overlay's dirty set marked one of its instances since the last
-/// pass, plus a background full-sweep stride (each peer still runs every
-/// `sweep_stride`-th tick unconditionally), so silent corruption — state
-/// damaged without any protocol event — is found within `sweep_stride`
-/// periods instead of one.  Self-stabilization is preserved; only the
-/// detection latency for mutation-free faults grows, bounded by K.
-enum class stabilize_mode {
-  full,   ///< legacy: every peer, every period
-  dirty,  ///< dirty-set + 1/K background sweep
-};
-
-inline const char* to_string(stabilize_mode m) {
-  switch (m) {
-    case stabilize_mode::full: return "full";
-    case stabilize_mode::dirty: return "dirty";
-  }
-  return "?";
-}
 
 struct dr_config {
   /// R-tree degree bounds: every non-root interior node keeps between
@@ -79,13 +57,15 @@ struct dr_config {
   /// calls this the "timeout" driving the CHECK_* events.
   sim::sim_time stabilize_period = 10.0;
 
-  /// Stabilization scheduling policy (see stabilize_mode above).
-  stabilize_mode stabilize = stabilize_mode::full;
-
-  /// Dirty mode's background-sweep factor K: a quiescent (never-marked)
-  /// peer still runs its full pass every K-th period, staggered by peer
-  /// id, bounding detection latency for silent corruption at K periods.
-  std::size_t sweep_stride = 16;
+  /// Background-sweep stride K of the stabilize scheduler (DESIGN.md §11).
+  /// Every peer keeps a tick chain, one tick per period.  A peer runs its
+  /// CHECK_* pass on a tick when the dirty set marked one of its
+  /// instances since its last pass, when it is a root, or on every K-th
+  /// tick regardless (staggered by peer id).  K = 1 is the paper's
+  /// schedule, bit-for-bit: every peer, every period.  K > 1 skips clean
+  /// peers, so silent corruption — state damaged without any protocol
+  /// event — is found within K periods instead of one.
+  std::size_t sweep_stride = 1;
 
   /// When true the FP-driven parent/child exchange of §3.2 ("Dynamic
   /// Reorganizations") runs on the stabilization timer (experiment E15).

@@ -1,7 +1,6 @@
 #include "drtree/overlay.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -17,6 +16,7 @@ dr_overlay::dr_overlay(dr_config config, sim::simulator_config sim_cfg)
     : config_(config), sim_(sim_cfg) {
   DRT_EXPECT(config_.min_children >= 1);
   DRT_EXPECT(config_.max_children >= 2 * config_.min_children);
+  DRT_EXPECT(config_.sweep_stride >= 1);
   if (config_.trace != obs::trace_mode::off) {
     trace_ = std::make_unique<obs::trace_ring>(config_.trace,
                                                config_.trace_capacity);
@@ -81,13 +81,11 @@ void dr_overlay::controlled_leave(peer_id p) {
   } else {
     peer(p).announce_leave();
   }
-  if (config_.stabilize == stabilize_mode::dirty) {
-    // The departure notifications mark their receivers when handled, but
-    // they can be lost in flight — mark the neighborhood directly too.
-    mark_neighbors_of(p);
-    for (const auto h : peer(p).instance_heights()) {
-      test_and_clear_dirty(peer(p).slot_for_mark(h));
-    }
+  // The departure notifications mark their receivers when handled, but
+  // they can be lost in flight — mark the neighborhood directly too.
+  mark_neighbors_of(p);
+  for (const auto h : peer(p).instance_heights()) {
+    test_and_clear_dirty(peer(p).slot_for_mark(h));
   }
   sim_.crash(p);
   // A controlled departure drops the filter from the ground-truth
@@ -99,8 +97,8 @@ void dr_overlay::controlled_leave(peer_id p) {
 }
 
 void dr_overlay::crash(peer_id p) {
-  if (alive(p)) trace_emit(obs::trace_kind::crash, p);
-  if (config_.stabilize == stabilize_mode::dirty && alive(p)) {
+  if (alive(p)) {
+    trace_emit(obs::trace_kind::crash, p);
     // The crash purge is silent — no protocol message will ever tell the
     // neighbors.  Mark them now, and drop the dead peer's own marks:
     // nothing will consume them until a restart re-marks the chain.
@@ -382,7 +380,6 @@ publish_result dr_overlay::publish_finish(std::uint64_t event_id,
 // ------------------------------------------------------------ dirty set
 
 void dr_overlay::mark_dirty(peer_id p, std::size_t height) {
-  if (config_.stabilize != stabilize_mode::dirty) return;
   if (p == kNoPeer || static_cast<std::size_t>(p) >= sim_.process_count() ||
       !sim_.is_alive(p)) {
     return;
@@ -395,9 +392,7 @@ void dr_overlay::mark_dirty(peer_id p, std::size_t height) {
   const std::uint64_t mask = 1ull << (s % 64);
   if ((dirty_bits_[w] & mask) == 0) {
     dirty_bits_[w] |= mask;
-    dirty_ring_.push_back(s);
     ++dirty_pending_;
-    ++stab_stats_.marks;
     // A set bit means the owner has already been pulled in and not yet
     // consumed it, so the nudge is only needed on the 0→1 edge.
     pr.note_marked();
@@ -412,18 +407,6 @@ bool dr_overlay::test_and_clear_dirty(inst_slot s) {
   if ((dirty_bits_[w] & mask) == 0) return false;
   dirty_bits_[w] &= ~mask;
   --dirty_pending_;
-  // The ring accumulates one (possibly stale) entry per 0→1 mark;
-  // rebuild it from the bitmap — O(set bits) — when mostly stale.
-  if (dirty_ring_.size() >= 64 &&
-      dirty_ring_.size() > 4 * dirty_pending_) {
-    dirty_ring_.clear();
-    for (std::size_t i = 0; i < dirty_bits_.size(); ++i) {
-      for (auto bits = dirty_bits_[i]; bits != 0; bits &= bits - 1) {
-        dirty_ring_.push_back(static_cast<inst_slot>(
-            i * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
-      }
-    }
-  }
   return true;
 }
 
@@ -443,7 +426,6 @@ void dr_overlay::mark_neighbors_of(peer_id p) {
 }
 
 void dr_overlay::mark_all_live() {
-  if (config_.stabilize != stabilize_mode::dirty) return;
   for_each_live([this](peer_id id) { mark_dirty(id, 0); });
 }
 

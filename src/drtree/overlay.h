@@ -40,12 +40,10 @@ struct publish_result {
   std::vector<spatial::peer_id> receivers;  ///< live peers that received it
 };
 
-/// Dirty-set scheduling counters (stabilize_mode::dirty, DESIGN.md §11).
-/// `visited` counts stabilize passes that actually ran (both modes);
-/// `skipped` counts periodic ticks a clean peer jumped over; `marks`
-/// counts bitmap 0→1 transitions.
+/// Stabilize scheduling counters (DESIGN.md §11).  `visited` counts
+/// stabilize passes that actually ran; `skipped` counts ticks a clean
+/// peer jumped over (always 0 at sweep_stride 1).
 struct stabilize_stats {
-  std::uint64_t marks = 0;
   std::uint64_t visited = 0;
   std::uint64_t skipped = 0;
 };
@@ -240,12 +238,11 @@ class dr_overlay {
   arena_stats memory_stats() const;
 
   // ---------------------------------------------------------- dirty set
-  // Dirty-set scheduling (stabilize_mode::dirty, DESIGN.md §11): a bitmap
-  // over arena slots plus a mark-order ring.  Every protocol mutation
-  // that can invalidate an invariant marks the instances it touched; a
-  // peer's periodic pass consumes its own marks and a clean peer skips
-  // ahead to its next background-sweep tick.  All of this is a no-op in
-  // full mode.
+  // The stabilize scheduler's dirty set (DESIGN.md §11): a bitmap over
+  // arena slots plus a count of set bits.  Every protocol mutation that
+  // can invalidate an invariant marks the instances it touched; a peer's
+  // pass consumes its own marks, and at sweep_stride > 1 a clean peer
+  // skips ahead to its next background-sweep tick.
 
   /// Mark `p`'s instance at `height` dirty (nearest existing height when
   /// the exact one is missing — the leaf always exists).  Nudges the
@@ -266,10 +263,6 @@ class dr_overlay {
   /// Slots currently marked (the kernel skips shards where this is 0 and
   /// drtd reschedules its wall-clock stabilizer against it).
   std::size_t dirty_pending() const { return dirty_pending_; }
-
-  /// Marked slots in mark order (may contain already-cleared entries
-  /// until the next compaction; callers re-check the bitmap).
-  const std::vector<inst_slot>& dirty_ring() const { return dirty_ring_; }
 
   stabilize_stats& stab_stats() { return stab_stats_; }
   const stabilize_stats& stab_stats() const { return stab_stats_; }
@@ -306,7 +299,7 @@ class dr_overlay {
     return sim_.run_steps(max_steps);
   }
 
-  /// Advance virtual time by `dt` (periodic stabilizers fire).
+  /// Advance virtual time by `dt` (due stabilize passes run).
   void advance(sim::sim_time dt) { sim_.run_until(sim_.now() + dt); }
 
   oracle_mode oracle = oracle_mode::random_live;
@@ -346,9 +339,8 @@ class dr_overlay {
       search_hits_;
   std::unordered_map<std::uint64_t, std::size_t> search_hops_;
 
-  // Dirty-set state (empty and untouched in full mode).
+  // Dirty-set state.
   std::vector<std::uint64_t> dirty_bits_;  ///< one bit per arena slot
-  std::vector<inst_slot> dirty_ring_;      ///< marked slots in mark order
   std::size_t dirty_pending_ = 0;          ///< set bits in dirty_bits_
   stabilize_stats stab_stats_;
 

@@ -125,7 +125,7 @@ std::vector<std::size_t> dr_peer::instance_heights() const {
   return out;
 }
 
-// --------------------------------- dirty-set scheduling (DESIGN.md §11)
+// -------------------------------- stabilize scheduling (DESIGN.md §11)
 
 inst_slot dr_peer::slot_for_mark(std::size_t h) const {
   const auto* ref = find_ref(h);
@@ -136,7 +136,6 @@ inst_slot dr_peer::slot_for_mark(std::size_t h) const {
 }
 
 void dr_peer::note_marked() {
-  if (overlay_.config().stabilize != stabilize_mode::dirty) return;
   if (stab_in_pass_) return;       // the pass-end re-arm sees the bit
   if (stab_armed_idx_ < 0) return;  // on_start has not armed yet
   stab_advance_chain_past(sim().now());
@@ -151,7 +150,7 @@ void dr_peer::note_marked() {
 void dr_peer::stab_advance_chain_past(sim::sim_time t) {
   const auto period = overlay_.config().stabilize_period;
   while (stab_tick_time_ <= t) {
-    stab_tick_time_ += period;  // same arithmetic as the periodic re-arm
+    stab_tick_time_ += period;  // the chain's one `+= period` step
     ++stab_tick_idx_;
   }
 }
@@ -165,18 +164,17 @@ bool dr_peer::stab_chain_dirty() const {
 
 void dr_peer::stab_arm() {
   const auto period = overlay_.config().stabilize_period;
+  const auto k = static_cast<std::int64_t>(overlay_.config().sweep_stride);
   std::int64_t target = stab_tick_idx_;
-  if (!stab_chain_dirty() && !is_root()) {
+  if (k > 1 && !stab_chain_dirty() && !is_root()) {
     // Clean non-root: park at the next background-sweep tick.  The
     // (idx + pid) % K stagger spreads the sweep so 1/K of a quiescent
     // population runs per period.  Roots fire every tick — their probe
     // is what lets detached fragments find the structure promptly, it
-    // keeps the dirty-mode repair schedule aligned with full mode's, and
-    // at one O(1) pass per period it never threatens the O(changed)
-    // bound.  (The probe send is exempted from the pass-end safety net,
-    // so an always-on root still reads as backlog-clean.)
-    const auto k = static_cast<std::int64_t>(
-        std::max<std::size_t>(std::size_t{1}, overlay_.config().sweep_stride));
+    // keeps the K > 1 repair schedule aligned with the paper's, and at
+    // one O(1) pass per period it never threatens the O(changed) bound.
+    // (The probe send is exempted from the pass-end safety net, so an
+    // always-on root still reads as backlog-clean.)
     const auto offs = (target + static_cast<std::int64_t>(pid())) % k;
     if (offs != 0) target += k - offs;
   }
@@ -190,9 +188,9 @@ void dr_peer::stab_arm() {
 }
 
 void dr_peer::stab_on_fire(std::uint32_t gen) {
-  if (gen != stab_gen_) return;  // superseded by a pull-in or restart
+  if (gen != stab_gen_) return;  // superseded by a pull-in
   // Lazy skipped accounting: every tick between the last fired one and
-  // the one this timer targeted was a pass full mode would have run.
+  // the one this timer targeted was a pass stride 1 would have run.
   overlay_.stab_stats().skipped += static_cast<std::uint64_t>(
       stab_armed_idx_ - (stab_last_fired_idx_ + 1));
   stab_last_fired_idx_ = stab_armed_idx_;
@@ -242,29 +240,18 @@ void dr_peer::stab_on_fire(std::uint32_t gen) {
 
 void dr_peer::on_start() {
   inst(0).parent = pid();  // fragment root until attached
+  // (Re)start the tick chain at a random phase — one uniform_real draw
+  // per on_start.  restart() re-enters here; the simulator drops the
+  // quiet timer the previous incarnation armed.
   const auto period = overlay_.config().stabilize_period;
-  if (overlay_.config().stabilize == stabilize_mode::dirty) {
-    // Same phase draw as the periodic path (one uniform_real per
-    // on_start in both modes keeps the RNG streams aligned); the virtual
-    // tick chain replaces the periodic timer.  restart() re-enters here:
-    // the generation bump strands any timer of the previous incarnation.
-    const auto phase = sim().rng().uniform_real(0.1, period);
-    stab_tick_time_ = sim().now() + phase;
-    stab_tick_idx_ = 0;
-    stab_armed_idx_ = -1;
-    stab_last_fired_idx_ = -1;
-    ++stab_gen_;
-    // A freshly (re)started peer must stabilize promptly — its state may
-    // be a stale pre-crash snapshot.
-    overlay_.mark_dirty(pid(), 0);
-    stab_arm();
-    return;
-  }
-  // (Re)arm the stabilization timer; restart() re-enters here, so cancel
-  // any previous chain first.
-  sim().cancel_periodic(id(), kTimerStabilize);
-  sim().schedule_periodic(id(), kTimerStabilize, period,
-                          sim().rng().uniform_real(0.1, period));
+  stab_tick_time_ = sim().now() + sim().rng().uniform_real(0.1, period);
+  stab_tick_idx_ = 0;
+  stab_armed_idx_ = -1;
+  stab_last_fired_idx_ = -1;
+  // A freshly (re)started peer must stabilize promptly — its state may
+  // be a stale pre-crash snapshot.
+  overlay_.mark_dirty(pid(), 0);
+  stab_arm();
 }
 
 void dr_peer::start_join(peer_id contact) {
@@ -363,15 +350,10 @@ void dr_peer::leave_with_handoff() {
 }
 
 void dr_peer::on_timer(std::uint64_t timer_type) {
-  // Dirty-mode one-shots stamp their arming generation into the high 32
-  // bits of the type (full mode's periodic carries plain kTimerStabilize,
-  // i.e. generation bits 0), so both modes dispatch on the low half.
+  // Stabilize timers stamp their arming generation into the high 32 bits
+  // of the type; dispatch on the low half.
   if ((timer_type & 0xffffffffull) != kTimerStabilize) return;
-  if (overlay_.config().stabilize == stabilize_mode::dirty) {
-    stab_on_fire(static_cast<std::uint32_t>(timer_type >> 32));
-  } else {
-    stabilize_pass();
-  }
+  stab_on_fire(static_cast<std::uint32_t>(timer_type >> 32));
 }
 
 bool dr_peer::sees(peer_id q) const { return overlay_.reachable(pid(), q); }
@@ -1413,7 +1395,7 @@ void dr_peer::stabilize_pass() {
       m.mbr = inst(top()).mbr;
       m.hops_left = overlay_.config().max_route_hops;
       send_msg(contact, m);
-      // Accounted separately so the dirty-mode safety net can tell this
+      // Accounted separately so the pass-end safety net can tell this
       // steady-state send apart from genuine repair traffic: a stable
       // root's pass always sends its probe, and counting it as "the pass
       // changed something" would re-mark the root forever.

@@ -111,8 +111,8 @@ class dr_peer : public sim::process {
 
   /// Called by the overlay when one of this peer's slots transitions
   /// clean→dirty: pulls the armed stabilize timer in to the next tick
-  /// when it was parked at a later background-sweep tick.  No-op in
-  /// full mode, during this peer's own pass, or before on_start armed.
+  /// when it was parked at a later background-sweep tick.  No-op during
+  /// this peer's own pass or before on_start armed.
   void note_marked();
 
   // ------------------------------------------------- protocol (joins)
@@ -153,7 +153,7 @@ class dr_peer : public sim::process {
   void check_cover(std::size_t h);      // Fig. 13
   void check_structure(std::size_t h);  // Fig. 14
   /// One full pass of every enabled module over every instance height
-  /// (what the periodic timer runs).
+  /// (what each stabilize timer runs).
   void stabilize_pass();
 
   // ------------------------------------------------------ sim::process
@@ -280,15 +280,15 @@ class dr_peer : public sim::process {
   const level_ref* find_ref(std::size_t h) const;
   level_ref* find_ref(std::size_t h);
 
-  // Dirty-mode stabilize scheduling (DESIGN.md §11).  The peer keeps a
-  // virtual tick chain — tick i at phase + i*period, advanced stepwise
-  // with the same `+= period` arithmetic the periodic re-arm uses, so
-  // tick times are bit-identical across modes — and arms one quiet
-  // one-shot timer at either the next tick (chain dirty, or root: the
-  // probe keeps fragment discovery prompt and costs O(1) per period) or
-  // the next background-sweep tick with (idx + pid) % sweep_stride == 0.
-  // Timers carry the generation in the type's high 32 bits; a bumped
-  // generation strands any superseded timer.
+  // Stabilize scheduling (DESIGN.md §11).  The peer keeps a virtual tick
+  // chain — tick i at phase + i*period, advanced stepwise by `+= period`
+  // — and arms one quiet one-shot timer at either the next tick (chain
+  // dirty, or root: the probe keeps fragment discovery prompt and costs
+  // O(1) per period) or the next background-sweep tick with
+  // (idx + pid) % sweep_stride == 0; at stride 1 that is always the next
+  // tick.  Timers carry the generation in the type's high 32 bits; a
+  // bumped generation strands a timer superseded by a pull-in, and the
+  // simulator drops one armed by an earlier incarnation.
   void stab_advance_chain_past(sim::sim_time t);
   bool stab_chain_dirty() const;
   void stab_arm();
@@ -314,15 +314,15 @@ class dr_peer : public sim::process {
   std::vector<std::size_t> search_scratch_;
   std::vector<std::size_t> heights_scratch_;
 
-  // Dirty-mode scheduling state (full mode never touches these).
+  // Stabilize scheduling state.
   sim::sim_time stab_tick_time_ = 0.0;  ///< time of tick stab_tick_idx_
   std::int64_t stab_tick_idx_ = 0;      ///< next tick not yet passed
   std::int64_t stab_armed_idx_ = -1;    ///< tick the live timer targets
   std::int64_t stab_last_fired_idx_ = -1;
   std::uint32_t stab_gen_ = 0;  ///< stamps quiet timers; bump = cancel
   bool stab_in_pass_ = false;   ///< suppress pull-ins from own repairs
-  /// Root-probe sends (counted in both modes, read by the dirty-mode
-  /// safety net): the one message a fixed-point pass still emits.
+  /// Root-probe sends (read by the pass-end safety net): the one message
+  /// a fixed-point pass still emits.
   std::uint64_t stab_probe_msgs_ = 0;
 };
 

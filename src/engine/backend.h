@@ -73,7 +73,7 @@ struct backend_counters {
   std::uint64_t messages = 0;  ///< network messages spent so far (total)
   std::uint64_t rebuilds = 0;  ///< full structure rebuilds (baselines)
   std::uint64_t stabilize_visited = 0;  ///< stabilize passes that ran
-  std::uint64_t stabilize_skipped = 0;  ///< dirty-mode ticks skipped
+  std::uint64_t stabilize_skipped = 0;  ///< ticks clean peers skipped
 };
 
 class backend {

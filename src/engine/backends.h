@@ -140,8 +140,8 @@ class sharded_drtree_backend final : public backend {
   sim::kernel& kernel() { return kernel_; }
   const sim::kernel& kernel() const { return kernel_; }
 
-  /// Dirty-set backlog of one shard (stabilize_mode::dirty; always 0 in
-  /// full mode) — lets drivers see which shards still have repair work.
+  /// Dirty-set backlog of one shard (DESIGN.md §11) — lets callers see
+  /// which shards still have repair work.
   std::size_t dirty_pending(std::size_t shard) const;
 
   /// Total protocol-state footprint across all shards: the instance

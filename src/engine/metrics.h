@@ -90,9 +90,9 @@ struct phase_metrics {
   std::uint64_t rebuilds = 0;  ///< structure rebuilds (baselines)
 
   // Stabilizer scheduling cost (DESIGN.md §11).  Both stay 0 for
-  // backends without cap_stabilize; in full mode skipped is always 0.
+  // backends without cap_stabilize; at sweep_stride 1 skipped is always 0.
   std::uint64_t stabilize_visited = 0;  ///< passes run during the phase
-  std::uint64_t stabilize_skipped = 0;  ///< ticks skipped (dirty mode)
+  std::uint64_t stabilize_skipped = 0;  ///< ticks clean peers skipped
 
   /// Sweep-phase rates, with the same conventions as sweep_stats.
   double fp_rate() const {

@@ -72,20 +72,15 @@ void service::run() {
   timer_id stabilizer = kNoTimer;
   if (config_.stabilize_every_ms > 0) {
     stabilizer = loop_.every(config_.stabilize_every_ms, [this] {
-      // Backlog-aware cadence: with dirty-mode stabilization a period
-      // with no marked instances runs no round — except every
-      // sweep_stride-th tick, which runs unconditionally so silent
-      // corruption is still found within K wall-clock periods (the same
-      // bound the virtual-time scheduler gives).  Full mode keeps the
-      // legacy round-every-period behavior.
+      // Backlog-aware cadence: a period with no marked instances runs no
+      // round — except every sweep_stride-th tick, which runs
+      // unconditionally so silent corruption is still found within K
+      // wall-clock periods (the same bound the virtual-time scheduler
+      // gives).  At stride 1 every tick is such a tick.
       const auto& ov = be_.overlay();
-      const bool dirty_mode =
-          ov.config().stabilize == overlay::stabilize_mode::dirty;
       ++stabilize_tick_;
-      const auto stride =
-          std::max<std::size_t>(std::size_t{1}, ov.config().sweep_stride);
-      if (dirty_mode && ov.dirty_pending() == 0 &&
-          stabilize_tick_ % stride != 0) {
+      if (ov.dirty_pending() == 0 &&
+          stabilize_tick_ % ov.config().sweep_stride != 0) {
         ++stats_.stabilize_skipped;
         return;
       }

@@ -76,7 +76,7 @@ class service {
     std::uint64_t disconnect_unsubscribes = 0;
     std::uint64_t stabilize_rounds = 0;
     /// Wall-clock stabilizer ticks skipped because the hosted overlay's
-    /// dirty backlog was empty (dirty mode only; see service.cpp).
+    /// dirty backlog was empty (0 at sweep_stride 1; see service.cpp).
     std::uint64_t stabilize_skipped = 0;
   };
   /// Direct counter access — loop-thread data, so only read it before

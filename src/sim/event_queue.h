@@ -11,8 +11,8 @@
 //    order by sorting each bucket once, lazily, when the cursor reaches
 //    it (events are overwhelmingly pushed ahead of the cursor, so a
 //    bucket is almost always complete by the time it is sorted);
-//  * an overflow min-heap for events beyond the window (periodic timers
-//    scheduled many delays ahead).  Each time the window slides, events
+//  * an overflow min-heap for events beyond the window (stabilize timers
+//    armed a whole period ahead).  Each time the window slides, events
 //    that fell inside it migrate to their bucket.
 //
 // Determinism contract: pop() returns events in the *strict total order*
@@ -42,25 +42,27 @@ inline constexpr process_id kNoProcess = static_cast<process_id>(-1);
 /// Wall-clock-free virtual time.
 using sim_time = double;
 
-/// One scheduled occurrence: a message delivery, a one-shot timer, or a
-/// periodic-timer firing.  Exactly one cache line: the payload is a
-/// one-pointer envelope into a pooled block, so queue moves and bucket
-/// sorts shuffle 64 bytes, never payload bytes.
+/// One scheduled occurrence: a message delivery or a one-shot timer.
+/// Exactly one cache line: the payload is a one-pointer envelope into a
+/// pooled block, so queue moves and bucket sorts shuffle 64 bytes, never
+/// payload bytes.
 struct pending_event {
   sim_time at = 0.0;
   std::uint64_t seq = 0;  ///< unique, FIFO tie-break => strict total order
   std::uint64_t type = 0;
-  envelope payload;              ///< messages only
-  sim_time period = 0.0;         ///< periodic only
-  std::uint64_t generation = 0;  ///< periodic only
+  envelope payload;  ///< messages only
+  sim_time dup_at = 0.0;  ///< a duplicated message's second arrival
+  /// Messages: nonzero when the network duplicated this one.  Quiet
+  /// timers: the target's incarnation when armed.
+  std::uint64_t generation = 0;
   process_id from = kNoProcess;
   process_id to = kNoProcess;
   /// `quiet` is a one-shot timer that does not count toward the
-  /// simulator's pending-work total: run_steps()-style quiescence
-  /// detection ignores it, the way it ignores periodics.  Dirty-mode
-  /// stabilization timers ride this kind so an armed future pass never
+  /// simulator's pending-work total, so run_steps()-style quiescence
+  /// detection ignores it, and that dies with the incarnation that armed
+  /// it.  Stabilize timers ride this kind so an armed future pass never
   /// keeps settle() spinning.
-  enum class kind : std::uint8_t { message, timer, periodic, quiet };
+  enum class kind : std::uint8_t { message, timer, quiet };
   kind what = kind::message;
 };
 static_assert(sizeof(pending_event) == 64);

@@ -110,8 +110,8 @@ void kernel::advance(sim_time dt) {
     flush();
     // Dispatch a worker only where an event is actually due inside the
     // window; an idle shard just gets its clock moved (one queue peek).
-    // This is what makes a quiescent forest cheap under dirty-mode
-    // stabilization: parked timers push next_event_time() K periods
+    // This is what makes a quiescent forest cheap at a stabilize
+    // sweep_stride K > 1: parked timers push next_event_time() K periods
     // out, so clean shards fall through to the inline branch.
     active_scratch_.clear();
     for (std::size_t i = 0; i < sims_.size(); ++i) {

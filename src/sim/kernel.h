@@ -53,7 +53,7 @@ struct kernel_metrics {
   std::uint64_t windows = 0;         ///< advance() windows executed
   std::uint64_t barriers = 0;        ///< injection-exchange points
   /// Shard-windows where the shard had no event due and was advanced
-  /// inline (no worker dispatched).  With dirty-mode stabilization a
+  /// inline (no worker dispatched).  At a stabilize sweep_stride K > 1 a
   /// quiescent shard's timers park K periods out, so this is the
   /// mechanism by which clean shards cost ~nothing per round.
   std::uint64_t shard_windows_idle = 0;

@@ -93,7 +93,9 @@ void simulator::crash(process_id id) {
   // Dead-letter purge: in-flight messages to the crashed process would
   // otherwise sit in the queue until their delivery times, spinning
   // run_steps() budget one pop per dead letter.  Drop and count them now.
-  // Timers are kept: periodic chains must survive a crash/restart cycle.
+  // Timers are kept: most sit in the calendar queue's overflow heap, which
+  // a purge would re-heapify on every crash.  A quiet timer of the dead
+  // incarnation is dropped lazily when it pops instead.
   const auto purged = queue_.erase_if([id](const pending_event& ev) {
     return ev.what == pending_event::kind::message && ev.to == id;
   });
@@ -107,6 +109,7 @@ void simulator::restart(process_id id) {
   auto& p = get(id);
   if (p.alive_) return;
   p.alive_ = true;
+  ++p.incarnation_;
   p.on_start();
 }
 
@@ -144,12 +147,12 @@ void simulator::post_message(process_id from, process_id to,
   ev.payload = std::move(msg);
   if (d.duplicate_lag >= 0.0) {
     // Network-level duplication: the payload block is shared between the
-    // two deliveries, so the duplicate is flagged on the event (the
-    // message kinds repurpose the periodic-only generation/period slots)
-    // and re-queued after the first delivery instead of copied.
+    // two deliveries, so the duplicate is flagged on the event
+    // (`generation`, with its second arrival time in `dup_at`) and
+    // re-queued after the first delivery instead of copied.
     ++metrics_.messages_duplicated;
     ev.generation = 1;
-    ev.period = ev.at + d.duplicate_lag;
+    ev.dup_at = ev.at + d.duplicate_lag;
   }
   push_event(std::move(ev));
 }
@@ -176,27 +179,8 @@ void simulator::schedule_quiet_timer(process_id target,
   ev.what = pending_event::kind::quiet;
   ev.to = target;
   ev.type = timer_type;
+  ev.generation = processes_[target]->incarnation_;
   push_event(std::move(ev));
-}
-
-void simulator::schedule_periodic(process_id target, std::uint64_t timer_type,
-                                  sim_time period, sim_time phase) {
-  DRT_EXPECT(target < processes_.size());
-  DRT_EXPECT(period > 0.0);
-  auto& state = periodic_[periodic_key{target, timer_type}];
-  pending_event ev;
-  ev.at = now_ + phase;
-  ev.what = pending_event::kind::periodic;
-  ev.to = target;
-  ev.type = timer_type;
-  ev.period = period;
-  ev.generation = state.generation;
-  push_event(std::move(ev));
-}
-
-void simulator::cancel_periodic(process_id target, std::uint64_t timer_type) {
-  // Outstanding firings with the old generation are ignored on pop.
-  ++periodic_[periodic_key{target, timer_type}].generation;
 }
 
 void simulator::push_event(pending_event ev) {
@@ -237,40 +221,20 @@ bool simulator::pop_and_execute() {
         // Duplicated by the network (see post_message): re-queue the
         // same event — payload block included — for its second arrival.
         pending_event dup = std::move(ev);
-        dup.at = dup.period;
+        dup.at = dup.dup_at;
         dup.generation = 0;
         push_event(std::move(dup));
       }
       return true;
-    case pending_event::kind::timer:
     case pending_event::kind::quiet:
+      if (ev.generation != target.incarnation_) return true;  // stale
+      [[fallthrough]];
+    case pending_event::kind::timer:
       if (!target.alive_) return true;
       ++metrics_.timers_fired;
       ++metrics_.handler_steps;
       target.on_timer(ev.type);
       return true;
-    case pending_event::kind::periodic: {
-      const auto it = periodic_.find(periodic_key{ev.to, ev.type});
-      if (it == periodic_.end() || it->second.generation != ev.generation) {
-        return true;  // cancelled
-      }
-      // Re-arm first so a handler cancelling the timer also stops this
-      // chain, then fire.
-      pending_event next;
-      next.at = now_ + ev.period;
-      next.what = pending_event::kind::periodic;
-      next.to = ev.to;
-      next.type = ev.type;
-      next.period = ev.period;
-      next.generation = ev.generation;
-      push_event(std::move(next));
-      if (target.alive_) {
-        ++metrics_.timers_fired;
-        ++metrics_.handler_steps;
-        target.on_timer(ev.type);
-      }
-      return true;
-    }
   }
   return true;
 }

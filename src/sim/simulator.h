@@ -5,9 +5,10 @@
 // network of processes that join, leave, crash, and suffer transient
 // state corruption.  This engine models exactly that: virtual time, typed
 // messages delivered after a per-link delay, optional message loss,
-// periodic timers (the paper's "periodically triggered" stabilization
-// events), and crash/restart of processes.  Everything is driven by one
-// seeded RNG, so every experiment is bit-reproducible.
+// one-shot timers (a process chains them into the paper's "periodically
+// triggered" stabilization events), and crash/restart of processes.
+// Everything is driven by one seeded RNG, so every experiment is
+// bit-reproducible.
 //
 // The messaging core is allocation-free on the hot path: payloads travel
 // in typed sim::envelope values (sim/message.h) and the scheduler is a
@@ -27,7 +28,6 @@
 #include <memory>
 #include <optional>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,7 +60,8 @@ class process {
   /// messages, and the cast is tag-checked (aborts on type confusion).
   virtual void on_message(process_id from, std::uint64_t type,
                           const envelope& msg) = 0;
-  /// A timer registered via simulator::schedule_timer fired.
+  /// A timer registered via simulator::schedule_timer or
+  /// schedule_quiet_timer fired.
   virtual void on_timer(std::uint64_t /*timer_type*/) {}
   /// The process crashed (uncontrolled departure).  State is NOT cleared
   /// automatically: a restarted process resumes with stale state, which is
@@ -72,6 +73,8 @@ class process {
   process_id id_ = kNoProcess;
   simulator* sim_ = nullptr;
   bool alive_ = false;
+  /// Bumped by every restart; quiet timers are stamped with it.
+  std::uint64_t incarnation_ = 0;
 };
 
 struct simulator_config {
@@ -113,11 +116,12 @@ class simulator {
 
   /// Uncontrolled departure: the process stops receiving messages/timers.
   /// Messages already in flight *to* it are purged from the queue and
-  /// counted as messages_to_dead; timers stay queued (periodic chains
-  /// survive a crash/restart cycle).
+  /// counted as messages_to_dead; timers stay queued (a one-shot timer
+  /// still fires if the process has restarted by its due time).
   void crash(process_id id);
 
   /// Restart a crashed process (keeps its — possibly stale — state).
+  /// Starts a new incarnation: quiet timers the old one armed never fire.
   void restart(process_id id);
 
   bool is_alive(process_id id) const {
@@ -234,34 +238,28 @@ class simulator {
   /// One-shot timer for `target` after `delay`.
   void schedule_timer(process_id target, std::uint64_t timer_type,
                       sim_time delay);
-  /// One-shot timer that — like a periodic — does NOT count toward
-  /// pending_work(): run_steps()-style quiescence ignores it, and it is
-  /// silently dropped if the target is dead when it comes due.  The
-  /// dirty-mode stabilizer arms its future passes with these, so an
-  /// armed pass never keeps settle() spinning.
+  /// One-shot timer that does NOT count toward pending_work():
+  /// run_steps()-style quiescence ignores it.  It belongs to the target's
+  /// current incarnation: if the target is dead, or has restarted since,
+  /// when it comes due, it is dropped before anything is counted.  The
+  /// stabilizer arms its future passes with these, so an armed pass never
+  /// keeps settle() spinning and a restart never inherits a stale one.
   void schedule_quiet_timer(process_id target, std::uint64_t timer_type,
                             sim_time delay);
-  /// Recurring timer with the given period, first firing after `phase`.
-  /// Periodic timers drive the paper's CHECK_* stabilization modules.
-  void schedule_periodic(process_id target, std::uint64_t timer_type,
-                         sim_time period, sim_time phase);
-  /// Cancel all periodic timers of one type for a process.
-  void cancel_periodic(process_id target, std::uint64_t timer_type);
 
   // ----------------------------------------------------------- execution
   /// Run until the event queue drains or `until` virtual time is reached.
-  /// Periodic timers alone do not keep the run alive past `until`.
   void run_until(sim_time until);
 
-  /// Process events — executing any periodic timers that come due along
-  /// the way — until no non-periodic work (messages, one-shot timers)
-  /// remains queued, or the step budget is exhausted.  Returns the number
-  /// of handler steps taken.  This is how experiments "drain" the protocol
+  /// Process events — executing any quiet timers that come due along the
+  /// way — until no pending work (messages, one-shot timers) remains
+  /// queued, or the step budget is exhausted.  Returns the number of
+  /// handler steps taken.  This is how experiments "drain" the protocol
   /// to quiescence.
   std::uint64_t run_steps(std::uint64_t max_steps);
 
-  /// Non-periodic events currently queued (messages + one-shot timers;
-  /// quiet timers and periodics excluded).
+  /// Pending-work events currently queued (messages + one-shot timers;
+  /// quiet timers excluded).
   std::size_t pending_work() const { return pending_work_; }
 
   /// Virtual time of the earliest queued event of any kind, or +infinity
@@ -275,31 +273,6 @@ class simulator {
   const simulator_config& config() const { return config_; }
 
  private:
-  /// (target, timer type) identity of one periodic chain.  The full pair
-  /// is the key — no bit-packing, so timer types with bits above 32 can
-  /// never alias another process's chain.
-  struct periodic_key {
-    process_id target = kNoProcess;
-    std::uint64_t type = 0;
-    friend bool operator==(const periodic_key&,
-                           const periodic_key&) = default;
-  };
-  struct periodic_key_hash {
-    std::size_t operator()(const periodic_key& k) const {
-      std::uint64_t x =
-          k.type ^ (0x9e3779b97f4a7c15ull * (std::uint64_t{k.target} + 1));
-      x ^= x >> 30;
-      x *= 0xbf58476d1ce4e5b9ull;
-      x ^= x >> 27;
-      x *= 0x94d049bb133111ebull;
-      x ^= x >> 31;
-      return static_cast<std::size_t>(x);
-    }
-  };
-  struct periodic_state {
-    std::uint64_t generation = 0;  // bump to cancel outstanding firings
-  };
-
   void post_message(process_id from, process_id to, std::uint64_t type,
                     envelope msg);
   void push_event(pending_event ev);
@@ -316,8 +289,6 @@ class simulator {
   link_filter link_filter_;
   trace_hook trace_;
   std::vector<std::unique_ptr<process>> processes_;
-  std::unordered_map<periodic_key, periodic_state, periodic_key_hash>
-      periodic_;
   payload_pool pool_;
   calendar_queue queue_;
 };

@@ -1,9 +1,10 @@
 // Dirty-set stabilization (DESIGN.md §11): scheduling must never change
-// *what* the protocol computes, only *when* passes run.
+// *what* the protocol computes, only *when* passes run.  "Full" below is
+// the default sweep_stride 1, "dirty" is sweep_stride 16.
 //
-//   * full mode stays bit-for-bit the legacy scheduler — the recorder
-//     digests of the pre-PR goldens pin that;
-//   * dirty mode produces the same delivery/accuracy metrics on canned
+//   * full stays bit-for-bit the paper's periodic schedule — the
+//     recorder digests of the pre-PR goldens pin that;
+//   * dirty produces the same delivery/accuracy metrics on canned
 //     scenarios (metric equality, not digest equality: message counts
 //     legitimately drop when clean peers skip their passes);
 //   * silent corruption — state scrambled behind the scheduler's back,
@@ -47,11 +48,16 @@ struct rig {
   std::unique_ptr<scenario_runner> runner;
 };
 
-engine::overlay_backend_config mode_config(stabilize_mode mode,
+/// sweep_stride of the paper's schedule (the default) and of the
+/// dirty-set schedule these tests exercise.
+constexpr std::size_t kFullStride = 1;
+constexpr std::size_t kDirtyStride = 16;
+
+engine::overlay_backend_config mode_config(std::size_t stride,
                                            std::uint64_t seed) {
   engine::overlay_backend_config bc;
   bc.net.seed = seed;
-  bc.dr.stabilize = mode;
+  bc.dr.sweep_stride = stride;
   return bc;
 }
 
@@ -66,16 +72,16 @@ peer_id interior_non_root(rig& r) {
 // ------------------------------------------------- full-mode golden pin
 
 engine::metrics_recorder run_mode(const engine::scenario& sc,
-                                  stabilize_mode mode,
+                                  std::size_t stride,
                                   engine::overlay_backend_config bc) {
-  bc.dr.stabilize = mode;
+  bc.dr.sweep_stride = stride;
   drtree_backend be(engine::configured_for(sc, bc));
   scenario_runner runner(be);
   return runner.run(sc);
 }
 
-// The same pre-PR goldens net_test pins: stabilize_mode::full must stay
-// the default AND keep the legacy periodic-timer schedule bit-for-bit.
+// The same pre-PR goldens net_test pins: stride 1 must stay the default
+// AND keep the paper's periodic schedule bit-for-bit.
 constexpr std::uint64_t kGoldenRollingChurn = 2727552842464279799ull;
 constexpr std::uint64_t kGoldenFlashCrowd = 2725230533165199554ull;
 constexpr std::uint64_t kGoldenMassacreLossy = 12904214689126478679ull;
@@ -83,23 +89,22 @@ constexpr std::uint64_t kGoldenMassacreLossy = 12904214689126478679ull;
 TEST(DirtyStabilize, FullModeKeepsPrePrGoldenDigests) {
   engine::overlay_backend_config bc;
   bc.net.seed = 41;
-  // Explicitly full (also the default — a changed default would be a
-  // silent behavior change for every existing config).
-  ASSERT_EQ(engine::overlay_backend_config{}.dr.stabilize,
-            stabilize_mode::full);
+  // Explicitly stride 1 (also the default — a changed default would be
+  // a silent behavior change for every existing config).
+  ASSERT_EQ(engine::overlay_backend_config{}.dr.sweep_stride, kFullStride);
   EXPECT_EQ(run_mode(engine::canned::rolling_churn(48, 3, 12, 7),
-                     stabilize_mode::full, bc)
+                     kFullStride, bc)
                 .digest(),
             kGoldenRollingChurn);
-  EXPECT_EQ(run_mode(engine::canned::flash_crowd(24, 96, 7),
-                     stabilize_mode::full, bc)
+  EXPECT_EQ(run_mode(engine::canned::flash_crowd(24, 96, 7), kFullStride,
+                     bc)
                 .digest(),
             kGoldenFlashCrowd);
 
   auto lossy = bc;
   lossy.net.message_loss = 0.05;
   EXPECT_EQ(run_mode(engine::canned::massacre_then_heal(60, 1.0 / 3, 0.5, 7),
-                     stabilize_mode::full, lossy)
+                     kFullStride, lossy)
                 .digest(),
             kGoldenMassacreLossy);
 }
@@ -108,16 +113,16 @@ TEST(DirtyStabilize, FullModeKeepsPrePrGoldenDigests) {
 
 // `exact_accuracy`: compare FP/delivery counts cell-for-cell.  That holds
 // when repairs are driven entirely by marked peers (joins, controlled
-// leaves) so both modes walk the identical repair schedule.  After crash
-// waves the *interleaving* differs — in full mode unmarked bystanders run
+// leaves) so both strides walk the identical repair schedule.  After crash
+// waves the *interleaving* differs — at stride 1 unmarked bystanders run
 // passes mid-repair and may compact earlier — so the trees can converge
 // to different (both legal) shapes; there only the ground-truth columns
 // and zero-FN are invariants.
 void expect_metric_parity(const engine::scenario& sc, bool exact_accuracy) {
   engine::overlay_backend_config bc;
   bc.net.seed = 41;
-  const auto full = run_mode(sc, stabilize_mode::full, bc);
-  const auto dirty = run_mode(sc, stabilize_mode::dirty, bc);
+  const auto full = run_mode(sc, kFullStride, bc);
+  const auto dirty = run_mode(sc, kDirtyStride, bc);
 
   ASSERT_EQ(full.phases().size(), dirty.phases().size()) << sc.name;
   for (std::size_t i = 0; i < full.phases().size(); ++i) {
@@ -193,13 +198,12 @@ TEST(DirtyStabilize, SilentCorruptionRepairedByBackgroundSweep) {
     for (const auto kind : kinds) {
       SCOPED_TRACE(std::string("seed ") + std::to_string(seed) + " fault " +
                    fault_name(kind));
-      auto bc = mode_config(stabilize_mode::dirty, seed);
-      rig r(bc);
+      rig r(mode_config(kDirtyStride, seed));
       r.populate(36);
       ASSERT_GE(r.converge(), 0);
       // Drain the post-join backlog so the corruption is the only
       // outstanding fault when it lands.
-      const int stride = static_cast<int>(bc.dr.sweep_stride);
+      const int stride = static_cast<int>(kDirtyStride);
       r.step_rounds(stride);
 
       corruptor c(r.overlay(), seed * 131 + static_cast<std::uint64_t>(kind));
@@ -246,14 +250,13 @@ TEST(DirtyStabilize, SilentCorruptionRepairedByBackgroundSweep) {
 
 TEST(DirtyStabilize, QuiescentBacklogDrainsAndPassCountCollapses) {
   const std::uint64_t seed = 43;
-  rig full(mode_config(stabilize_mode::full, seed));
-  rig dirty(mode_config(stabilize_mode::dirty, seed));
+  rig full(mode_config(kFullStride, seed));
+  rig dirty(mode_config(kDirtyStride, seed));
   for (rig* r : {&full, &dirty}) {
     r->populate(48);
     ASSERT_GE(r->converge(), 0);
     // One full sweep window drains join-time marks.
-    r->step_rounds(
-        static_cast<int>(r->backend->overlay().config().sweep_stride));
+    r->step_rounds(static_cast<int>(kDirtyStride));
   }
   EXPECT_EQ(dirty.overlay().dirty_pending(), 0u)
       << "backlog did not drain at quiescence";
@@ -270,7 +273,7 @@ TEST(DirtyStabilize, QuiescentBacklogDrainsAndPassCountCollapses) {
   const auto dirty_skipped =
       dirty.backend->counters().stabilize_skipped - dirty0.stabilize_skipped;
 
-  // Full mode visits everyone every round; dirty visits ~population/K
+  // Stride 1 visits everyone every round; dirty visits ~population/K
   // per round (background sweep only).  4x is a loose floor on the
   // K=16 design ratio.
   EXPECT_EQ(full_visited, 48u * window);
@@ -284,39 +287,41 @@ TEST(DirtyStabilize, QuiescentBacklogDrainsAndPassCountCollapses) {
   EXPECT_TRUE(dirty.legal());
 }
 
+// The dirty set is kept at every stride: stride 1 never reads it to skip
+// a pass, but drtd's /metrics backlog gauge does.
 TEST(DirtyStabilize, ChurnMarksThenQuiesces) {
-  rig r(mode_config(stabilize_mode::dirty, 47));
-  r.populate(40);
-  ASSERT_GE(r.converge(), 0);
-  r.step_rounds(static_cast<int>(r.overlay().config().sweep_stride));
-  ASSERT_EQ(r.overlay().dirty_pending(), 0u);
+  for (const auto stride : {kFullStride, kDirtyStride}) {
+    SCOPED_TRACE("sweep_stride " + std::to_string(stride));
+    rig r(mode_config(stride, 47));
+    r.populate(40);
+    ASSERT_GE(r.converge(), 0);
+    r.step_rounds(static_cast<int>(kDirtyStride));
+    ASSERT_EQ(r.overlay().dirty_pending(), 0u);
 
-  // A crash marks the dead peer's neighborhood: backlog becomes nonzero
-  // without any stabilization having run yet.
-  const auto victim = interior_non_root(r);
-  ASSERT_NE(victim, kNoPeer);
-  r.overlay().crash(victim);
-  EXPECT_GT(r.overlay().dirty_pending(), 0u)
-      << "crash did not mark the survivors that must repair around it";
+    // A crash marks the dead peer's neighborhood: backlog becomes
+    // nonzero without any stabilization having run yet.
+    const auto victim = interior_non_root(r);
+    ASSERT_NE(victim, kNoPeer);
+    r.overlay().crash(victim);
+    EXPECT_GT(r.overlay().dirty_pending(), 0u)
+        << "crash did not mark the survivors that must repair around it";
 
-  ASSERT_GE(r.converge(120), 0);
-  r.step_rounds(static_cast<int>(r.overlay().config().sweep_stride));
-  EXPECT_EQ(r.overlay().dirty_pending(), 0u)
-      << "backlog did not re-drain after repair";
-  EXPECT_TRUE(r.legal());
+    ASSERT_GE(r.converge(120), 0);
+    r.step_rounds(static_cast<int>(kDirtyStride));
+    EXPECT_EQ(r.overlay().dirty_pending(), 0u)
+        << "backlog did not re-drain after repair";
+    EXPECT_TRUE(r.legal());
+  }
 }
 
 // ------------------------------------------------- sharded-kernel skip
 
 TEST(DirtyStabilize, ShardedDirtyQuiescesPerShard) {
-  engine::overlay_backend_config bc;
-  bc.net.seed = 53;
-  bc.dr.stabilize = stabilize_mode::dirty;
-  engine::sharded_drtree_backend be(bc, 4);
+  engine::sharded_drtree_backend be(mode_config(kDirtyStride, 53), 4);
   scenario_runner runner(be);
   runner.populate(64);
   ASSERT_GE(runner.converge(120), 0);
-  runner.step_rounds(static_cast<int>(bc.dr.sweep_stride));
+  runner.step_rounds(static_cast<int>(kDirtyStride));
   ASSERT_TRUE(be.legal());
   for (std::size_t s = 0; s < be.shards(); ++s) {
     EXPECT_EQ(be.dirty_pending(s), 0u) << "shard " << s;

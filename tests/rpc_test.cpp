@@ -757,21 +757,39 @@ TEST(Service, ServesOverPollFallback) {
 }
 
 TEST(Service, WallClockStabilizerRunsRounds) {
-  service_config cfg;
-  cfg.backend = small_config(12);
-  cfg.stabilize_every_ms = 5;
-  service_fixture fx(cfg);
+  // Polls the counters until `done` holds (same budget for every case);
+  // the structure must stay legal under background stabilization.
+  auto serve = [](std::size_t stride, auto done) {
+    service_config cfg;
+    cfg.backend = small_config(12);
+    cfg.backend.dr.sweep_stride = stride;
+    cfg.stabilize_every_ms = 5;
+    service_fixture fx(cfg);
 
-  client c(fx.port());
-  ASSERT_TRUE(c.ok());
-  ASSERT_NE(c.subscribe(make_rect2(0, 0, 10, 10)),
-            static_cast<std::uint64_t>(engine::kNoSub));
-  for (int i = 0; i < 200 && fx.get().stats().stabilize_rounds < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  // Structure must stay legal under background stabilization.
-  EXPECT_TRUE(c.stat().legal);
-  EXPECT_GE(fx.get().stats().stabilize_rounds, 3u);
+    client c(fx.port());
+    EXPECT_TRUE(c.ok());
+    EXPECT_NE(c.subscribe(make_rect2(0, 0, 10, 10)),
+              static_cast<std::uint64_t>(engine::kNoSub));
+    for (int i = 0; i < 200 && !done(fx.get().stats_snapshot()); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_TRUE(c.stat().legal);
+    return fx.get().stats_snapshot();
+  };
+
+  // The default stride is the paper's schedule: a round every tick.
+  const auto every = serve(
+      engine::overlay_backend_config{}.dr.sweep_stride,
+      [](const service::counters& st) { return st.stabilize_rounds >= 3; });
+  EXPECT_GE(every.stabilize_rounds, 3u);
+  EXPECT_EQ(every.stabilize_skipped, 0u);
+
+  // At stride 16 the idle overlay's backlog drains, and the ticks between
+  // background sweeps are skipped.
+  const auto sparse = serve(16, [](const service::counters& st) {
+    return st.stabilize_skipped > 0;
+  });
+  EXPECT_GT(sparse.stabilize_skipped, 0u);
 }
 
 // ========================================================= introspection

@@ -56,6 +56,28 @@ struct scenario_digest {
                          const scenario_digest&) = default;
 };
 
+/// Fold every message delivery of `o` into `d` via the simulator trace
+/// hook, timestamps as raw bit patterns.
+void hash_deliveries(overlay::dr_overlay& o, scenario_digest& d) {
+  o.sim().set_trace([&d](const sim::simulator::trace_event& e) {
+    fnv_double(d.trace_hash, e.at);
+    fnv_u64(d.trace_hash, e.from);
+    fnv_u64(d.trace_hash, e.to);
+    fnv_u64(d.trace_hash, e.type);
+    ++d.deliveries;
+  });
+}
+
+/// A random box inside the 100 x 100 workspace (four draws from `r`).
+spatial::box random_box(util::rng& r) {
+  const double x1 = r.uniform_real(0, 100);
+  const double x2 = r.uniform_real(0, 100);
+  const double y1 = r.uniform_real(0, 100);
+  const double y2 = r.uniform_real(0, 100);
+  return geo::make_rect2(std::min(x1, x2), std::min(y1, y2),
+                         std::max(x1, x2), std::max(y1, y2));
+}
+
 /// Churn + corruption + dissemination workload over the full overlay
 /// stack, fingerprinted via the simulator trace hook.
 scenario_digest run_scenario(std::uint64_t seed) {
@@ -67,25 +89,10 @@ scenario_digest run_scenario(std::uint64_t seed) {
   overlay::dr_overlay o(dcfg, scfg);
 
   scenario_digest d;
-  o.sim().set_trace([&d](const sim::simulator::trace_event& e) {
-    fnv_double(d.trace_hash, e.at);
-    fnv_u64(d.trace_hash, e.from);
-    fnv_u64(d.trace_hash, e.to);
-    fnv_u64(d.trace_hash, e.type);
-    ++d.deliveries;
-  });
-
+  hash_deliveries(o, d);
   util::rng geo_rng(seed ^ 0x9e3779b97f4a7c15ull);
-  auto random_box = [&] {
-    const double x1 = geo_rng.uniform_real(0, 100);
-    const double x2 = geo_rng.uniform_real(0, 100);
-    const double y1 = geo_rng.uniform_real(0, 100);
-    const double y2 = geo_rng.uniform_real(0, 100);
-    return geo::make_rect2(std::min(x1, x2), std::min(y1, y2),
-                           std::max(x1, x2), std::max(y1, y2));
-  };
 
-  for (int i = 0; i < 48; ++i) o.add_peer_and_settle(random_box());
+  for (int i = 0; i < 48; ++i) o.add_peer_and_settle(random_box(geo_rng));
 
   auto publish_some = [&](int count) {
     for (int i = 0; i < count; ++i) {
@@ -127,7 +134,7 @@ scenario_digest run_scenario(std::uint64_t seed) {
   publish_some(10);
   for (int i = 0; i < 3; ++i) {
     const auto live = o.live_peers();
-    o.search_and_drain(live[geo_rng.index(live.size())], random_box());
+    o.search_and_drain(live[geo_rng.index(live.size())], random_box(geo_rng));
   }
 
   // Drain completely before reading the counters so the crash-time /
@@ -171,6 +178,56 @@ TEST(SimDeterminism, MatchesHeapSchedulerGolden) {
   EXPECT_EQ(d11.trace_hash, 10523553348140203879ull);
   EXPECT_EQ(d11.metrics_hash, 1650083232181740924ull);
   EXPECT_EQ(d11.deliveries, 588ull);
+}
+
+/// Crash→restart at one virtual instant, then stabilizer rounds.  Each
+/// restarted peer re-arms its stabilize timer while the one its previous
+/// incarnation armed is still queued; that stale timer must vanish
+/// without counting as a fired timer or a handler step.
+scenario_digest run_restart_scenario(std::uint64_t seed) {
+  overlay::dr_config dcfg;
+  dcfg.workspace = geo::make_rect2(0, 0, 100, 100);
+  sim::simulator_config scfg;
+  scfg.seed = seed;
+  overlay::dr_overlay o(dcfg, scfg);
+
+  scenario_digest d;
+  hash_deliveries(o, d);
+  util::rng geo_rng(seed ^ 0x9e3779b97f4a7c15ull);
+  for (int i = 0; i < 32; ++i) o.add_peer_and_settle(random_box(geo_rng));
+
+  std::vector<spatial::peer_id> victims;
+  for (int i = 0; i < 6; ++i) {
+    const auto live = o.live_peers();
+    victims.push_back(live[geo_rng.index(live.size())]);
+    o.crash(victims.back());
+  }
+  for (const auto p : victims) o.restart(p);
+  for (int round = 0; round < 4; ++round) {
+    o.advance(dcfg.stabilize_period);
+    o.settle();
+  }
+
+  const auto& m = o.sim().metrics();
+  fnv_u64(d.metrics_hash, m.timers_fired);
+  fnv_u64(d.metrics_hash, m.handler_steps);
+  fnv_u64(d.metrics_hash, m.messages_sent);
+  fnv_double(d.metrics_hash, o.sim().now());
+  return d;
+}
+
+// Recorded with the periodic-timer scheduler, which cancelled the old
+// incarnation's chain on restart: counts must not include stale timers.
+TEST(SimDeterminism, RestartDropsStaleStabilizeTimerGolden) {
+  const auto d7 = run_restart_scenario(7);
+  EXPECT_EQ(d7.trace_hash, 16678545286306769796ull);
+  EXPECT_EQ(d7.metrics_hash, 16290239627083891245ull);
+  EXPECT_EQ(d7.deliveries, 152ull);
+
+  const auto d11 = run_restart_scenario(11);
+  EXPECT_EQ(d11.trace_hash, 15650618475425278178ull);
+  EXPECT_EQ(d11.metrics_hash, 2686177346856012423ull);
+  EXPECT_EQ(d11.deliveries, 169ull);
 }
 
 // Direct scheduler equivalence: the calendar queue must pop the exact

@@ -136,41 +136,38 @@ TEST(Simulator, OneShotTimerFiresOnce) {
   EXPECT_EQ(probe(s, a).timers, std::vector<std::uint64_t>{42});
 }
 
-TEST(Simulator, PeriodicTimerRepeatsAndCancels) {
-  simulator s;
-  const auto a = s.add_process(std::make_unique<probe_process>());
-  s.schedule_periodic(a, 9, 10.0, 10.0);
-  s.run_until(35.0);
-  EXPECT_EQ(probe(s, a).timers.size(), 3u);  // t = 10, 20, 30
-  s.cancel_periodic(a, 9);
-  s.run_until(100.0);
-  EXPECT_EQ(probe(s, a).timers.size(), 3u);
-}
-
-TEST(Simulator, PeriodicTimerSkipsDeadProcessButSurvivesRestart) {
-  simulator s;
-  const auto a = s.add_process(std::make_unique<probe_process>());
-  s.schedule_periodic(a, 9, 10.0, 10.0);
-  s.run_until(15.0);
-  EXPECT_EQ(probe(s, a).timers.size(), 1u);
-  s.crash(a);
-  s.run_until(45.0);
-  EXPECT_EQ(probe(s, a).timers.size(), 1u);  // silent while dead
-  s.restart(a);
-  s.run_until(65.0);
-  EXPECT_GT(probe(s, a).timers.size(), 1u);  // chain kept re-arming
-}
-
 TEST(Simulator, RunStepsDrainsOnlyPendingWork) {
   simulator s;
   const auto a = s.add_process(std::make_unique<probe_process>());
   const auto b = s.add_process(std::make_unique<probe_process>());
-  s.schedule_periodic(a, 1, 5.0, 5.0);
+  s.schedule_quiet_timer(a, 1, 5.0);
   s.send(a, b, 3);
   EXPECT_EQ(s.pending_work(), 1u);
   const auto steps = s.run_steps(100);
-  EXPECT_EQ(steps, 1u);  // the message; the periodic chain doesn't count
+  EXPECT_EQ(steps, 1u);  // the message; the quiet timer doesn't count
   EXPECT_EQ(s.pending_work(), 0u);
+  EXPECT_TRUE(probe(s, a).timers.empty());
+  s.run_until(10.0);
+  EXPECT_EQ(probe(s, a).timers, std::vector<std::uint64_t>{1});
+}
+
+// A quiet timer belongs to the incarnation that armed it: one due while
+// its target is dead, or after a crash→restart, is dropped before it
+// counts as a fired timer or a handler step, while the new incarnation's
+// timer fires normally.
+TEST(Simulator, QuietTimerArmedBeforeRestartIsDroppedUncounted) {
+  simulator s;
+  const auto a = s.add_process(std::make_unique<probe_process>());
+  s.schedule_quiet_timer(a, 3, 1.0);  // due while dead
+  s.schedule_quiet_timer(a, 4, 5.0);  // due after the restart
+  s.crash(a);
+  s.run_until(2.0);
+  s.restart(a);
+  s.schedule_quiet_timer(a, 5, 5.0);
+  s.run_until(10.0);
+  EXPECT_EQ(probe(s, a).timers, std::vector<std::uint64_t>{5});
+  EXPECT_EQ(s.metrics().timers_fired, 1u);
+  EXPECT_EQ(s.metrics().handler_steps, 1u);
 }
 
 TEST(Simulator, TimestampsAreMonotonic) {
@@ -232,23 +229,6 @@ TEST(Simulator, SendToSelfWorks) {
   s.run_steps(5);
   ASSERT_EQ(probe(s, a).received.size(), 1u);
   EXPECT_EQ(probe(s, a).received[0].first, a);
-}
-
-// Regression: the old periodic-timer registry packed (id << 32) ^ type
-// into one 64-bit key, so a timer type with bits above 32 aliased another
-// process's chain — cancelling one silently cancelled the other.
-TEST(Simulator, PeriodicTimersWithHighTypeBitsDoNotAlias) {
-  // Old scheme: key(p1, type=0) == (1<<32) == key(p0, type=1<<32).
-  constexpr std::uint64_t kHighType = std::uint64_t{1} << 32;
-  simulator s;
-  const auto p0 = s.add_process(std::make_unique<probe_process>());
-  const auto p1 = s.add_process(std::make_unique<probe_process>());
-  s.schedule_periodic(p0, kHighType, 10.0, 10.0);
-  s.schedule_periodic(p1, 0, 10.0, 10.0);
-  s.cancel_periodic(p0, kHighType);
-  s.run_until(35.0);
-  EXPECT_TRUE(probe(s, p0).timers.empty());       // cancelled
-  EXPECT_EQ(probe(s, p1).timers.size(), 3u);      // must keep firing
 }
 
 TEST(Simulator, CrashPurgesInFlightMessagesImmediately) {
