@@ -1,6 +1,8 @@
 // Microbenchmarks of the simulator substrate itself: raw send→deliver
-// message throughput (empty and dr_msg-sized payloads) and steady-state
-// event-queue ops at 10k/100k/1M queued events.  Every overlay experiment
+// message throughput (empty and dr_msg-sized payloads), steady-state
+// event-queue ops at 10k/100k/1M queued events, and the stabilizer's
+// timer schedule (one timer per process, re-armed a whole period ahead,
+// far beyond the calendar ring).  Every overlay experiment
 // (churn, loss, corruption sweeps) bottoms out in these two paths, so this
 // is the bench that perf PRs against the substrate diff first
 // (scripts/compare_benches.sh).
@@ -127,6 +129,45 @@ void BM_QueueOps(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_QueueOps)->Arg(10000)->Arg(100000)->Arg(1000000);
+
+/// perfbench's stabilize period: at the default delays (bucket width
+/// 0.125) it spans 400 000 buckets, against a 1024-bucket ring.
+constexpr double kStabilizePeriod = 50000.0;
+
+/// One stabilize timer, re-armed exactly one period ahead when it fires.
+struct stabilize_timer : process {
+  void on_message(process_id, std::uint64_t, const drt::sim::envelope&) override {}
+  void on_timer(std::uint64_t t) override {
+    sim().schedule_timer(id(), t, kStabilizePeriod);
+  }
+};
+
+/// The `churn_repair` round's schedule: `range(0)` processes, each with
+/// one timer whose first phase is spread over the period (golden-ratio
+/// sequence, so first phases arrive out of time order), then re-armed a
+/// period ahead on every fire.  At 5000 processes consecutive fires are
+/// 10 units (80 buckets) apart; each handler step is one pop plus one
+/// far push.
+void BM_StabilizerTimers(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  simulator s(core_config());
+  double phase = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const auto id = s.add_process(std::make_unique<stabilize_timer>());
+    phase += 0.6180339887498949;
+    if (phase >= 1.0) phase -= 1.0;
+    s.schedule_timer(id, 0, phase * kStabilizePeriod);
+  }
+  for (auto _ : state) {
+    s.run_steps(kBatch);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kBatch));
+  state.counters["ops_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(kBatch),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_StabilizerTimers)->Arg(5000)->Arg(100000);
 
 }  // namespace
 

@@ -19,7 +19,10 @@
 # single-shot iterations, so capture them with repetitions and
 # rely on the min.  Other experiment benches are too noisy to gate on,
 # but their deltas are still printed.  A tier-1 bench file or benchmark
-# missing from the candidate set is a hard failure.
+# missing from the candidate set is a hard failure.  Two ratios within
+# the candidate run are gated too, independent of machine speed:
+# trace_overhead's ring vs off rows, and sim_core's stabilizer-timer
+# schedule vs its 10k-deep queue ops.
 #
 # Run both sets with --benchmark_repetitions=5: every repetition is one
 # JSON record and the comparison takes the per-name minimum, which is
@@ -154,6 +157,36 @@ if [ -f "$trace_file" ]; then
   esac
 elif is_tier1 "trace_overhead"; then
   echo "## trace_overhead: candidate JSON missing, ring/off ratio not checked (FAIL)"
+  failures=$((failures + 1))
+fi
+
+# Intra-suite ratio gate for the stabilizer's timer schedule (DESIGN.md
+# §3a): in the *candidate* run, one timer per process re-armed a whole
+# period (400 000 buckets) ahead must cost at most 1.5x a steady-state
+# queue op at 10k depth.  Fails when the cursor steps through empty
+# buckets one at a time or in-order far timers ride the heap.
+sim_file="$CAND_DIR/BENCH_sim_core.json"
+if [ -f "$sim_file" ]; then
+  stab_verdict="$(extract "$sim_file" | awk -F'\t' '
+    $1 == "BM_QueueOps/10000"        { if (!q || $2 < q) q = $2 }
+    $1 == "BM_StabilizerTimers/5000" { if (!t || $2 < t) t = $2 }
+    END {
+      if (!q || !t) { print "INCOMPLETE"; exit }
+      r = t / q
+      printf "%.2f %s\n", r, (r > 1.5 ? "FAIL" : "ok")
+    }')"
+  case "$stab_verdict" in
+    INCOMPLETE)
+      echo "## sim_core: StabilizerTimers/5000 or QueueOps/10000 missing from candidate (FAIL)"
+      failures=$((failures + 1)) ;;
+    *FAIL)
+      echo "## sim_core: StabilizerTimers/5000 is ${stab_verdict% FAIL}x QueueOps/10000 (limit 1.5x) -> FAIL"
+      failures=$((failures + 1)) ;;
+    *)
+      echo "## sim_core: StabilizerTimers/5000 is ${stab_verdict% ok}x QueueOps/10000 (limit 1.5x)" ;;
+  esac
+elif is_tier1 "sim_core"; then
+  echo "## sim_core: candidate JSON missing, stabilizer-timer ratio not checked (FAIL)"
   failures=$((failures + 1))
 fi
 

@@ -21,19 +21,9 @@ corruption_config uniform_corruption(double rate) {
 peer_id corruptor::random_peer() {
   const auto count = overlay_.live_count();
   if (count == 0) return kNoPeer;
-  // One rng draw, then a k-th-live walk: the same draw sequence the old
-  // snapshot-and-index version produced, without the vector.
-  auto k = rng_.index(count);
-  peer_id chosen = kNoPeer;
-  overlay_.for_each_live([&](peer_id p) {
-    if (k == 0) {
-      chosen = p;
-      return false;
-    }
-    --k;
-    return true;
-  });
-  return chosen;
+  // One rng draw, mapped to the k-th live peer in id order: the same draw
+  // sequence and pick the old snapshot-and-index version produced.
+  return overlay_.nth_live(rng_.index(count));
 }
 
 std::size_t corruptor::corrupt(const corruption_config& cfg) {

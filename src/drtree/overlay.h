@@ -112,6 +112,8 @@ class dr_overlay {
   /// Allocating snapshot; prefer for_each_live()/live_count() in loops.
   std::vector<spatial::peer_id> live_peers() const;
   std::size_t live_count() const { return sim_.live_count(); }
+  /// The k-th live peer in id order, k < live_count() (O(log N)).
+  spatial::peer_id nth_live(std::size_t k) const { return sim_.nth_live(k); }
 
   /// Visit every live peer id without materializing a vector.  As with
   /// sim::simulator::for_each_live, a bool-returning visitor stops on

@@ -3,7 +3,7 @@
 // Four levels of 64 slots each give an exact-fire horizon of 64^4 ticks
 // (~4.6 hours at 1 ms/tick); deadlines past the horizon wait in a min-heap
 // and drop into the wheel when it laps — the same overflow-heap trick the
-// simulator's calendar queue uses (sim/calendar_queue.h), so the two
+// simulator's calendar queue uses (sim/event_queue.h), so the two
 // schedulers share their pathology profile: O(1) schedule/cancel/fire in
 // the common case, with the heap absorbing the far tail.
 //

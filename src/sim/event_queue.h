@@ -10,23 +10,31 @@
 //    the destination bucket (amortized O(1)); events land in (at, seq)
 //    order by sorting each bucket once, lazily, when the cursor reaches
 //    it (events are overwhelmingly pushed ahead of the cursor, so a
-//    bucket is almost always complete by the time it is sorted);
-//  * an overflow min-heap for events beyond the window (stabilize timers
-//    armed a whole period ahead).  Each time the window slides, events
-//    that fell inside it migrate to their bucket.
+//    bucket is almost always complete by the time it is sorted).  An
+//    occupancy bitmap over the ring lets the cursor jump straight to the
+//    next non-empty bucket instead of stepping through empty ones;
+//  * far events (beyond the window) wait in one of two places.  A far
+//    event that is not earlier than the last one appended goes to an
+//    ordered run, a FIFO ring: stabilize timers re-armed exactly one
+//    period ahead arrive in time order, so they enter and leave in O(1).
+//    Any other far event (a restart's random first phase) goes to a
+//    min-heap.  Each time the window slides, events of both that fell
+//    inside it migrate to their bucket.
 //
 // Determinism contract: pop() returns events in the *strict total order*
 // (at, seq) — exactly the order the seed binary heap produced (seq is
 // unique, so the order is unique).  Bucketing never reorders:
 // bucket_number(at) is one monotonic function of `at`, all events in
-// bucket b precede all events in buckets > b and everything in overflow,
-// and within the active bucket a full (at, seq) sort decides.  The
+// bucket b precede all events in buckets > b and every far event, and
+// within the active bucket a full (at, seq) sort decides.  The
 // golden-hash test in tests/sim_determinism_test.cpp pins this, bit for
 // bit, against traces recorded with the seed scheduler.
 #ifndef DRT_SIM_EVENT_QUEUE_H
 #define DRT_SIM_EVENT_QUEUE_H
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -87,27 +95,21 @@ class calendar_queue {
     // schedule at >= now), but an event landing exactly on the cursor's
     // lower edge must join the active bucket, never a stale ring slot.
     if (b < cur_bno_) b = cur_bno_;
-    if (b >= cur_bno_ + static_cast<std::int64_t>(kBuckets)) {
-      overflow_.push_back(std::move(ev));
-      std::push_heap(overflow_.begin(), overflow_.end(), later_first{});
+    if (b >= window_end()) {
+      if (run_.empty() || !later_first{}(run_.back(), ev)) {
+        run_.push_back(std::move(ev));
+      } else {
+        overflow_.push_back(std::move(ev));
+        std::push_heap(overflow_.begin(), overflow_.end(), later_first{});
+      }
       return;
     }
-    ++wheel_count_;
-    auto& slot = buckets_[ring_index(b)];
-    if (b == cur_bno_ && active_sorted_) {
-      // Rare: an event due inside the bucket currently being drained
-      // (zero/short delays).  Keep the drained bucket sorted.
-      slot.insert(std::upper_bound(slot.begin(), slot.end(), ev,
-                                   later_first{}),
-                  std::move(ev));
-    } else {
-      slot.push_back(std::move(ev));
-    }
+    place(b, std::move(ev));
   }
 
   /// The (at, seq)-minimal event, or nullptr when empty.  Advances the
-  /// cursor over empty buckets and sorts the active bucket on first
-  /// contact; pop() consumes what peek() exposes.
+  /// cursor to the next occupied bucket and sorts it on first contact;
+  /// pop() consumes what peek() exposes.
   pending_event* peek() {
     if (size_ == 0) return nullptr;
     for (;;) {
@@ -121,14 +123,16 @@ class calendar_queue {
       }
       active_sorted_ = false;
       if (wheel_count_ == 0) {
-        if (overflow_.empty()) return nullptr;  // unreachable: size_ > 0
-        // Wheel drained: jump the window straight to the earliest
-        // overflow event instead of stepping bucket by bucket.
-        cur_bno_ = bucket_number(overflow_.front().at);
+        if (run_.empty() && overflow_.empty()) {
+          return nullptr;  // unreachable: size_ > 0
+        }
+        // Wheel drained: jump the window straight to the earliest far
+        // event instead of stepping bucket by bucket.
+        cur_bno_ = earliest_far_bucket();
       } else {
-        ++cur_bno_;
+        cur_bno_ += next_occupied_distance();
       }
-      drain_overflow_into_window();
+      drain_far_into_window();
     }
   }
 
@@ -136,25 +140,34 @@ class calendar_queue {
     pending_event* top = peek();
     DRT_EXPECT(top != nullptr);
     pending_event ev = std::move(*top);
-    buckets_[ring_index(cur_bno_)].pop_back();
+    const auto i = ring_index(cur_bno_);
+    buckets_[i].pop_back();
+    if (buckets_[i].empty()) set_occupied(i, false);
     --wheel_count_;
     --size_;
     return ev;
   }
 
   /// Remove every event matching `pred` (crash-time dead-letter purge).
-  /// Keeps relative order of survivors, so the active bucket stays
-  /// sorted.  Returns the number removed.
+  /// Keeps relative order of survivors, so the active bucket and the run
+  /// stay sorted.  Returns the number removed.
   template <typename Pred>
   std::size_t erase_if(Pred pred) {
     std::size_t removed = 0;
-    for (auto& slot : buckets_) {
-      const auto it = std::remove_if(slot.begin(), slot.end(), pred);
-      const auto n = static_cast<std::size_t>(slot.end() - it);
-      slot.erase(it, slot.end());
-      removed += n;
-      wheel_count_ -= n;
+    // Only occupied buckets can hold a match: walk the bitmap's set bits.
+    for (std::size_t w = 0; w < kWords; ++w) {
+      for (std::uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t i = (w << 6) | std::countr_zero(bits);
+        auto& slot = buckets_[i];
+        const auto it = std::remove_if(slot.begin(), slot.end(), pred);
+        const auto n = static_cast<std::size_t>(slot.end() - it);
+        slot.erase(it, slot.end());
+        if (slot.empty()) set_occupied(i, false);
+        removed += n;
+        wheel_count_ -= n;
+      }
     }
+    removed += run_.erase_if(pred);
     const auto it = std::remove_if(overflow_.begin(), overflow_.end(), pred);
     const auto n = static_cast<std::size_t>(overflow_.end() - it);
     overflow_.erase(it, overflow_.end());
@@ -167,6 +180,7 @@ class calendar_queue {
  private:
   static constexpr std::size_t kBuckets = 1024;  // power of two
   static constexpr std::size_t kRingMask = kBuckets - 1;
+  static constexpr std::size_t kWords = kBuckets / 64;
 
   /// "Less" for max-heap/descending use: the *later* event is smaller,
   /// so sorted vectors keep the earliest event at the back and
@@ -178,6 +192,77 @@ class calendar_queue {
     }
   };
 
+  /// Far events pushed in (at, seq) order, earliest first: a FIFO ring over
+  /// one vector whose capacity is a power of two.  An append or a pop moves
+  /// one event and never shifts the others.
+  class ordered_run {
+   public:
+    bool empty() const { return size_ == 0; }
+    const pending_event& front() const { return ring_[head_]; }
+    const pending_event& back() const {
+      return ring_[wrap(head_ + size_ - 1)];
+    }
+
+    void push_back(pending_event ev) {
+      if (size_ == ring_.size()) grow();
+      ring_[wrap(head_ + size_)] = std::move(ev);
+      ++size_;
+    }
+
+    pending_event pop_front() {
+      pending_event ev = std::move(ring_[head_]);
+      head_ = wrap(head_ + 1);
+      --size_;
+      return ev;
+    }
+
+    /// Stable compaction: survivors keep their order, so the run stays
+    /// sorted.  Returns the number removed.
+    template <typename Pred>
+    std::size_t erase_if(const Pred& pred) {
+      // A crash purge rarely matches a far event: find the first match
+      // with plain scans of the (at most two) contiguous segments.
+      pending_event* const data = ring_.data();
+      const std::size_t first_len = std::min(size_, ring_.size() - head_);
+      std::size_t i = static_cast<std::size_t>(
+          std::find_if(data + head_, data + head_ + first_len, pred) -
+          (data + head_));
+      if (i == first_len) {
+        i += static_cast<std::size_t>(
+            std::find_if(data, data + (size_ - first_len), pred) - data);
+      }
+      if (i == size_) return 0;
+      std::size_t kept = i;
+      for (++i; i < size_; ++i) {
+        auto& ev = ring_[wrap(head_ + i)];
+        if (!pred(ev)) ring_[wrap(head_ + kept++)] = std::move(ev);
+      }
+      // The tail holds removed events and moved-from husks: release the
+      // removed ones' payloads now, as a vector erase would.
+      for (i = kept; i < size_; ++i) ring_[wrap(head_ + i)] = pending_event{};
+      const std::size_t removed = size_ - kept;
+      size_ = kept;
+      return removed;
+    }
+
+   private:
+    std::size_t wrap(std::size_t i) const { return i & (ring_.size() - 1); }
+
+    void grow() {
+      std::vector<pending_event> bigger(ring_.empty() ? 64
+                                                      : 2 * ring_.size());
+      for (std::size_t i = 0; i < size_; ++i) {
+        bigger[i] = std::move(ring_[wrap(head_ + i)]);
+      }
+      ring_.swap(bigger);
+      head_ = 0;
+    }
+
+    std::vector<pending_event> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
+
   /// Monotonic in `at` (positive multiply, then truncation): an event can
   /// never be assigned a strictly earlier bucket than any event with a
   /// smaller timestamp, which is what makes per-bucket ordering global.
@@ -185,8 +270,60 @@ class calendar_queue {
     return static_cast<std::int64_t>(at * inv_width_);
   }
 
+  std::int64_t window_end() const {
+    return cur_bno_ + static_cast<std::int64_t>(kBuckets);
+  }
+
   std::size_t ring_index(std::int64_t bno) const {
     return static_cast<std::size_t>(bno) & kRingMask;
+  }
+
+  void set_occupied(std::size_t i, bool on) {
+    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+    if (on) {
+      occupied_[i >> 6] |= bit;
+    } else {
+      occupied_[i >> 6] &= ~bit;
+    }
+  }
+
+  /// Ring distance from the cursor's (empty) bucket to the next occupied
+  /// one, searching the bitmap cyclically.  Needs wheel_count_ > 0.
+  std::int64_t next_occupied_distance() const {
+    const std::size_t from = ring_index(cur_bno_);
+    std::size_t w = from >> 6;
+    std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (from & 63));
+    for (std::size_t scanned = 0; bits == 0; ++scanned) {
+      DRT_ENSURE(scanned < kWords);
+      w = (w + 1) % kWords;
+      bits = occupied_[w];
+    }
+    const std::size_t to = (w << 6) | std::countr_zero(bits);
+    return static_cast<std::int64_t>((to - from) & kRingMask);
+  }
+
+  /// Bucket of the earliest far event; needs at least one.
+  std::int64_t earliest_far_bucket() const {
+    if (run_.empty()) return bucket_number(overflow_.front().at);
+    if (overflow_.empty()) return bucket_number(run_.front().at);
+    return bucket_number(std::min(run_.front().at, overflow_.front().at));
+  }
+
+  /// File an event into in-window bucket `b`.
+  void place(std::int64_t b, pending_event ev) {
+    ++wheel_count_;
+    const auto i = ring_index(b);
+    set_occupied(i, true);
+    auto& slot = buckets_[i];
+    if (b == cur_bno_ && active_sorted_) {
+      // Rare: an event due inside the bucket currently being drained
+      // (zero/short delays).  Keep the drained bucket sorted.
+      slot.insert(std::upper_bound(slot.begin(), slot.end(), ev,
+                                   later_first{}),
+                  std::move(ev));
+    } else {
+      slot.push_back(std::move(ev));
+    }
   }
 
   /// Sort the bucket the cursor just reached into descending (at, seq)
@@ -216,17 +353,20 @@ class calendar_queue {
     scratch_.clear();
   }
 
-  void drain_overflow_into_window() {
-    const auto window_end = cur_bno_ + static_cast<std::int64_t>(kBuckets);
-    while (!overflow_.empty() &&
-           bucket_number(overflow_.front().at) < window_end) {
+  /// Move every far event the window now covers into its bucket.  The
+  /// run and the heap drain one after the other: a bucket is sorted when
+  /// the cursor reaches it, so arrival order inside it does not matter.
+  void drain_far_into_window() {
+    const auto end = window_end();
+    while (!run_.empty() && bucket_number(run_.front().at) < end) {
+      pending_event ev = run_.pop_front();
+      place(std::max(bucket_number(ev.at), cur_bno_), std::move(ev));
+    }
+    while (!overflow_.empty() && bucket_number(overflow_.front().at) < end) {
       std::pop_heap(overflow_.begin(), overflow_.end(), later_first{});
       pending_event ev = std::move(overflow_.back());
       overflow_.pop_back();
-      std::int64_t b = bucket_number(ev.at);
-      if (b < cur_bno_) b = cur_bno_;
-      ++wheel_count_;
-      buckets_[ring_index(b)].push_back(std::move(ev));
+      place(std::max(bucket_number(ev.at), cur_bno_), std::move(ev));
     }
   }
 
@@ -239,12 +379,14 @@ class calendar_queue {
   double width_;
   double inv_width_;
   std::vector<std::vector<pending_event>> buckets_;  ///< the ring
+  std::array<std::uint64_t, kWords> occupied_{};  ///< bit i: bucket i non-empty
   std::vector<sort_key> keys_;            ///< sort_active scratch
   std::vector<pending_event> scratch_;    ///< sort_active scratch
-  std::vector<pending_event> overflow_;  ///< min-(at,seq) binary heap
+  ordered_run run_;                       ///< far events pushed in order
+  std::vector<pending_event> overflow_;  ///< other far events: min-heap
   std::int64_t cur_bno_ = 0;     ///< bucket number under the cursor
   bool active_sorted_ = false;   ///< cursor bucket sorted & draining
-  std::size_t wheel_count_ = 0;  ///< events in buckets (not overflow)
+  std::size_t wheel_count_ = 0;  ///< events in buckets (not far)
   std::size_t size_ = 0;
 };
 

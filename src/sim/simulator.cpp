@@ -45,8 +45,8 @@ process_id simulator::add_process(std::unique_ptr<process> p) {
   const auto id = static_cast<process_id>(processes_.size());
   p->id_ = id;
   p->sim_ = this;
-  p->alive_ = true;
   processes_.push_back(std::move(p));
+  live_.add();
   net_->on_process_added(id, rng_);
   processes_.back()->on_start();
   return id;
@@ -88,14 +88,16 @@ bool simulator::clear_degradation() {
 
 void simulator::crash(process_id id) {
   auto& p = get(id);
-  if (!p.alive_) return;
-  p.alive_ = false;
+  if (!live_.test(id)) return;
+  live_.set(id, false);
   // Dead-letter purge: in-flight messages to the crashed process would
   // otherwise sit in the queue until their delivery times, spinning
   // run_steps() budget one pop per dead letter.  Drop and count them now.
-  // Timers are kept: most sit in the calendar queue's overflow heap, which
-  // a purge would re-heapify on every crash.  A quiet timer of the dead
-  // incarnation is dropped lazily when it pops instead.
+  // Timers are kept: most sit in the calendar queue's far storage (the
+  // ordered run of re-armed stabilize timers, or the heap), where
+  // removing one compacts the run or re-heapifies the heap on every
+  // crash.  A quiet timer of the dead incarnation is dropped lazily when
+  // it pops instead.
   const auto purged = queue_.erase_if([id](const pending_event& ev) {
     return ev.what == pending_event::kind::message && ev.to == id;
   });
@@ -107,17 +109,10 @@ void simulator::crash(process_id id) {
 
 void simulator::restart(process_id id) {
   auto& p = get(id);
-  if (p.alive_) return;
-  p.alive_ = true;
+  if (live_.test(id)) return;
+  live_.set(id, true);
   ++p.incarnation_;
   p.on_start();
-}
-
-std::vector<process_id> simulator::live_processes() const {
-  std::vector<process_id> out;
-  out.reserve(processes_.size());
-  for_each_live([&out](process_id id) { out.push_back(id); });
-  return out;
 }
 
 void simulator::send(process_id from, process_id to, std::uint64_t type) {
@@ -206,7 +201,7 @@ bool simulator::pop_and_execute() {
   auto& target = *processes_[ev.to];
   switch (ev.what) {
     case pending_event::kind::message:
-      if (!target.alive_) {
+      if (!live_.test(ev.to)) {
         // Sent while the target was already down (crash-time purge
         // removed everything in flight at that point).  Any pending
         // duplicate dies with it.
@@ -230,7 +225,7 @@ bool simulator::pop_and_execute() {
       if (ev.generation != target.incarnation_) return true;  // stale
       [[fallthrough]];
     case pending_event::kind::timer:
-      if (!target.alive_) return true;
+      if (!live_.test(ev.to)) return true;
       ++metrics_.timers_fired;
       ++metrics_.handler_steps;
       target.on_timer(ev.type);

@@ -13,8 +13,14 @@
 // The messaging core is allocation-free on the hot path: payloads travel
 // in typed sim::envelope values (sim/message.h) and the scheduler is a
 // two-level calendar queue (sim/event_queue.h) with O(1) amortized
-// schedule/pop.  Event execution follows the strict total order
-// (at, seq) — see the determinism contract in DESIGN.md.
+// schedule/pop.  Messages and short timers live in its bucket ring;
+// timers armed a stabilize period ahead live beyond it, in an ordered
+// run when they arrive in time order (a re-armed pass) and in a heap
+// otherwise (a fresh random phase).  Event execution follows the strict
+// total order (at, seq) — see the determinism contract in DESIGN.md.
+//
+// Which processes are alive is recorded once, in a bitmap with O(log N)
+// rank/select (live_index), so membership queries never scan processes.
 //
 // Message fate (latency, loss, partition cuts, duplication) is decided
 // by a pluggable net::link_model consulted on the send path (DESIGN.md
@@ -23,6 +29,7 @@
 #ifndef DRT_SIM_SIMULATOR_H
 #define DRT_SIM_SIMULATOR_H
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,7 +58,6 @@ class process {
 
   process_id id() const { return id_; }
   simulator& sim() const { return *sim_; }
-  bool alive() const { return alive_; }
 
   /// Called once when the process is added to the simulation.
   virtual void on_start() {}
@@ -72,9 +78,118 @@ class process {
   friend class simulator;
   process_id id_ = kNoProcess;
   simulator* sim_ = nullptr;
-  bool alive_ = false;
   /// Bumped by every restart; quiet timers are stamped with it.
   std::uint64_t incarnation_ = 0;
+};
+
+/// Which process ids are alive: one bit per id, plus a Fenwick tree over
+/// the per-word popcounts, so counting, ranking and selecting live ids
+/// cost O(1), O(log N) and O(log N) instead of a scan over every process.
+class live_index {
+ public:
+  /// Extend the id space by one id, alive.
+  void add() {
+    if (ids_ % 64 == 0) {
+      // Fenwick append: node i covers words (i - lowbit(i), i], all of
+      // them already present except the new (empty) one.
+      const std::size_t i = words_.size() + 1;
+      words_.push_back(0);
+      tree_.push_back(static_cast<std::uint32_t>(
+          words_before(i - 1) - words_before(i - lowbit(i))));
+    }
+    set(static_cast<std::uint32_t>(ids_++), true);
+  }
+
+  bool test(std::uint32_t id) const {
+    return id < ids_ && ((words_[id >> 6] >> (id & 63)) & 1) != 0;
+  }
+
+  void set(std::uint32_t id, bool live) {
+    DRT_EXPECT(id < ids_ && test(id) != live);
+    words_[id >> 6] ^= std::uint64_t{1} << (id & 63);
+    for (std::size_t i = (id >> 6) + 1; i < tree_.size(); i += lowbit(i)) {
+      tree_[i] = live ? tree_[i] + 1 : tree_[i] - 1;
+    }
+    count_ = live ? count_ + 1 : count_ - 1;
+  }
+
+  std::size_t count() const { return count_; }
+
+  /// Live ids below `id`.
+  std::size_t rank(std::uint32_t id) const {
+    DRT_EXPECT(id <= ids_);
+    const std::size_t w = id >> 6;
+    const std::uint64_t low = (std::uint64_t{1} << (id & 63)) - 1;
+    return words_before(w) +
+           (w < words_.size()
+                ? static_cast<std::size_t>(std::popcount(words_[w] & low))
+                : 0);
+  }
+
+  /// The k-th live id (0-based) in id order.
+  std::uint32_t select(std::size_t k) const {
+    DRT_EXPECT(k < count_);
+    // Fenwick descent to the word holding the k-th set bit.
+    std::size_t w = 0;
+    for (std::size_t step = std::bit_floor(words_.size()); step > 0;
+         step >>= 1) {
+      if (w + step <= words_.size() && tree_[w + step] <= k) {
+        w += step;
+        k -= tree_[w];
+      }
+    }
+    // Then halve the word down to the bit, one popcount per halving.
+    std::uint64_t bits = words_[w];
+    std::uint32_t pos = 0;
+    for (unsigned width = 32; width > 0; width >>= 1) {
+      const std::uint64_t low = bits & ((std::uint64_t{1} << width) - 1);
+      const auto c = static_cast<std::size_t>(std::popcount(low));
+      if (k < c) {
+        bits = low;
+      } else {
+        k -= c;
+        bits >>= width;
+        pos += width;
+      }
+    }
+    return static_cast<std::uint32_t>(w * 64 + pos);
+  }
+
+  /// Visit live ids in increasing order.  The bitmap is re-read after
+  /// every visit, so a visitor that kills or revives a later id is seen.
+  /// A bool-returning visitor stops the walk by returning false.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      std::uint64_t bits = words_[w];
+      while (bits != 0) {
+        const auto b = static_cast<unsigned>(std::countr_zero(bits));
+        const auto id = static_cast<std::uint32_t>(w * 64 + b);
+        if constexpr (std::is_void_v<std::invoke_result_t<Fn&,
+                                                           std::uint32_t>>) {
+          fn(id);
+        } else {
+          if (!fn(id)) return;
+        }
+        bits = b == 63 ? 0 : words_[w] & (~std::uint64_t{0} << (b + 1));
+      }
+    }
+  }
+
+ private:
+  static std::size_t lowbit(std::size_t i) { return i & (~i + 1); }
+
+  /// Live ids in words [0, w): a Fenwick prefix sum.
+  std::size_t words_before(std::size_t w) const {
+    std::size_t n = 0;
+    for (; w > 0; w &= w - 1) n += tree_[w];
+    return n;
+  }
+
+  std::vector<std::uint64_t> words_;
+  std::vector<std::uint32_t> tree_{0};  ///< 1-based; tree_[0] unused
+  std::size_t ids_ = 0;
+  std::size_t count_ = 0;
 };
 
 struct simulator_config {
@@ -124,9 +239,7 @@ class simulator {
   /// Starts a new incarnation: quiet timers the old one armed never fire.
   void restart(process_id id);
 
-  bool is_alive(process_id id) const {
-    return id < processes_.size() && processes_[id]->alive_;
-  }
+  bool is_alive(process_id id) const { return live_.test(id); }
   process& get(process_id id) {
     DRT_EXPECT(id < processes_.size());
     return *processes_[id];
@@ -142,22 +255,13 @@ class simulator {
   /// early" (selection walks shouldn't scan past their target).
   template <typename Fn>
   void for_each_live(Fn&& fn) const {
-    for (const auto& p : processes_) {
-      if (!p->alive_) continue;
-      if constexpr (std::is_void_v<std::invoke_result_t<Fn&, process_id>>) {
-        fn(p->id_);
-      } else {
-        if (!fn(p->id_)) return;
-      }
-    }
+    live_.for_each(std::forward<Fn>(fn));
   }
-  std::size_t live_count() const {
-    std::size_t n = 0;
-    for (const auto& p : processes_) n += p->alive_ ? 1 : 0;
-    return n;
-  }
-  /// Allocating snapshot; prefer for_each_live()/live_count() in loops.
-  std::vector<process_id> live_processes() const;
+  std::size_t live_count() const { return live_.count(); }
+  /// Live ids below `id` (O(log N)).
+  std::size_t live_before(process_id id) const { return live_.rank(id); }
+  /// The k-th live id in id order, k < live_count() (O(log N)).
+  process_id nth_live(std::size_t k) const { return live_.select(k); }
   std::size_t process_count() const { return processes_.size(); }
 
   // ----------------------------------------------------------- messaging
@@ -289,6 +393,7 @@ class simulator {
   link_filter link_filter_;
   trace_hook trace_;
   std::vector<std::unique_ptr<process>> processes_;
+  live_index live_;  ///< the one record of which processes are alive
   payload_pool pool_;
   calendar_queue queue_;
 };

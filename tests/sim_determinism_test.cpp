@@ -16,6 +16,7 @@
 #include <cstring>
 #include <functional>
 #include <queue>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -232,8 +233,8 @@ TEST(SimDeterminism, RestartDropsStaleStabilizeTimerGolden) {
 
 // Direct scheduler equivalence: the calendar queue must pop the exact
 // (at, seq) sequence a binary heap pops, under adversarial mixes of
-// zero/short/long delays (long ones land in the overflow heap), partial
-// drains, and mid-stream purges.
+// zero/short/long delays (long ones land beyond the ring, in the ordered
+// run or the heap), partial drains, and mid-stream purges.
 TEST(CalendarQueue, MatchesBinaryHeapPopOrder) {
   using ref_item = std::pair<double, std::uint64_t>;  // (at, seq)
   util::rng r(2026);
@@ -297,6 +298,90 @@ TEST(CalendarQueue, MatchesBinaryHeapPopOrder) {
       ASSERT_EQ(ev.seq, ref.top().second);
       ref.pop();
       now = ev.at;
+    }
+    EXPECT_TRUE(q.empty());
+  }
+
+  // Stabilizer-shaped trials: a few hundred timer chains, each re-armed
+  // exactly one period ahead with the period 100-400x the ring horizon
+  // (1024 buckets), so far pushes mostly arrive in time order and ride
+  // the ordered run; ~2 % re-arm at a restart-style random phase instead,
+  // out of order, into the heap.  Short-delay messages keep the ring
+  // busy.  Gaps between passes span ring wraps: with 300 chains a pass
+  // is ~1.3 horizons after the last (the wheel empties and the cursor
+  // jumps), with 700 chains ~0.14 horizons (the cursor skips empty
+  // buckets, across the ring's end).  Purges kill a class of chains
+  // wherever their timers sit, run or heap, and restart them at random
+  // phases.
+  using chain_item = std::tuple<double, std::uint64_t, sim::process_id>;
+  for (int trial = 0; trial < 4; ++trial) {
+    const double width = trial % 2 == 0 ? 0.125 : 0.9;
+    const double horizon = 1024 * width;
+    const double period = (trial < 2 ? 400.0 : 100.0) * horizon;
+    const auto chains = static_cast<sim::process_id>(trial < 2 ? 300 : 700);
+    const sim::process_id message_target = chains;
+    sim::calendar_queue q(width);
+    std::priority_queue<chain_item, std::vector<chain_item>,
+                        std::greater<chain_item>>
+        ref;
+    double now = 0.0;
+    std::uint64_t seq = 0;
+    auto push_at = [&](double at, sim::process_id to) {
+      sim::pending_event ev;
+      ev.at = at;
+      ev.seq = seq;
+      ev.what = sim::pending_event::kind::timer;
+      ev.to = to;
+      q.push(std::move(ev));
+      ref.emplace(at, seq, to);
+      ++seq;
+    };
+    auto random_phase = [&] { return now + r.uniform_real(0.0, period); };
+    for (sim::process_id c = 0; c < chains; ++c) push_at(random_phase(), c);
+    for (int op = 0; op < 30000; ++op) {
+      if (r.chance(0.002)) {
+        const auto victim = static_cast<sim::process_id>(r.uniform_int(0, 12));
+        auto doomed = [&](sim::process_id to) {
+          return to < chains && to % 13 == victim;
+        };
+        const auto removed = q.erase_if(
+            [&](const sim::pending_event& ev) { return doomed(ev.to); });
+        std::priority_queue<chain_item, std::vector<chain_item>,
+                            std::greater<chain_item>>
+            kept;
+        std::size_t dropped = 0;
+        while (!ref.empty()) {
+          if (doomed(std::get<2>(ref.top()))) {
+            ++dropped;
+          } else {
+            kept.push(ref.top());
+          }
+          ref.pop();
+        }
+        ref = std::move(kept);
+        ASSERT_EQ(removed, dropped);
+        for (sim::process_id c = victim; c < chains; c += 13) {
+          push_at(random_phase(), c);
+        }
+      } else if (r.chance(0.3)) {
+        push_at(now + r.uniform_real(0.0, 1.5), message_target);
+      } else {
+        const auto ev = q.pop();
+        ASSERT_EQ(ev.at, std::get<0>(ref.top()));
+        ASSERT_EQ(ev.seq, std::get<1>(ref.top()));
+        ref.pop();
+        ASSERT_GE(ev.at, now);
+        now = ev.at;
+        if (ev.to < chains) {
+          push_at(r.chance(0.02) ? random_phase() : ev.at + period, ev.to);
+        }
+      }
+    }
+    while (!ref.empty()) {
+      const auto ev = q.pop();
+      ASSERT_EQ(ev.at, std::get<0>(ref.top()));
+      ASSERT_EQ(ev.seq, std::get<1>(ref.top()));
+      ref.pop();
     }
     EXPECT_TRUE(q.empty());
   }

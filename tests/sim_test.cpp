@@ -8,6 +8,7 @@
 
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace drt::sim {
 namespace {
@@ -384,6 +385,171 @@ TEST(CalendarQueue, OverflowHorizonBoundaries) {
   while (!ref.empty()) pop_and_check();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
+
+  // Far events beyond the window go to the ordered run while they arrive
+  // in time order, otherwise to the heap.  A run event and a heap event
+  // with equal `at` pop by seq, whichever of the two holds the lower one.
+  const double far = 16.0 * horizon;
+  const auto run_first = seq;
+  push_at(far);               // run
+  push_at(far + 1.0);         // run
+  const auto heap_second = seq;
+  push_at(far);               // heap: earlier than the run's back
+  push_at(far + 1.0);         // run: ties the run's back, appended
+  // The heap holds the lower seq: purge the run's back so the run
+  // accepts an event at the heap event's time again.
+  const auto purged = seq;
+  push_at(far + 3.0 * horizon);  // run
+  const auto heap_first = seq;
+  push_at(far + 2.0 * horizon);  // heap
+  EXPECT_EQ(q.erase_if([&](const pending_event& ev) {
+              return ev.seq == purged;
+            }),
+            1u);
+  {
+    std::priority_queue<ref_item, std::vector<ref_item>,
+                        std::greater<ref_item>>
+        kept;
+    while (!ref.empty()) {
+      if (ref.top().second != purged) kept.push(ref.top());
+      ref.pop();
+    }
+    ref = std::move(kept);
+  }
+  const auto run_second = seq;
+  push_at(far + 2.0 * horizon);  // run: ties the heap event
+  std::vector<std::uint64_t> order;
+  while (!ref.empty()) {
+    order.push_back(ref.top().second);
+    pop_and_check();
+  }
+  EXPECT_TRUE(q.empty());
+  ASSERT_EQ(order.size(), 6u);
+  EXPECT_EQ(order[0], run_first);
+  EXPECT_EQ(order[1], heap_second);
+  EXPECT_EQ(order[4], heap_first);
+  EXPECT_EQ(order[5], run_second);
+}
+
+// The simulator's liveness index (a bitmap plus a Fenwick tree over its
+// per-word popcounts) must agree with a plain per-id record after every
+// add/crash/restart: count, rank and select, over ~3k ids, so the walk
+// crosses many 64-id words and every Fenwick power-of-two boundary up to
+// 32 words.  Also pins the rank/select mapping dr_overlay::contact_node
+// uses for "the k-th live id other than `asking`" against the id-order
+// walk it replaced, with `asking` alive and dead.
+TEST(Simulator, LiveIndexMatchesScan) {
+  simulator s;
+  std::vector<bool> live;  // the reference: one flag per id
+  util::rng r(77);
+
+  // The k-th live id != asking as one rank plus one select pick it; the
+  // old walk took the k-th entry of the id-order candidate list.
+  auto index_pick = [&](process_id asking, std::size_t k) {
+    if (s.is_alive(asking) && k >= s.live_before(asking)) ++k;
+    return s.nth_live(k);
+  };
+  std::vector<process_id> walk;
+
+  // Compares everything against the reference; returns the first
+  // disagreement, or "" (gtest assertions per id would dominate the run).
+  auto mismatch = [&](bool with_picks) -> std::string {
+    std::size_t n = 0;
+    for (process_id id = 0; id < live.size(); ++id) {
+      if (s.is_alive(id) != live[id]) return "is_alive " + std::to_string(id);
+      if (s.live_before(id) != n) return "live_before " + std::to_string(id);
+      if (live[id] && s.nth_live(n++) != id) {
+        return "nth_live " + std::to_string(n - 1);
+      }
+    }
+    if (s.live_count() != n) return "live_count";
+    if (s.live_before(static_cast<process_id>(live.size())) != n) {
+      return "live_before(end)";
+    }
+    std::size_t visited = 0;
+    bool visited_dead = false;
+    s.for_each_live([&](process_id id) {
+      visited_dead = visited_dead || !live[id];
+      ++visited;
+    });
+    if (visited != n || visited_dead) return "for_each_live";
+    if (live.empty() || !with_picks) return "";
+    for (const bool want_live : {true, false}) {
+      // One asking id of each state, when there is one.
+      process_id asking = kNoProcess;
+      for (int tries = 0; tries < 8 && asking == kNoProcess; ++tries) {
+        const auto id = static_cast<process_id>(r.index(live.size()));
+        if (live[id] == want_live) asking = id;
+      }
+      if (asking == kNoProcess) continue;
+      walk.clear();
+      for (process_id id = 0; id < live.size(); ++id) {
+        if (live[id] && id != asking) walk.push_back(id);
+      }
+      for (std::size_t k = 0; k < walk.size(); ++k) {
+        if (index_pick(asking, k) != walk[k]) {
+          return "contact pick, asking " + std::to_string(asking) + " k " +
+                 std::to_string(k);
+        }
+      }
+    }
+    return "";
+  };
+  // Count, rank and select after every step; the O(N) contact-pick
+  // sweep on every 16th step and at every edge case.
+  std::size_t steps = 0;
+  auto check = [&] { ASSERT_EQ(mismatch(steps++ % 16 == 0), ""); };
+  auto check_all = [&] { ASSERT_EQ(mismatch(true), ""); };
+
+  check_all();  // no processes at all
+  // Grow to ~3k ids with crashes and restarts mixed in.
+  while (live.size() < 3000) {
+    const double u = r.next_double();
+    if (u < 0.7 || live.empty()) {
+      s.add_process(std::make_unique<probe_process>());
+      live.push_back(true);
+    } else {
+      const auto id = static_cast<process_id>(r.index(live.size()));
+      if (u < 0.9) {
+        s.crash(id);
+        live[id] = false;
+      } else {
+        s.restart(id);
+        live[id] = true;
+      }
+    }
+    check();
+  }
+  // All dead, then a single live id at either end and in the middle.
+  for (process_id id = 0; id < live.size(); ++id) {
+    s.crash(id);
+    live[id] = false;
+  }
+  check_all();
+  for (const auto only : {process_id{0}, process_id{1500}, process_id{2999}}) {
+    s.restart(only);
+    live[only] = true;
+    check_all();
+    s.crash(only);
+    live[only] = false;
+  }
+  check();
+  // Revive everything, then thin out again at random.
+  for (process_id id = 0; id < live.size(); ++id) {
+    s.restart(id);
+    live[id] = true;
+  }
+  check_all();
+  for (int step = 0; step < 400; ++step) {
+    const auto id = static_cast<process_id>(r.index(live.size()));
+    if (live[id]) {
+      s.crash(id);
+    } else {
+      s.restart(id);
+    }
+    live[id] = !live[id];
+    check();
+  }
 }
 
 // Crash purges destroy in-flight pooled envelopes; their blocks must
