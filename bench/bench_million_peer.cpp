@@ -1,7 +1,7 @@
 // Million-peer scale run over the sharded kernel (DESIGN.md §8).
 //
 // The workload is the PR-gating scale story: populate N peers through
-// the sharded DR-tree backend, run a churn wave (crash burst, repair
+// drtree_backend over N shards, run a churn wave (crash burst, repair
 // rounds, partial restarts, repair again), then a publish sweep that
 // fans every event out across the shard forest.  Measured per phase in
 // wall-clock seconds, plus the real protocol-state footprint from the
@@ -63,7 +63,7 @@ void run_scale(benchmark::State& state, std::size_t n, std::size_t shards) {
   std::uint64_t interested = 0;
 
   for (auto _ : state) {
-    drt::engine::sharded_drtree_backend be(cfg, shards);
+    drt::engine::drtree_backend be(cfg, shards);
     drt::util::rng rng(cfg.net.seed ^ (n * 31 + shards));
     const auto& ws = cfg.dr.workspace;
     const double wx = ws.hi[0] - ws.lo[0];

@@ -69,7 +69,7 @@ void run_overhead(benchmark::State& state, std::size_t n, std::size_t shards,
 
   for (auto _ : state) {
     state.PauseTiming();
-    drt::engine::sharded_drtree_backend be(cfg, shards);
+    drt::engine::drtree_backend be(cfg, shards);
     drt::util::rng rng(cfg.net.seed ^ (n * 31 + shards));
     const auto& ws = cfg.dr.workspace;
     const double wx = ws.hi[0] - ws.lo[0];

@@ -1,11 +1,11 @@
 // Shared experiment drivers: building overlays from workloads, running
 // them to a legitimate configuration, and sweeping publications for
 // accuracy accounting.  Since the engine redesign (DESIGN.md §6) the
-// testbed is a thin shim over engine::scenario_runner driving an
-// engine::drtree_backend — kept because a large body of tests and benches
-// speaks this vocabulary, and as the one-liner way to get a populated
-// DR-tree.  New experiment code should use the engine API directly
-// (declarative scenarios run on any backend).
+// testbed is a thin shim over engine::scenario_runner driving a
+// one-shard engine::drtree_backend — kept because a large body of tests
+// and benches speaks this vocabulary, and as the one-liner way to get a
+// populated DR-tree.  New experiment code should use the engine API
+// directly (declarative scenarios run on any backend).
 #ifndef DRT_ANALYSIS_HARNESS_H
 #define DRT_ANALYSIS_HARNESS_H
 

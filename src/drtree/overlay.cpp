@@ -236,8 +236,7 @@ std::vector<publish_result> dr_overlay::multi_publish_and_drain(
     std::uint64_t max_steps) {
   std::vector<publish_result> out;
   if (n == 0) return out;
-  const auto first_id = next_event_id_;
-  next_event_id_ += n;
+  const auto first_id = next_event_id(n);
   const auto msgs_before = sim_.metrics().messages_sent;
   multi_publish_begin(publisher, first_id, values, n);
   sim_.run_steps(max_steps);

@@ -157,12 +157,13 @@ class dr_overlay {
                                    const spatial::pt& value,
                                    std::uint64_t max_steps = 1000000);
 
-  // Split publication path for callers that own the drive loop (the
-  // sharded kernel backend publishes in one shard, injects into the
-  // others, drains them all at kernel barriers, then collects per-shard
-  // accounting).  multi_publish_and_drain == begin + run_steps + finish.
-  // Events take the caller-allocated ids first_event_id, first_event_id
-  // + 1, ..., paired with values[0], values[1], ...; no draining.
+  // Split publication path for callers that own the drive loop
+  // (engine::drtree_backend publishes in the origin shard, injects into
+  // the others, drains them all at kernel barriers, then collects
+  // per-shard accounting).  multi_publish_and_drain == begin + run_steps
+  // + finish.  Events take the caller-allocated ids first_event_id,
+  // first_event_id + 1, ... (see next_event_id), paired with values[0],
+  // values[1], ...; no draining.
   void multi_publish_begin(spatial::peer_id publisher,
                            std::uint64_t first_event_id,
                            const spatial::pt* values, std::size_t n);
@@ -187,7 +188,12 @@ class dr_overlay {
   void record_delivery(std::uint64_t event_id, spatial::peer_id p,
                        std::size_t hop);
 
-  std::uint64_t next_event_id() { return next_event_id_++; }
+  /// Reserve `n` consecutive event ids; returns the first.
+  std::uint64_t next_event_id(std::size_t n = 1) {
+    const auto first = next_event_id_;
+    next_event_id_ += n;
+    return first;
+  }
 
   // ------------------------------------------------------------ search
   /// Result of one distributed range search (§1 "data storage or

@@ -35,6 +35,27 @@ std::size_t corrupt_overlay(overlay::dr_overlay& ov, double rate,
   return vandal.corrupt(overlay::uniform_corruption(rate));
 }
 
+/// `local` as a peer id of `ov`, or kNoPeer when `ov` never created that
+/// peer.  Never a 32-bit cast of the 64-bit id, which would read
+/// (1 << 32) + p as p.
+spatial::peer_id peer_of(const overlay::dr_overlay& ov, std::uint64_t local) {
+  return local < ov.sim().process_count()
+             ? static_cast<spatial::peer_id>(local)
+             : spatial::kNoPeer;
+}
+
+bool crash_peer(overlay::dr_overlay& ov, spatial::peer_id p) {
+  if (!ov.alive(p)) return false;
+  ov.crash(p);
+  return true;
+}
+
+bool restart_peer(overlay::dr_overlay& ov, spatial::peer_id p) {
+  if (p == spatial::kNoPeer || ov.alive(p)) return false;
+  ov.restart(p);
+  return true;
+}
+
 /// Both overlay adapters expose partition/degrade iff the sim's net
 /// model has a dynamic fault layer — capabilities are honest, never
 /// aspirational.
@@ -71,122 +92,8 @@ overlay_backend_config configured_for(const scenario& sc,
 
 // ------------------------------------------------------- drtree_backend
 
-drtree_backend::drtree_backend(overlay_backend_config config)
-    : overlay_(std::make_unique<overlay::dr_overlay>(config.dr, config.net)) {}
-
-capability_mask drtree_backend::capabilities() const {
-  return overlay_capabilities(*overlay_);
-}
-
-bool drtree_backend::partition(const std::vector<sub_id>& side_b) {
-  return partition_overlay(*overlay_, side_b);
-}
-
-bool drtree_backend::degrade_links(double latency_factor, double extra_loss,
-                                   double ramp_rounds) {
-  return degrade_overlay(*overlay_, latency_factor, extra_loss, ramp_rounds);
-}
-
-sub_id drtree_backend::subscribe(const spatial::box& filter) {
-  return overlay_->add_peer_and_settle(filter);
-}
-
-bool drtree_backend::unsubscribe(sub_id s) {
-  const auto p = static_cast<spatial::peer_id>(s);
-  if (!overlay_->alive(p)) return false;
-  overlay_->controlled_leave(p);
-  overlay_->settle();
-  return true;
-}
-
-bool drtree_backend::crash(sub_id s) {
-  const auto p = static_cast<spatial::peer_id>(s);
-  if (!overlay_->alive(p)) return false;
-  overlay_->crash(p);
-  return true;
-}
-
-bool drtree_backend::restart(sub_id s) {
-  const auto p = static_cast<spatial::peer_id>(s);
-  if (overlay_->alive(p)) return false;
-  overlay_->restart(p);
-  return true;
-}
-
-std::size_t drtree_backend::corrupt(double rate, std::uint64_t seed) {
-  return corrupt_overlay(*overlay_, rate, seed);
-}
-
-bool drtree_backend::alive(sub_id s) const {
-  return overlay_->alive(static_cast<spatial::peer_id>(s));
-}
-
-std::vector<sub_id> drtree_backend::active() const {
-  std::vector<sub_id> out;
-  out.reserve(overlay_->live_count());
-  overlay_->for_each_live([&out](spatial::peer_id p) { out.push_back(p); });
-  return out;
-}
-
-sub_id drtree_backend::root() const {
-  const auto r = overlay_->current_root();
-  return r == spatial::kNoPeer ? kNoSub : static_cast<sub_id>(r);
-}
-
-delivery_report drtree_backend::publish(sub_id publisher,
-                                        const spatial::pt& value) {
-  return publish_batch(publisher, &value, 1);
-}
-
-delivery_report drtree_backend::publish_batch(sub_id publisher,
-                                              const spatial::pt* values,
-                                              std::size_t n) {
-  const auto results = overlay_->multi_publish_and_drain(
-      static_cast<spatial::peer_id>(publisher), values, n);
-  delivery_report d;
-  for (const auto& r : results) {
-    d.interested += r.interested;
-    d.delivered += r.delivered;
-    d.false_positives += r.false_positives;
-    d.false_negatives += r.false_negatives;
-    d.messages += r.messages;
-    d.max_hops = std::max(d.max_hops, r.max_hops);
-  }
-  return d;
-}
-
-void drtree_backend::step_round() {
-  overlay_->advance(overlay_->config().stabilize_period);
-  overlay_->settle();
-}
-
-bool drtree_backend::legal() const {
-  return overlay::checker(*overlay_).check().legal();
-}
-
-backend_shape drtree_backend::shape() const {
-  return shape_of_overlay(*overlay_);
-}
-
-backend_counters drtree_backend::counters() const {
-  backend_counters c;
-  c.messages = overlay_->sim().metrics().messages_sent;
-  c.stabilize_visited = overlay_->stab_stats().visited;
-  c.stabilize_skipped = overlay_->stab_stats().skipped;
-  return c;
-}
-
-std::string drtree_backend::dump_flight(const std::string& reason) {
-  const auto* t = overlay_->trace();
-  if (t == nullptr) return {};
-  return obs::write_flight_dump(reason, t->snapshot(), t->size(), {});
-}
-
-// ----------------------------------------------- sharded_drtree_backend
-
-sharded_drtree_backend::sharded_drtree_backend(overlay_backend_config config,
-                                               std::size_t shards,
-                                               bool parallel)
+drtree_backend::drtree_backend(overlay_backend_config config,
+                               std::size_t shards, bool parallel)
     : kernel_([&] {
         sim::kernel_config kc;
         kc.shards = shards == 0 ? 1 : shards;
@@ -196,12 +103,10 @@ sharded_drtree_backend::sharded_drtree_backend(overlay_backend_config config,
       }()) {
   const auto n = kernel_.shards();
   overlays_.reserve(n);
-  local_to_global_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto scfg = config.net;
-    // Distinct per-shard RNG streams; shard 0 keeps the base seed so a
-    // one-shard run consumes the stream exactly like the unsharded
-    // backend (the digest-equivalence contract).
+    // Distinct per-shard RNG streams; shard 0 keeps the base seed, so a
+    // one-shard run consumes the stream exactly like the plain overlay.
     scfg.seed = config.net.seed + i * 0x9e3779b97f4a7c15ull;
     overlays_.push_back(
         std::make_unique<overlay::dr_overlay>(config.dr, scfg));
@@ -212,49 +117,57 @@ sharded_drtree_backend::sharded_drtree_backend(overlay_backend_config config,
   }
 }
 
-const sharded_drtree_backend::slot& sharded_drtree_backend::at(
-    sub_id s) const {
-  DRT_EXPECT(s < subs_.size());
-  return subs_[s];
+spatial::peer_id drtree_backend::local_of(sub_id s) const {
+  return peer_of(*overlays_[shard_of(s)], s / overlays_.size());
 }
 
-sub_id sharded_drtree_backend::subscribe(const spatial::box& filter) {
-  const auto shard = next_shard_;
-  next_shard_ = (next_shard_ + 1) % overlays_.size();
-  const auto local = overlays_[shard]->add_peer_and_settle(filter);
-  const auto s = static_cast<sub_id>(subs_.size());
-  subs_.push_back({shard, local});
-  DRT_EXPECT(local_to_global_[shard].size() == local);
-  local_to_global_[shard].push_back(s);
+capability_mask drtree_backend::capabilities() const {
+  const auto m = overlay_capabilities(*overlays_[0]);
+  return overlays_.size() == 1 ? m : m & ~(cap_partition | cap_degrade);
+}
+
+bool drtree_backend::partition(const std::vector<sub_id>& side_b) {
+  return overlays_.size() == 1 && partition_overlay(*overlays_[0], side_b);
+}
+
+bool drtree_backend::heal() {
+  return overlays_.size() == 1 && overlays_[0]->heal_partition();
+}
+
+bool drtree_backend::degrade_links(double latency_factor, double extra_loss,
+                                   double ramp_rounds) {
+  return overlays_.size() == 1 &&
+         degrade_overlay(*overlays_[0], latency_factor, extra_loss,
+                         ramp_rounds);
+}
+
+sub_id drtree_backend::subscribe(const spatial::box& filter) {
+  // Round-robin in arrival order: the new id is the number issued so far.
+  sub_id s = 0;
+  for (const auto& ov : overlays_) s += ov->sim().process_count();
+  const auto local = overlays_[shard_of(s)]->add_peer_and_settle(filter);
+  DRT_EXPECT(local == s / overlays_.size());
   return s;
 }
 
-bool sharded_drtree_backend::unsubscribe(sub_id s) {
-  const auto& sl = at(s);
-  auto& ov = *overlays_[sl.shard];
-  if (!ov.alive(sl.local)) return false;
-  ov.controlled_leave(sl.local);
+bool drtree_backend::unsubscribe(sub_id s) {
+  auto& ov = *overlays_[shard_of(s)];
+  const auto p = local_of(s);
+  if (!ov.alive(p)) return false;
+  ov.controlled_leave(p);
   ov.settle();
   return true;
 }
 
-bool sharded_drtree_backend::crash(sub_id s) {
-  const auto& sl = at(s);
-  auto& ov = *overlays_[sl.shard];
-  if (!ov.alive(sl.local)) return false;
-  ov.crash(sl.local);
-  return true;
+bool drtree_backend::crash(sub_id s) {
+  return crash_peer(*overlays_[shard_of(s)], local_of(s));
 }
 
-bool sharded_drtree_backend::restart(sub_id s) {
-  const auto& sl = at(s);
-  auto& ov = *overlays_[sl.shard];
-  if (ov.alive(sl.local)) return false;
-  ov.restart(sl.local);
-  return true;
+bool drtree_backend::restart(sub_id s) {
+  return restart_peer(*overlays_[shard_of(s)], local_of(s));
 }
 
-std::size_t sharded_drtree_backend::corrupt(double rate, std::uint64_t seed) {
+std::size_t drtree_backend::corrupt(double rate, std::uint64_t seed) {
   std::size_t mutations = 0;
   for (std::size_t i = 0; i < overlays_.size(); ++i) {
     mutations += corrupt_overlay(*overlays_[i], rate, seed + i);
@@ -262,58 +175,60 @@ std::size_t sharded_drtree_backend::corrupt(double rate, std::uint64_t seed) {
   return mutations;
 }
 
-bool sharded_drtree_backend::alive(sub_id s) const {
-  if (s >= subs_.size()) return false;
-  const auto& sl = subs_[s];
-  return overlays_[sl.shard]->alive(sl.local);
+bool drtree_backend::alive(sub_id s) const {
+  return overlays_[shard_of(s)]->alive(local_of(s));
 }
 
-std::vector<sub_id> sharded_drtree_backend::active() const {
+std::vector<sub_id> drtree_backend::active() const {
   std::vector<sub_id> out;
-  out.reserve(subs_.size());
-  for (sub_id s = 0; s < subs_.size(); ++s) {
-    if (alive(s)) out.push_back(s);
+  out.reserve(population());
+  for (std::size_t i = 0; i < overlays_.size(); ++i) {
+    overlays_[i]->for_each_live(
+        [&](spatial::peer_id p) { out.push_back(global_of(i, p)); });
   }
+  // Shards interleave in id order; one shard is already sorted.
+  if (overlays_.size() > 1) std::sort(out.begin(), out.end());
   return out;
 }
 
-std::size_t sharded_drtree_backend::population() const {
+std::size_t drtree_backend::population() const {
   std::size_t n = 0;
   for (const auto& ov : overlays_) n += ov->live_count();
   return n;
 }
 
-sub_id sharded_drtree_backend::root() const {
-  // The forest has no global root; expose shard 0's (the one an
-  // unsharded run would have) so "kill the root" scenarios stay
-  // meaningful.
+sub_id drtree_backend::root() const {
+  // The forest has no global root; expose shard 0's (the one a one-shard
+  // run would have) so "kill the root" scenarios stay meaningful.
   const auto r = overlays_[0]->current_root();
-  if (r == spatial::kNoPeer) return kNoSub;
-  return local_to_global_[0][r];
+  return r == spatial::kNoPeer ? kNoSub : global_of(0, r);
 }
 
-delivery_report sharded_drtree_backend::publish(sub_id publisher,
-                                                const spatial::pt& value) {
+delivery_report drtree_backend::publish(sub_id publisher,
+                                        const spatial::pt& value) {
   return publish_batch(publisher, &value, 1);
 }
 
-delivery_report sharded_drtree_backend::publish_batch(
-    sub_id publisher, const spatial::pt* values, std::size_t n) {
+delivery_report drtree_backend::publish_batch(sub_id publisher,
+                                              const spatial::pt* values,
+                                              std::size_t n) {
   if (n == 0) return {};
-  const auto& sl = at(publisher);
-  const auto first_id = next_event_id_;
-  next_event_id_ += n;
+  const auto origin = shard_of(publisher);
+  // Shard 0's counter numbers every event, so backend publishes and
+  // direct overlay publishes share one id sequence.
+  const auto first_id = overlays_[0]->next_event_id(n);
   std::vector<std::uint64_t> before(overlays_.size(), 0);
   for (std::size_t i = 0; i < overlays_.size(); ++i) {
     before[i] = overlays_[i]->sim().metrics().messages_sent;
   }
-  overlays_[sl.shard]->multi_publish_begin(sl.local, first_id, values, n);
+  overlays_[origin]->multi_publish_begin(local_of(publisher), first_id,
+                                         values, n);
   for (std::size_t d = 0; d < overlays_.size(); ++d) {
-    if (d == sl.shard) continue;
+    if (d == origin) continue;
     // One cross-shard injection per shard carries the whole batch — the
     // sharded analogue of the envelope's single descent.  `values` stays
     // valid: settle() below runs every posted injection.
-    kernel_.post(sl.shard, d, overlay::dr_batch_msg::bytes_for(n),
+    kernel_.post(origin, d, overlay::dr_batch_msg::bytes_for(n),
                  [this, d, first_id, values, n](sim::simulator&) {
                    overlays_[d]->inject_multi_publish(first_id, values, n);
                  });
@@ -336,18 +251,16 @@ delivery_report sharded_drtree_backend::publish_batch(
       rep.max_hops = std::max(rep.max_hops, r.max_hops);
     }
   }
-  if (overlays_.size() > 1) {
-    rep.messages += overlays_.size() - 1;  // the cross-shard injections
-  }
+  rep.messages += overlays_.size() - 1;  // the cross-shard injections
   return rep;
 }
 
-void sharded_drtree_backend::step_round() {
+void drtree_backend::step_round() {
   kernel_.advance(overlays_[0]->config().stabilize_period);
   kernel_.settle();
 }
 
-bool sharded_drtree_backend::legal() const {
+bool drtree_backend::legal() const {
   // A forest is legitimate when every shard's tree is.
   for (const auto& ov : overlays_) {
     if (!overlay::checker(*ov).check().legal()) return false;
@@ -355,7 +268,10 @@ bool sharded_drtree_backend::legal() const {
   return true;
 }
 
-backend_shape sharded_drtree_backend::shape() const {
+backend_shape drtree_backend::shape() const {
+  // One shard reports the checker's own mean: re-weighting it below
+  // could move it by an ulp.
+  if (overlays_.size() == 1) return shape_of_overlay(*overlays_[0]);
   backend_shape s;
   double degree_sum = 0.0;
   std::size_t degree_nodes = 0;
@@ -378,7 +294,7 @@ backend_shape sharded_drtree_backend::shape() const {
   return s;
 }
 
-backend_counters sharded_drtree_backend::counters() const {
+backend_counters drtree_backend::counters() const {
   backend_counters c;
   for (const auto& ov : overlays_) {
     c.messages += ov->sim().metrics().messages_sent;
@@ -389,7 +305,7 @@ backend_counters sharded_drtree_backend::counters() const {
   return c;
 }
 
-std::string sharded_drtree_backend::dump_flight(const std::string& reason) {
+std::string drtree_backend::dump_flight(const std::string& reason) {
   std::vector<const obs::trace_ring*> rings;
   for (const auto& ov : overlays_) {
     if (ov->trace() != nullptr) rings.push_back(ov->trace());
@@ -399,12 +315,7 @@ std::string sharded_drtree_backend::dump_flight(const std::string& reason) {
   return obs::write_flight_dump(reason, merged, merged.size(), {});
 }
 
-std::size_t sharded_drtree_backend::dirty_pending(std::size_t shard) const {
-  DRT_EXPECT(shard < overlays_.size());
-  return overlays_[shard]->dirty_pending();
-}
-
-overlay::arena_stats sharded_drtree_backend::arena_stats() const {
+overlay::arena_stats drtree_backend::arena_stats() const {
   overlay::arena_stats total;
   for (const auto& ov : overlays_) {
     const auto st = ov->memory_stats();
@@ -460,18 +371,12 @@ bool broker_backend::unsubscribe(sub_id s) {
 
 bool broker_backend::crash(sub_id s) {
   auto& ov = broker_->raw_overlay();
-  const auto p = static_cast<spatial::peer_id>(s);
-  if (!ov.alive(p)) return false;
-  ov.crash(p);
-  return true;
+  return crash_peer(ov, peer_of(ov, s));
 }
 
 bool broker_backend::restart(sub_id s) {
   auto& ov = broker_->raw_overlay();
-  const auto p = static_cast<spatial::peer_id>(s);
-  if (ov.alive(p)) return false;
-  ov.restart(p);
-  return true;
+  return restart_peer(ov, peer_of(ov, s));
 }
 
 std::size_t broker_backend::corrupt(double rate, std::uint64_t seed) {
@@ -479,7 +384,8 @@ std::size_t broker_backend::corrupt(double rate, std::uint64_t seed) {
 }
 
 bool broker_backend::alive(sub_id s) const {
-  return broker_->raw_overlay().alive(static_cast<spatial::peer_id>(s));
+  const auto& ov = broker_->raw_overlay();
+  return ov.alive(peer_of(ov, s));
 }
 
 std::vector<sub_id> broker_backend::active() const {
@@ -638,13 +544,6 @@ std::vector<std::unique_ptr<backend>> make_all_backends(
   out.push_back(std::make_unique<baseline_backend>(
       std::make_unique<baselines::zcurve_dht>(config.dr.workspace, 5, 127)));
   return out;
-}
-
-std::unique_ptr<backend> make_scenario_backend(const scenario& sc,
-                                               overlay_backend_config base) {
-  const auto cfg = configured_for(sc, base);
-  if (sc.shards <= 1) return std::make_unique<drtree_backend>(cfg);
-  return std::make_unique<sharded_drtree_backend>(cfg, sc.shards);
 }
 
 }  // namespace drt::engine

@@ -2,8 +2,9 @@
 // façade, and the four §3.1/§4 baselines behind the one
 // drt::engine::backend interface.
 //
-// The two overlay-backed adapters (drtree_backend, broker_backend) drive
-// the identical protocol stack through the identical operations, so a
+// There is one DR-tree backend, drtree_backend; its shard count is a
+// constructor argument.  At one shard it and broker_backend drive the
+// identical protocol stack through the identical operations, so a
 // churn-free scenario produces bit-identical metrics on either — the
 // engine determinism tests rely on this.  Baselines get honest
 // *incremental rebuild* semantics: they have no repair protocol, so every
@@ -41,10 +42,21 @@ overlay_backend_config configured_for(const scenario& sc,
                                       overlay_backend_config base = {});
 
 /// The system under study: the full DR-tree protocol stack, one overlay
-/// peer per subscription.
+/// peer per subscription, over `shards` simulator shards driven by one
+/// sim::kernel (DESIGN.md §8).  Each shard is a full dr_overlay — its
+/// own simulator, calendar queue, payload pool, RNG stream and filter
+/// index — and subscriptions are dealt round-robin in arrival order, so
+/// global id s is local peer s / S on shard s % S.  Each shard grows its
+/// own tree: protocol traffic (joins, stabilization, repair) stays inside
+/// a shard, and only publications cross, as kernel injections delivered
+/// at barriers (publish in the origin shard, inject at every other
+/// shard's root).  At one shard the kernel is a pass-through and this is
+/// the plain overlay, bit for bit (the golden digests pin it); for any
+/// fixed shard count a run is bit-deterministic.
 class drtree_backend final : public backend {
  public:
-  explicit drtree_backend(overlay_backend_config config = {});
+  explicit drtree_backend(overlay_backend_config config = {},
+                          std::size_t shards = 1, bool parallel = false);
 
   std::string name() const override { return "drtree"; }
   capability_mask capabilities() const override;
@@ -54,66 +66,13 @@ class drtree_backend final : public backend {
   bool crash(sub_id s) override;
   bool restart(sub_id s) override;
   std::size_t corrupt(double rate, std::uint64_t seed) override;
+  // Partition, heal and degrade act on one simulator's net model; a
+  // forest has no honest cross-shard story for them, so they exist only
+  // at one shard (and need its dynamic model).
   bool partition(const std::vector<sub_id>& side_b) override;
-  bool heal() override { return overlay_->heal_partition(); }
+  bool heal() override;
   bool degrade_links(double latency_factor, double extra_loss,
                      double ramp_rounds) override;
-
-  bool alive(sub_id s) const override;
-  std::vector<sub_id> active() const override;
-  std::size_t population() const override { return overlay_->live_count(); }
-  sub_id root() const override;
-
-  delivery_report publish(sub_id publisher, const spatial::pt& value) override;
-  delivery_report publish_batch(sub_id publisher, const spatial::pt* values,
-                                std::size_t n) override;
-
-  void settle() override { overlay_->settle(); }
-  void step_round() override;
-  bool legal() const override;
-  backend_shape shape() const override;
-  backend_counters counters() const override;
-
-  const obs::trace_ring* trace() const override { return overlay_->trace(); }
-  std::string dump_flight(const std::string& reason) override;
-
-  overlay::dr_overlay& overlay() { return *overlay_; }
-  const overlay::dr_overlay& overlay() const { return *overlay_; }
-
- private:
-  std::unique_ptr<overlay::dr_overlay> overlay_;
-};
-
-/// The DR-tree stack sharded over a sim::kernel (DESIGN.md §8): one full
-/// dr_overlay per shard — its own simulator, calendar queue, payload
-/// pool, RNG stream, and filter index — with subscriptions partitioned
-/// round-robin by arrival order.  Each shard grows its own tree, so all
-/// protocol traffic (joins, stabilization, repair) is intra-shard by
-/// construction; only publications cross shards, as kernel injections
-/// delivered at barriers (publish in the origin shard, inject at every
-/// other shard's root).  With one shard this backend is operation-for-
-/// operation identical to drtree_backend — the recorder-digest
-/// equivalence tests pin that — and for any fixed shard count a run is
-/// bit-deterministic.
-class sharded_drtree_backend final : public backend {
- public:
-  explicit sharded_drtree_backend(overlay_backend_config config = {},
-                                  std::size_t shards = 1,
-                                  bool parallel = false);
-
-  std::string name() const override { return "drtree_sharded"; }
-  capability_mask capabilities() const override {
-    // Partition/degrade act on one simulator's net model; there is no
-    // honest cross-shard story for them, so they are not advertised.
-    return cap_unsubscribe | cap_crash | cap_restart | cap_corruption |
-           cap_stabilize;
-  }
-
-  sub_id subscribe(const spatial::box& filter) override;
-  bool unsubscribe(sub_id s) override;
-  bool crash(sub_id s) override;
-  bool restart(sub_id s) override;
-  std::size_t corrupt(double rate, std::uint64_t seed) override;
 
   bool alive(sub_id s) const override;
   std::vector<sub_id> active() const override;
@@ -131,38 +90,39 @@ class sharded_drtree_backend final : public backend {
   backend_counters counters() const override;
 
   const obs::trace_ring* trace() const override {
-    return overlays_.empty() ? nullptr : overlays_[0]->trace();
+    return overlays_[0]->trace();
   }
   std::string dump_flight(const std::string& reason) override;
 
   std::size_t shards() const { return overlays_.size(); }
-  overlay::dr_overlay& overlay(std::size_t shard) { return *overlays_[shard]; }
+  overlay::dr_overlay& overlay(std::size_t shard = 0) {
+    return *overlays_[shard];
+  }
+  const overlay::dr_overlay& overlay(std::size_t shard = 0) const {
+    return *overlays_[shard];
+  }
   sim::kernel& kernel() { return kernel_; }
   const sim::kernel& kernel() const { return kernel_; }
-
-  /// Dirty-set backlog of one shard (DESIGN.md §11) — lets callers see
-  /// which shards still have repair work.
-  std::size_t dirty_pending(std::size_t shard) const;
 
   /// Total protocol-state footprint across all shards: the instance
   /// arenas plus the live peers' duplicate-suppression sets.
   overlay::arena_stats arena_stats() const;
 
  private:
-  struct slot {
-    std::size_t shard = 0;
-    spatial::peer_id local = spatial::kNoPeer;
-  };
-  const slot& at(sub_id s) const;
+  std::size_t shard_of(sub_id s) const { return s % overlays_.size(); }
+  /// s / S on shard s % S, or kNoPeer when `s` was never issued.
+  spatial::peer_id local_of(sub_id s) const;
+  sub_id global_of(std::size_t shard, spatial::peer_id p) const {
+    return static_cast<sub_id>(p) * overlays_.size() + shard;
+  }
 
   std::vector<std::unique_ptr<overlay::dr_overlay>> overlays_;
   sim::kernel kernel_;
-  std::vector<slot> subs_;  ///< global sub_id (the index) -> shard slot
-  /// Per shard: local peer id -> global sub_id (locals are dense).
-  std::vector<std::vector<sub_id>> local_to_global_;
-  std::uint64_t next_event_id_ = 1;
-  std::size_t next_shard_ = 0;
 };
+
+/// The old name of drtree_backend, kept for perfbench/, whose sources
+/// spell it so.
+using sharded_drtree_backend = drtree_backend;
 
 /// The application façade: one broker client per engine subscription, so
 /// client-level accounting coincides with subscription-level accounting
@@ -260,12 +220,6 @@ class baseline_backend final : public backend {
 /// surface when requested.
 std::vector<std::unique_ptr<backend>> make_all_backends(
     const overlay_backend_config& config, bool include_broker = false);
-
-/// The overlay backend a scenario calls for: its declarative net model
-/// installed (configured_for) and its `shards` knob honored — 1 builds
-/// the plain drtree_backend, >1 a sharded_drtree_backend over a kernel.
-std::unique_ptr<backend> make_scenario_backend(
-    const scenario& sc, overlay_backend_config base = {});
 
 }  // namespace drt::engine
 

@@ -94,11 +94,6 @@ scenario::builder& scenario::builder::net(const net::model_config& model) {
   return *this;
 }
 
-scenario::builder& scenario::builder::shards(std::size_t count) {
-  scenario_.shards = count == 0 ? 1 : count;
-  return *this;
-}
-
 scenario::builder& scenario::builder::populate(std::size_t count) {
   scenario_.timeline.push_back(populate_phase{count, {}});
   return *this;

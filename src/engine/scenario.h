@@ -5,7 +5,9 @@
 // executes it against any backend — so the same scenario drives the
 // DR-tree, the broker façade, and every baseline through identical
 // operation sequences, and two runs with the same seed are
-// bit-reproducible.
+// bit-reproducible.  The caller builds the backend: the scenario's net
+// model reaches it through engine::configured_for, and a shard count is
+// a drtree_backend constructor argument, not part of the scenario.
 //
 // Timelines are assembled with the fluent builder:
 //
@@ -195,11 +197,6 @@ struct scenario {
   /// engine::configured_for (backends.h) — unset means "whatever the
   /// backend was built with" (the uniform default).
   std::optional<net::model_config> net;
-  /// Simulator shards the scenario is meant to run over (sim::kernel).
-  /// Like `net`, backends are caller-constructed, so this takes effect
-  /// through engine::make_scenario_backend: 1 (the default) builds the
-  /// plain drtree_backend, >1 a sharded_drtree_backend over a kernel.
-  std::size_t shards = 1;
   std::vector<phase> timeline;
 
   class builder;
@@ -218,8 +215,6 @@ class scenario::builder {
   builder& workspace(const spatial::box& workspace);
   /// Declarative network model (see scenario::net).
   builder& net(const net::model_config& model);
-  /// Simulator shard count (see scenario::shards); 0 is clamped to 1.
-  builder& shards(std::size_t count);
 
   builder& populate(std::size_t count);
   builder& subscribe(std::vector<spatial::box> filters);

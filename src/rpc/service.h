@@ -1,5 +1,6 @@
-// The drtd service core (DESIGN.md §10): one DR-tree overlay hosted
-// behind a localhost TCP listener, serving the wire protocol of
+// The drtd service core (DESIGN.md §10): one DR-tree overlay — a
+// one-shard engine::drtree_backend — hosted behind a localhost TCP
+// listener, serving the wire protocol of
 // rpc/wire.h to many concurrent client connections on a single-threaded
 // event loop (rpc/event_loop.h).
 //
@@ -16,6 +17,8 @@
 // overlay then performs exactly the operations clients send, in arrival
 // order, which is what makes the drtree_backend-vs-net_backend recorder
 // digests bit-identical on a single-client timeline (tests/rpc_test.cpp).
+// Wire ids are the backend's sub_ids, so an id the backend never issued
+// (say (1 << 32) + s) is never alive.
 #ifndef DRT_RPC_SERVICE_H
 #define DRT_RPC_SERVICE_H
 
@@ -97,7 +100,8 @@ class service {
   /// the body an HTTP `GET /metrics` on the service port returns.
   std::string metrics_text();
 
-  /// The hosted overlay backend; same thread-ownership rule as stats().
+  /// The hosted one-shard overlay backend; same thread-ownership rule as
+  /// stats().
   engine::drtree_backend& backend() { return be_; }
 
  private:

@@ -3,8 +3,8 @@
 //
 // One drt::sim::simulator is one shard — its own calendar event_queue,
 // payload_pool, RNG stream, and processes.  The kernel owns no
-// simulators; callers attach them (the sharded overlay backend attaches
-// one dr_overlay per shard) and the kernel drives them:
+// simulators; callers attach them (engine::drtree_backend attaches one
+// dr_overlay per shard) and the kernel drives them:
 //
 //   * settle()   — drain every shard to local quiescence, delivering
 //     buffered cross-shard injections at each barrier, until no shard

@@ -317,14 +317,14 @@ TEST(DirtyStabilize, ChurnMarksThenQuiesces) {
 // ------------------------------------------------- sharded-kernel skip
 
 TEST(DirtyStabilize, ShardedDirtyQuiescesPerShard) {
-  engine::sharded_drtree_backend be(mode_config(kDirtyStride, 53), 4);
+  engine::drtree_backend be(mode_config(kDirtyStride, 53), 4);
   scenario_runner runner(be);
   runner.populate(64);
   ASSERT_GE(runner.converge(120), 0);
   runner.step_rounds(static_cast<int>(kDirtyStride));
   ASSERT_TRUE(be.legal());
   for (std::size_t s = 0; s < be.shards(); ++s) {
-    EXPECT_EQ(be.dirty_pending(s), 0u) << "shard " << s;
+    EXPECT_EQ(be.overlay(s).dirty_pending(), 0u) << "shard " << s;
   }
   // The quiescent fleet's pass count collapses: per round only the
   // background sweep (population / sweep_stride) plus each shard's

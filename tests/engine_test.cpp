@@ -14,12 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "baselines/containment_tree.h"
 #include "baselines/flooding.h"
 #include "engine/backends.h"
 #include "engine/runner.h"
 #include "engine/scenario.h"
+#include "util/rng.h"
 
 namespace drt::engine {
 namespace {
@@ -181,6 +183,120 @@ TEST(DrtreeBackend, RestartAfterUnsubscribeKeepsGroundTruthExact) {
   });
   EXPECT_GE(expected, 1u);  // at least the revived peer itself
   EXPECT_EQ(r.interested, expected);
+}
+
+// sub_id is 64 bits, peer ids 32: (1 << 32) + s must not be read as s.
+void expect_wide_ids_never_name_a_peer(backend& be) {
+  SCOPED_TRACE(be.name());
+  const auto s = be.subscribe(geo::make_rect2(0, 0, 100, 100));
+  be.subscribe(geo::make_rect2(50, 50, 150, 150));
+  const sub_id forged = (sub_id{1} << 32) + s;
+  EXPECT_FALSE(be.alive(forged));
+  EXPECT_FALSE(be.unsubscribe(forged));
+  EXPECT_FALSE(be.crash(forged));
+  EXPECT_TRUE(be.alive(s));
+  EXPECT_EQ(be.population(), 2u);
+
+  ASSERT_TRUE(be.crash(s));
+  EXPECT_FALSE(be.restart(forged));
+  EXPECT_FALSE(be.alive(s));
+  EXPECT_TRUE(be.restart(s));
+}
+
+TEST(DrtreeBackend, WideIdsNeverNameAPeer) {
+  drtree_backend dr(small_config(5));
+  expect_wide_ids_never_name_a_peer(dr);
+  broker_backend br(small_config(5));
+  expect_wide_ids_never_name_a_peer(br);
+}
+
+TEST(DrtreeBackend, BackendAndOverlayPublishesShareEventIds) {
+  // Event ids come from shard 0's overlay counter, so a backend publish
+  // and a direct overlay publish never reuse an id: a reused id makes
+  // every peer that saw the first event drop the second as a duplicate.
+  drtree_backend be({}, 1);
+  const spatial::pt v{{500.0, 500.0}};
+  std::vector<sub_id> subs;
+  for (int i = 0; i < 6; ++i) {
+    const double r = 50.0 + 20.0 * i;
+    subs.push_back(
+        be.subscribe(geo::make_rect2(500 - r, 500 - r, 500 + r, 500 + r)));
+  }
+  be.settle();
+
+  const auto first = be.publish(subs[0], v);
+  EXPECT_EQ(first.interested, 6u);
+  EXPECT_EQ(first.false_negatives, 0u);
+  const auto second = be.overlay(0).publish_and_drain(
+      static_cast<spatial::peer_id>(subs[1]), v);
+  EXPECT_EQ(second.interested, 6u);
+  EXPECT_EQ(second.delivered, 6u);
+  EXPECT_EQ(second.false_negatives, 0u);
+}
+
+TEST(DrtreeBackend, IdArithmeticMatchesAPlainRecord) {
+  // Global id s lives on shard s % S as local peer s / S.  Random
+  // membership operations against a per-id record: after every step the
+  // backend must agree on every issued id and refuse every id it never
+  // issued.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(shards);
+    drtree_backend be(small_config(61), shards);
+    util::rng rng(97 + shards);
+    std::vector<bool> live;  // indexed by issued id
+    auto random_box = [&] {
+      const double x = rng.uniform_real(0, 900);
+      const double y = rng.uniform_real(0, 900);
+      return geo::make_rect2(x, y, x + rng.uniform_real(1, 100),
+                             y + rng.uniform_real(1, 100));
+    };
+    auto pick = [&](bool want_live) {
+      std::vector<sub_id> ids;
+      for (sub_id s = 0; s < live.size(); ++s) {
+        if (live[s] == want_live) ids.push_back(s);
+      }
+      return ids.empty() ? kNoSub : ids[rng.index(ids.size())];
+    };
+
+    for (int step = 0; step < 160; ++step) {
+      const auto op = live.size() < 6 ? 0 : rng.index(5);
+      if (op <= 1) {
+        EXPECT_EQ(be.subscribe(random_box()), live.size());
+        live.push_back(true);
+      } else if (const auto s = pick(op != 4); s != kNoSub) {
+        // Unsubscribe, crash or restart applies once; a repeat refuses.
+        for (const bool first : {true, false}) {
+          const bool ok = op == 2   ? be.unsubscribe(s)
+                          : op == 3 ? be.crash(s)
+                                    : be.restart(s);
+          EXPECT_EQ(ok, first) << "op " << op << " id " << s;
+        }
+        live[s] = op == 4;
+      }
+      if (step % 16 == 15) be.step_round();
+
+      std::vector<sub_id> expected;
+      for (sub_id s = 0; s < live.size(); ++s) {
+        EXPECT_EQ(be.alive(s), live[s]) << "id " << s << " step " << step;
+        EXPECT_FALSE(be.alive((sub_id{1} << 32) + s));
+        if (live[s]) expected.push_back(s);
+      }
+      const sub_id next = live.size();
+      EXPECT_FALSE(be.alive(next));
+      EXPECT_FALSE(be.alive(kNoSub));
+      EXPECT_FALSE(be.unsubscribe(next));
+      EXPECT_FALSE(be.crash(next));
+      EXPECT_FALSE(be.restart(next));
+      EXPECT_EQ(be.active(), expected) << "step " << step;
+      EXPECT_EQ(be.population(), expected.size());
+      const auto r = be.root();
+      if (r != kNoSub) {
+        EXPECT_EQ(r % shards, 0u) << "root " << r;
+        EXPECT_EQ(r / shards, be.overlay(0).current_root());
+        EXPECT_TRUE(be.alive(r));
+      }
+    }
+  }
 }
 
 TEST(BaselineBackend, IncrementalRebuildSemantics) {

@@ -4,9 +4,9 @@
 //   1. kernel(1) is a pass-through: driving the full determinism-test
 //      workload through a one-shard kernel reproduces the golden trace
 //      hashes recorded for the plain single-loop simulator, bit for bit.
-//   2. The one-shard sharded backend is operation-for-operation the
-//      plain drtree_backend: their recorder digests are equal over the
-//      canned scenarios.
+//   2. drtree_backend at one shard is operation-for-operation the plain
+//      overlay adapter it replaced: it reproduces that adapter's recorder
+//      digests over the canned scenarios, captured as golden constants.
 //   3. N-shard runs are deterministic for fixed N — two fresh runs give
 //      the same digest, and parallel execution gives the same digest as
 //      sequential (shards share nothing; the ThreadSanitizer job runs
@@ -232,39 +232,54 @@ std::uint64_t digest_of(engine::backend& be, const engine::scenario& sc) {
 }
 
 std::vector<engine::scenario> partition_free_canned() {
-  // split_brain_heal needs cap_partition, which the sharded backend does
-  // not advertise; the other three exercise churn, crashes, corruption
-  // and publish sweeps — everything both backends support.
+  // split_brain_heal needs cap_partition, which a forest does not
+  // advertise; the other three exercise churn, crashes, corruption and
+  // publish sweeps — everything every shard count supports.
   return {engine::canned::flash_crowd(), engine::canned::rolling_churn(),
           engine::canned::massacre_then_heal()};
 }
 
-TEST(ShardedBackend, OneShardMatchesPlainBackendDigests) {
-  for (const auto& sc : partition_free_canned()) {
-    engine::drtree_backend plain;
-    engine::sharded_drtree_backend sharded({}, 1);
-    EXPECT_EQ(digest_of(plain, sc), digest_of(sharded, sc))
-        << "scenario " << sc.name;
+// Digests of the plain one-shard adapter (engine::drtree_backend before
+// it merged with the kernel-backed class), default config; split-brain
+// through configured_for for its dynamic net model.
+constexpr std::uint64_t kGoldenFlashCrowd = 352965846673587452ull;
+constexpr std::uint64_t kGoldenRollingChurn = 11489289594584239690ull;
+constexpr std::uint64_t kGoldenMassacre = 5423917371855858818ull;
+constexpr std::uint64_t kGoldenSplitBrain = 6977474837920610893ull;
+
+TEST(ShardedBackend, OneShardKeepsPlainBackendGoldenDigests) {
+  const auto canned = partition_free_canned();
+  const std::uint64_t golden[] = {kGoldenFlashCrowd, kGoldenRollingChurn,
+                                  kGoldenMassacre};
+  for (std::size_t i = 0; i < canned.size(); ++i) {
+    engine::drtree_backend be({}, 1);
+    EXPECT_EQ(digest_of(be, canned[i]), golden[i])
+        << "scenario " << canned[i].name;
   }
+
+  const auto split = engine::canned::split_brain_heal();
+  engine::drtree_backend be(engine::configured_for(split), 1);
+  EXPECT_TRUE(be.can(engine::cap_partition));
+  EXPECT_EQ(digest_of(be, split), kGoldenSplitBrain);
 }
 
 TEST(ShardedBackend, FixedShardCountIsDeterministic) {
   for (const auto& sc : partition_free_canned()) {
-    engine::sharded_drtree_backend a({}, 4);
-    engine::sharded_drtree_backend b({}, 4);
+    engine::drtree_backend a({}, 4);
+    engine::drtree_backend b({}, 4);
     EXPECT_EQ(digest_of(a, sc), digest_of(b, sc)) << "scenario " << sc.name;
   }
 }
 
 TEST(ShardedBackend, ParallelMatchesSequentialDigest) {
   const auto sc = engine::canned::rolling_churn();
-  engine::sharded_drtree_backend seq({}, 4, /*parallel=*/false);
-  engine::sharded_drtree_backend par({}, 4, /*parallel=*/true);
+  engine::drtree_backend seq({}, 4, /*parallel=*/false);
+  engine::drtree_backend par({}, 4, /*parallel=*/true);
   EXPECT_EQ(digest_of(seq, sc), digest_of(par, sc));
 }
 
 TEST(ShardedBackend, ShardsStayLegalAndAccountCrossTraffic) {
-  engine::sharded_drtree_backend be({}, 3);
+  engine::drtree_backend be({}, 3);
   engine::scenario_runner r(be);
   r.populate(30);
   r.converge();
@@ -278,20 +293,8 @@ TEST(ShardedBackend, ShardsStayLegalAndAccountCrossTraffic) {
   }
 }
 
-TEST(ShardedBackend, MakeScenarioBackendHonorsShardsKnob) {
-  const auto plain = engine::scenario::make("s").populate(4).build();
-  auto sc4 = engine::scenario::make("s").shards(4).populate(4).build();
-  auto b1 = engine::make_scenario_backend(plain);
-  auto b4 = engine::make_scenario_backend(sc4);
-  EXPECT_EQ(b1->name(), "drtree");
-  EXPECT_EQ(b4->name(), "drtree_sharded");
-  auto* sharded = dynamic_cast<engine::sharded_drtree_backend*>(b4.get());
-  ASSERT_NE(sharded, nullptr);
-  EXPECT_EQ(sharded->shards(), 4u);
-}
-
 TEST(ShardedBackend, PublishCrossesShardsThroughTheKernel) {
-  engine::sharded_drtree_backend be({}, 2);
+  engine::drtree_backend be({}, 2);
   // One wide subscriber per shard: both must see a centred event.
   const auto wide = geo::make_rect2(0, 0, 1000, 1000);
   const auto s0 = be.subscribe(wide);

@@ -585,6 +585,25 @@ TEST(PartitionHeal, PhasesSkipOnBackendsWithoutTheCapability) {
   const auto* after = rec.last("publish_sweep");
   EXPECT_EQ(after->false_negatives, 0u);  // never partitioned, never torn
 
+  // Three shards on the scenario's own dynamic model: partition and heal
+  // act on one simulator's net model, so a forest has neither.
+  drtree_backend forest(engine::configured_for(sc), 3);
+  EXPECT_FALSE(forest.can(engine::cap_partition));
+  EXPECT_FALSE(forest.can(engine::cap_degrade));
+  scenario_runner forest_runner(forest);
+  const auto forest_rec = forest_runner.run(sc);
+  std::size_t forest_skips = 0;
+  for (const auto& m : forest_rec.phases()) {
+    if (m.phase == "partition" || m.phase == "heal") {
+      EXPECT_TRUE(m.skipped) << m.phase;
+      ++forest_skips;
+    }
+  }
+  EXPECT_EQ(forest_skips, 2u);
+  EXPECT_FALSE(forest.partition({forest.active().front()}));
+  EXPECT_FALSE(forest.heal());
+  EXPECT_FALSE(forest.degrade_links(2.0, 0.1, 1.0));
+
   // A structural baseline skips too (no capability, no crash).
   engine::baseline_backend flood(
       std::make_unique<baselines::flooding>(4, 113));

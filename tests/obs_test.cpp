@@ -369,7 +369,7 @@ TEST(TraceScenario, ShardedMergeIsDeterministic) {
     cfg.net.seed = 2007;
     cfg.dr.trace = trace_mode::ring;
     cfg.dr.trace_dump = false;
-    engine::sharded_drtree_backend be(cfg, 2);
+    engine::drtree_backend be(cfg, 2);
     engine::scenario_runner runner(be);
     runner.run(small_scenario());
     std::vector<const trace_ring*> rings;

@@ -267,7 +267,7 @@ TEST(PublishBatch, ShardedBackendDeliversBatchesExactly) {
   engine::overlay_backend_config cfg;
   cfg.dr = frozen_dr(summary_mode::mbr);
   cfg.net.seed = 33;
-  engine::sharded_drtree_backend be(cfg, 2);
+  engine::drtree_backend be(cfg, 2);
   engine::scenario_runner runner(be);
   const auto ids = runner.populate(30);
   ASSERT_EQ(be.population(), 30u);

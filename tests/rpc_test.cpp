@@ -672,6 +672,8 @@ TEST(Service, ForeignSubscriptionOperationsAreRejected) {
   EXPECT_FALSE(intruder.unsubscribe(s));
   EXPECT_EQ(intruder.publish(s, spatial::pt{{10, 10}}).ok, 0u);
   EXPECT_EQ(intruder.publish(999999, spatial::pt{{10, 10}}).ok, 0u);
+  // A wide id is not a 32-bit peer id: (1 << 32) + s names nothing.
+  EXPECT_FALSE(intruder.alive(s + (std::uint64_t{1} << 32)));
 
   // The owner is unaffected.
   EXPECT_TRUE(owner.alive(s));
