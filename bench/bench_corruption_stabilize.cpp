@@ -7,40 +7,43 @@
 // remains bounded; even 100% corruption (every peer mutated) recovers.
 #include <benchmark/benchmark.h>
 
-#include "analysis/harness.h"
 #include "bench_common.h"
 #include "drtree/corruptor.h"
+#include "engine/backends.h"
+#include "engine/runner.h"
 #include "util/table.h"
 
 namespace {
 
-using drt::analysis::testbed;
 using drt::bench::results;
+using drt::engine::drtree_backend;
+using drt::engine::scenario_runner;
 using drt::util::table;
 
 void BM_CorruptionStabilize(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto rate_pct = static_cast<std::size_t>(state.range(1));
 
-  drt::analysis::harness_config hc;
-  hc.net.seed = 53 + n + rate_pct;
+  drt::engine::overlay_backend_config bc;
+  bc.net.seed = 53 + n + rate_pct;
 
   int rounds = 0;
   std::size_t mutations = 0;
   bool legal = false;
   drt::overlay::repair_stats repairs;
   for (auto _ : state) {
-    testbed tb(hc);
-    tb.populate(n);
-    tb.converge();
+    drtree_backend be(bc);
+    scenario_runner runner(be);
+    runner.populate(n);
+    runner.converge(80);
 
-    drt::overlay::corruptor vandal(tb.overlay(), 97 + rate_pct);
-    const auto before = tb.overlay().total_repairs();
+    drt::overlay::corruptor vandal(be.overlay(), 97 + rate_pct);
+    const auto before = be.overlay().total_repairs();
     mutations = vandal.corrupt(
         drt::overlay::uniform_corruption(rate_pct / 100.0));
-    rounds = tb.converge(500);
-    legal = tb.legal();
-    repairs = tb.overlay().total_repairs();
+    rounds = runner.converge(500);
+    legal = be.legal();
+    repairs = be.overlay().total_repairs();
     // Report only the repairs attributable to this recovery.
     repairs.mbr_fixed -= before.mbr_fixed;
     repairs.own_chain_fixed -= before.own_chain_fixed;

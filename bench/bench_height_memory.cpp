@@ -8,17 +8,19 @@
 
 #include <algorithm>
 
-#include "analysis/harness.h"
 #include "analysis/models.h"
 #include "bench_common.h"
 #include "drtree/checker.h"
+#include "engine/backends.h"
+#include "engine/runner.h"
 #include "rtree/rtree.h"
 #include "util/table.h"
 
 namespace {
 
-using drt::analysis::testbed;
 using drt::bench::results;
+using drt::engine::drtree_backend;
+using drt::engine::scenario_runner;
 using drt::util::table;
 
 void BM_HeightMemory(benchmark::State& state) {
@@ -26,24 +28,25 @@ void BM_HeightMemory(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(1));
   const auto big_m = static_cast<std::size_t>(state.range(2));
 
-  drt::analysis::harness_config hc;
-  hc.dr.min_children = m;
-  hc.dr.max_children = big_m;
-  hc.net.seed = 11 + n;
+  drt::engine::overlay_backend_config bc;
+  bc.dr.min_children = m;
+  bc.dr.max_children = big_m;
+  bc.net.seed = 11 + n;
 
   drt::overlay::check_report report;
   drt::overlay::arena_stats protocol;
   drt::rtree::rtree_stats substrate;
   for (auto _ : state) {
-    testbed tb(hc);
-    tb.populate(n);
-    tb.converge();
-    report = tb.report();
+    drtree_backend be(bc);
+    scenario_runner runner(be);
+    runner.populate(n);
+    runner.converge(80);
+    report = drt::overlay::checker(be.overlay()).check();
     // Real per-peer protocol-state footprint: the instance arena reports
     // what the live dr_peer levels actually occupy (slabs + per-instance
     // heap), not a link-count estimate; seen_bytes adds each live peer's
     // duplicate-suppression set beside it.
-    protocol = tb.overlay().memory_stats();
+    protocol = be.overlay().memory_stats();
 
     // Real substrate footprint: the sequential R-tree over the same
     // filter population reports its arena size directly
@@ -52,8 +55,8 @@ void BM_HeightMemory(benchmark::State& state) {
     // overlay populate/converge, not this bookkeeping build.
     state.PauseTiming();
     std::vector<std::pair<drt::spatial::box, std::uint64_t>> items;
-    tb.overlay().for_each_live([&](drt::spatial::peer_id p) {
-      items.emplace_back(tb.overlay().peer(p).filter(), p);
+    be.overlay().for_each_live([&](drt::spatial::peer_id p) {
+      items.emplace_back(be.overlay().peer(p).filter(), p);
       return true;
     });
     drt::rtree::rtree_config rc;

@@ -11,9 +11,8 @@
 // guarantee end-to-end.
 //
 // Driven through the scenario engine on an explicit net::uniform_model
-// (the declarative form of the transport the legacy testbed shim
-// hard-coded); the row schema is unchanged so the bench history stays
-// comparable.
+// (the declarative form of the simulator's default transport); the row
+// schema is unchanged so the bench history stays comparable.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"

@@ -83,12 +83,8 @@ void run_throughput(benchmark::State& state, std::size_t n, std::size_t batch,
   std::uint64_t false_negatives = 0;
   std::uint64_t total_events = 0;
   for (auto _ : state) {
-    const auto stats =
-        batch <= 1
-            ? runner.publish_sweep(events,
-                                   drt::workload::event_family::uniform)
-            : runner.publish_batch(events, batch,
-                                   drt::workload::event_family::uniform);
+    const auto stats = runner.publish_batch(
+        events, batch, drt::workload::event_family::uniform);
     messages += stats.messages;
     deliveries += stats.deliveries;
     false_negatives += stats.false_negatives;

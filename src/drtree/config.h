@@ -111,12 +111,6 @@ struct dr_config {
   /// must fit the inline 64-bit word.
   std::size_t summary_grid = 8;
 
-  /// When true, joins are routed up to the root before descending (the
-  /// paper's default: "the odds of finding a good position ... are best
-  /// when starting from the root").  When false, the descent starts at
-  /// the contact node (measured in E5).
-  bool join_via_root = true;
-
   /// Flight-recorder tracing (DESIGN.md §12).  `off` costs exactly one
   /// null-pointer branch per emit site — runs are bit-identical to the
   /// pre-trace code, pinned by the metrics-digest tests; `ring` records

@@ -424,7 +424,7 @@ void dr_peer::handle_join(const dr_msg& m) {
 
   // Ascending phase: relay toward the root ("the joining subscriber is
   // recursively redirected upward the tree until it reaches the root").
-  if (!is_root() && overlay_.config().join_via_root) {
+  if (!is_root()) {
     const auto parent = inst(top()).parent;
     if (parent != kNoPeer && parent != pid() && sees(parent)) {
       dr_msg fwd = m;

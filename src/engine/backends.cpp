@@ -66,12 +66,15 @@ capability_mask overlay_capabilities(const overlay::dr_overlay& ov) {
   return m;
 }
 
+/// Installs nothing and returns false when any id names no peer of `ov`.
 bool partition_overlay(overlay::dr_overlay& ov,
                        const std::vector<sub_id>& side_b) {
   std::vector<spatial::peer_id> peers;
   peers.reserve(side_b.size());
   for (const auto s : side_b) {
-    peers.push_back(static_cast<spatial::peer_id>(s));
+    const auto p = peer_of(ov, s);
+    if (p == spatial::kNoPeer) return false;
+    peers.push_back(p);
   }
   return ov.partition(peers);
 }

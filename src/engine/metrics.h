@@ -16,8 +16,8 @@
 
 namespace drt::engine {
 
-/// Aggregate accuracy/cost of one publish sweep (also the payload behind
-/// analysis::testbed::accuracy).
+/// Aggregate accuracy/cost of one publish sweep (the runner's
+/// publish_sweep/publish_batch primitives return it).
 struct sweep_stats {
   std::size_t events = 0;
   std::size_t population = 0;  ///< live subscriptions during the sweep

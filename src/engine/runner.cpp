@@ -45,52 +45,6 @@ std::vector<sub_id> scenario_runner::do_populate(
   return ids;
 }
 
-sweep_stats scenario_runner::do_sweep(phase_ctx ctx, std::size_t count,
-                                      workload::event_family family,
-                                      phase_metrics* out) {
-  sweep_stats acc;
-  const auto live = be_.active();
-  if (!live.empty()) {
-    // Registry references are stable for its lifetime (DESIGN.md §12);
-    // resolve the names once so the per-event loop — the region the
-    // publish-throughput benches time — never does a string-map lookup.
-    auto& hop_hist = metrics_.hist("drt_publish_hop_depth");
-    auto& events_total = metrics_.counter("drt_events_published_total");
-    auto& deliveries_total = metrics_.counter("drt_deliveries_total");
-    auto& fn_total = metrics_.counter("drt_false_negatives_total");
-    acc.population = live.size();
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto publisher = live[ctx.rng.index(live.size())];
-      if (!be_.alive(publisher)) continue;
-      const auto value = workload::make_event_point(
-          family, ctx.rng, ctx.profile.subs.workspace, ctx.filters);
-      const auto r = be_.publish(publisher, value);
-      hop_hist.record(static_cast<double>(r.max_hops));
-      ++events_total;
-      deliveries_total += r.delivered;
-      fn_total += r.false_negatives;
-      ++acc.events;
-      acc.deliveries += r.delivered;
-      acc.interested += r.interested;
-      acc.false_positives += r.false_positives;
-      acc.false_negatives += r.false_negatives;
-      acc.messages += r.messages;
-      acc.hops_total += r.max_hops;
-      acc.max_hops = std::max(acc.max_hops, r.max_hops);
-    }
-  }
-  if (out != nullptr) {
-    out->events += acc.events;
-    out->deliveries += acc.deliveries;
-    out->interested += acc.interested;
-    out->false_positives += acc.false_positives;
-    out->false_negatives += acc.false_negatives;
-    out->max_hops = std::max(out->max_hops,
-                             static_cast<std::size_t>(acc.max_hops));
-  }
-  return acc;
-}
-
 sweep_stats scenario_runner::do_batch_sweep(phase_ctx ctx,
                                             const publish_batch_phase& p,
                                             phase_metrics* out) {
@@ -98,7 +52,9 @@ sweep_stats scenario_runner::do_batch_sweep(phase_ctx ctx,
   const auto live = be_.active();
   const std::size_t batch = p.batch == 0 ? 1 : p.batch;
   if (!live.empty()) {
-    // Same hoist as do_sweep: one name resolution per sweep, not per batch.
+    // Registry references are stable for its lifetime (DESIGN.md §12);
+    // resolve the names once so the per-batch loop — the region the
+    // publish-throughput benches time — never does a string-map lookup.
     auto& hop_hist = metrics_.hist("drt_publish_hop_depth");
     auto& events_total = metrics_.counter("drt_events_published_total");
     auto& deliveries_total = metrics_.counter("drt_deliveries_total");
@@ -333,8 +289,11 @@ void scenario_runner::do_ramp(phase_ctx ctx, const param_ramp_phase& p,
         break;
       }
       case ramp_target::publish_count:
-        do_sweep(ctx, static_cast<std::size_t>(std::llround(value)),
-                 p.family, &m);
+        do_batch_sweep(
+            ctx,
+            publish_batch_phase{static_cast<std::size_t>(std::llround(value)),
+                                1, p.family},
+            &m);
         break;
       case ramp_target::crash_fraction: {
         crash_burst_phase c;
@@ -382,7 +341,8 @@ void scenario_runner::execute(phase_ctx ctx, const phase& p,
   if (const auto* pop = std::get_if<populate_phase>(&p)) {
     do_populate(ctx, pop->count, pop->filters, &m);
   } else if (const auto* sweep = std::get_if<publish_sweep_phase>(&p)) {
-    do_sweep(ctx, sweep->count, sweep->family, &m);
+    do_batch_sweep(ctx, publish_batch_phase{sweep->count, 1, sweep->family},
+                   &m);
   } else if (const auto* bsweep = std::get_if<publish_batch_phase>(&p)) {
     do_batch_sweep(ctx, *bsweep, &m);
   } else if (const auto* churn = std::get_if<churn_wave_phase>(&p)) {
@@ -462,19 +422,17 @@ metrics_recorder scenario_runner::run(const scenario& sc) {
   phase_ctx ctx{sc.workload, run_rng, run_filters, run_crashed};
   for (const auto& p : sc.timeline) execute(ctx, p, rec);
 
-  if (config_.final_shape_row) {
-    phase_metrics m;
-    m.phase = "shape";
-    const auto before = be_.counters();
-    const auto s = be_.shape();
-    m.height = s.height;
-    m.max_degree = s.max_degree;
-    m.avg_degree = s.avg_degree;
-    m.routing_state = s.routing_state;
-    m.legal = be_.legal() ? 1 : 0;
-    finish_row(m, before);
-    rec.add(std::move(m));
-  }
+  phase_metrics m;
+  m.phase = "shape";
+  const auto before = be_.counters();
+  const auto s = be_.shape();
+  m.height = s.height;
+  m.max_degree = s.max_degree;
+  m.avg_degree = s.avg_degree;
+  m.routing_state = s.routing_state;
+  m.legal = be_.legal() ? 1 : 0;
+  finish_row(m, before);
+  rec.add(std::move(m));
   return rec;
 }
 
@@ -491,7 +449,8 @@ sub_id scenario_runner::add(const spatial::box& filter) {
 
 sweep_stats scenario_runner::publish_sweep(std::size_t count,
                                            workload::event_family family) {
-  return do_sweep(own_ctx(), count, family, nullptr);
+  return do_batch_sweep(own_ctx(), publish_batch_phase{count, 1, family},
+                        nullptr);
 }
 
 sweep_stats scenario_runner::publish_batch(std::size_t count,

@@ -12,9 +12,9 @@
 // are comparable in schema only (DESIGN.md §6).
 //
 // The phase executors are also exposed as primitives (populate, converge,
-// publish_sweep, ...) for tests and tools that need to interleave
-// scripted operations with direct backend manipulation; analysis::testbed
-// is a thin shim over these.
+// publish_sweep, ...) for tests, benches and tools that interleave
+// scripted operations with direct backend manipulation: the caller
+// declares a backend and a runner over it, and drives both.
 #ifndef DRT_ENGINE_RUNNER_H
 #define DRT_ENGINE_RUNNER_H
 
@@ -33,9 +33,6 @@ struct runner_config {
   /// Profile used by the *primitive* calls; scenario runs use the
   /// scenario's own profile (and a fresh RNG seeded from it).
   workload_profile workload{};
-  int default_converge_rounds = 300;
-  /// Append a final "shape" row (structural snapshot) to every run().
-  bool final_shape_row = true;
   /// Observer invoked after every stabilization round of a converge
   /// phase (round-by-round demos hook this).
   std::function<void(int round, bool legal)> on_converge_round;
@@ -45,7 +42,8 @@ class scenario_runner {
  public:
   explicit scenario_runner(engine::backend& be, runner_config config = {});
 
-  /// Execute every phase of the timeline in order and return the filled
+  /// Execute every phase of the timeline in order, append a final
+  /// "shape" row (structural snapshot), and return the filled
   /// recorder.  Phases outside the backend's capability mask are recorded
   /// with skipped = yes.  Deterministic: the run draws only from a fresh
   /// RNG seeded by `sc.workload.seed` and keeps run-local filter/crash
@@ -58,7 +56,8 @@ class scenario_runner {
   std::vector<sub_id> populate(std::size_t n);
   /// Add one subscription with an explicit filter.
   sub_id add(const spatial::box& filter);
-  /// Publish `count` events from random live subscriptions.
+  /// Publish `count` events from random live subscriptions (a batch
+  /// sweep with batch 1: one publisher pick per event).
   sweep_stats publish_sweep(
       std::size_t count,
       workload::event_family family = workload::event_family::uniform);
@@ -68,8 +67,7 @@ class scenario_runner {
       std::size_t count, std::size_t batch,
       workload::event_family family = workload::event_family::uniform);
   /// Stabilization rounds until legal; rounds needed, or -1.
-  int converge(int max_rounds);
-  int converge() { return converge(config_.default_converge_rounds); }
+  int converge(int max_rounds = 300);
   /// Interleaved joins/leaves; returns ops performed.
   std::size_t churn_wave(std::size_t ops, double join_fraction = 0.5,
                          std::size_t min_population = 4);
@@ -98,8 +96,8 @@ class scenario_runner {
   engine::backend& backend() { return be_; }
   const engine::backend& backend() const { return be_; }
   util::rng& rng() { return rng_; }
-  /// Every filter subscribed through the *primitives* (event generation
-  /// targets historical interests, exactly like the old testbed).
+  /// Every filter subscribed through the *primitives* (event families
+  /// such as `matching` draw from these historical interests).
   /// Scenario runs keep their own run-local history.
   const std::vector<spatial::box>& filters() const { return filters_; }
   /// Primitive-side crash stack consumed by restart_burst (most recent
@@ -131,8 +129,6 @@ class scenario_runner {
   std::vector<sub_id> do_populate(phase_ctx ctx, std::size_t n,
                                   const std::vector<spatial::box>& explicit_f,
                                   phase_metrics* out);
-  sweep_stats do_sweep(phase_ctx ctx, std::size_t count,
-                       workload::event_family family, phase_metrics* out);
   sweep_stats do_batch_sweep(phase_ctx ctx, const publish_batch_phase& p,
                              phase_metrics* out);
   int do_converge(int max_rounds, phase_metrics* out);

@@ -83,12 +83,6 @@ scenario::builder& scenario::builder::subscription_params(
   return *this;
 }
 
-scenario::builder& scenario::builder::workspace(
-    const spatial::box& workspace) {
-  scenario_.workload.subs.workspace = workspace;
-  return *this;
-}
-
 scenario::builder& scenario::builder::net(const net::model_config& model) {
   scenario_.net = model;
   return *this;

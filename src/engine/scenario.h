@@ -178,9 +178,7 @@ const char* phase_name(const phase& p);
 /// overlay_backend_config::dr.workspace, which also feeds the Z-curve
 /// DHT grid): generated filters and events are drawn over it, and a
 /// mismatch silently clamps them into a corner of the overlay's space.
-/// Both default to the same 1000x1000 square; set the builder's
-/// `workspace()` when the backend uses anything else (the
-/// analysis::testbed shim aligns them automatically).
+/// Both default to the same 1000x1000 square.
 struct workload_profile {
   workload::subscription_family family =
       workload::subscription_family::uniform;
@@ -210,9 +208,6 @@ class scenario::builder {
   builder& seed(std::uint64_t seed);
   builder& family(workload::subscription_family family);
   builder& subscription_params(const workload::subscription_params& params);
-  /// Workspace filters/events are generated over; keep it equal to the
-  /// backend's workspace (see workload_profile).
-  builder& workspace(const spatial::box& workspace);
   /// Declarative network model (see scenario::net).
   builder& net(const net::model_config& model);
 

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 
 #include "drtree/checker.h"
 #include "drtree/corruptor.h"
@@ -31,23 +30,6 @@ using engine::scenario_runner;
 using spatial::kNoPeer;
 using spatial::peer_id;
 
-/// A populated DR-tree behind the engine interface, with white-box
-/// access for fault staging (same rig as stabilizer_test).
-struct rig {
-  explicit rig(engine::overlay_backend_config config)
-      : backend(std::make_unique<drtree_backend>(config)),
-        runner(std::make_unique<scenario_runner>(*backend)) {}
-
-  void populate(std::size_t n) { runner->populate(n); }
-  int converge(int max_rounds = 80) { return runner->converge(max_rounds); }
-  int step_rounds(int rounds) { return runner->step_rounds(rounds); }
-  bool legal() const { return backend->legal(); }
-  dr_overlay& overlay() { return backend->overlay(); }
-
-  std::unique_ptr<drtree_backend> backend;
-  std::unique_ptr<scenario_runner> runner;
-};
-
 /// sweep_stride of the paper's schedule (the default) and of the
 /// dirty-set schedule these tests exercise.
 constexpr std::size_t kFullStride = 1;
@@ -61,10 +43,10 @@ engine::overlay_backend_config mode_config(std::size_t stride,
   return bc;
 }
 
-peer_id interior_non_root(rig& r) {
-  const auto root = r.overlay().current_root();
-  for (const auto p : r.overlay().live_peers()) {
-    if (p != root && r.overlay().peer(p).top() > 0) return p;
+peer_id interior_non_root(const dr_overlay& ov) {
+  const auto root = ov.current_root();
+  for (const auto p : ov.live_peers()) {
+    if (p != root && ov.peer(p).top() > 0) return p;
   }
   return kNoPeer;
 }
@@ -198,48 +180,49 @@ TEST(DirtyStabilize, SilentCorruptionRepairedByBackgroundSweep) {
     for (const auto kind : kinds) {
       SCOPED_TRACE(std::string("seed ") + std::to_string(seed) + " fault " +
                    fault_name(kind));
-      rig r(mode_config(kDirtyStride, seed));
-      r.populate(36);
-      ASSERT_GE(r.converge(), 0);
+      drtree_backend be(mode_config(kDirtyStride, seed));
+      scenario_runner runner(be);
+      runner.populate(36);
+      ASSERT_GE(runner.converge(80), 0);
       // Drain the post-join backlog so the corruption is the only
       // outstanding fault when it lands.
       const int stride = static_cast<int>(kDirtyStride);
-      r.step_rounds(stride);
+      runner.step_rounds(stride);
 
-      corruptor c(r.overlay(), seed * 131 + static_cast<std::uint64_t>(kind));
+      corruptor c(be.overlay(), seed * 131 + static_cast<std::uint64_t>(kind));
       switch (kind) {
         case silent_fault::leaf_mbr: {
-          const auto victim = r.overlay().live_peers()[seed % 30];
+          const auto victim = be.overlay().live_peers()[seed % 30];
           c.scramble_mbr(victim, 0);
           break;
         }
         case silent_fault::parent: {
-          const auto victim = interior_non_root(r);
+          const auto victim = interior_non_root(be.overlay());
           ASSERT_NE(victim, kNoPeer);
-          c.scramble_parent(victim, r.overlay().peer(victim).top());
+          c.scramble_parent(victim, be.overlay().peer(victim).top());
           break;
         }
         case silent_fault::children: {
-          const auto victim = interior_non_root(r);
+          const auto victim = interior_non_root(be.overlay());
           ASSERT_NE(victim, kNoPeer);
-          c.scramble_children(victim, r.overlay().peer(victim).top());
+          c.scramble_children(victim, be.overlay().peer(victim).top());
           break;
         }
         case silent_fault::flag: {
-          const auto victim = interior_non_root(r);
+          const auto victim = interior_non_root(be.overlay());
           ASSERT_NE(victim, kNoPeer);
-          c.flip_underloaded(victim, r.overlay().peer(victim).top());
+          c.flip_underloaded(victim, be.overlay().peer(victim).top());
           break;
         }
       }
-      if (r.legal()) continue;  // the scramble happened to be benign
+      if (be.legal()) continue;  // the scramble happened to be benign
 
       // The bound: one sweep_stride window to *find* the fault, one for
       // chained discoveries (e.g. orphaned children noticing their own
       // broken parent link), plus repair rounds proper.
-      const int rounds = r.converge(3 * stride + 60);
+      const int rounds = runner.converge(3 * stride + 60);
       EXPECT_GE(rounds, 0) << "silent corruption never repaired";
-      const auto report = checker(r.overlay()).check();
+      const auto report = checker(be.overlay()).check();
       EXPECT_TRUE(report.legal())
           << (report.violations.empty() ? "?" : report.violations.front());
     }
@@ -250,28 +233,30 @@ TEST(DirtyStabilize, SilentCorruptionRepairedByBackgroundSweep) {
 
 TEST(DirtyStabilize, QuiescentBacklogDrainsAndPassCountCollapses) {
   const std::uint64_t seed = 43;
-  rig full(mode_config(kFullStride, seed));
-  rig dirty(mode_config(kDirtyStride, seed));
-  for (rig* r : {&full, &dirty}) {
-    r->populate(48);
-    ASSERT_GE(r->converge(), 0);
+  drtree_backend full(mode_config(kFullStride, seed));
+  scenario_runner full_runner(full);
+  drtree_backend dirty(mode_config(kDirtyStride, seed));
+  scenario_runner dirty_runner(dirty);
+  for (auto* runner : {&full_runner, &dirty_runner}) {
+    runner->populate(48);
+    ASSERT_GE(runner->converge(80), 0);
     // One full sweep window drains join-time marks.
-    r->step_rounds(static_cast<int>(kDirtyStride));
+    runner->step_rounds(static_cast<int>(kDirtyStride));
   }
   EXPECT_EQ(dirty.overlay().dirty_pending(), 0u)
       << "backlog did not drain at quiescence";
 
-  const auto full0 = full.backend->counters();
-  const auto dirty0 = dirty.backend->counters();
+  const auto full0 = full.counters();
+  const auto dirty0 = dirty.counters();
   const int window = 32;
-  full.step_rounds(window);
-  dirty.step_rounds(window);
+  full_runner.step_rounds(window);
+  dirty_runner.step_rounds(window);
   const auto full_visited =
-      full.backend->counters().stabilize_visited - full0.stabilize_visited;
+      full.counters().stabilize_visited - full0.stabilize_visited;
   const auto dirty_visited =
-      dirty.backend->counters().stabilize_visited - dirty0.stabilize_visited;
+      dirty.counters().stabilize_visited - dirty0.stabilize_visited;
   const auto dirty_skipped =
-      dirty.backend->counters().stabilize_skipped - dirty0.stabilize_skipped;
+      dirty.counters().stabilize_skipped - dirty0.stabilize_skipped;
 
   // Stride 1 visits everyone every round; dirty visits ~population/K
   // per round (background sweep only).  4x is a loose floor on the
@@ -292,25 +277,26 @@ TEST(DirtyStabilize, QuiescentBacklogDrainsAndPassCountCollapses) {
 TEST(DirtyStabilize, ChurnMarksThenQuiesces) {
   for (const auto stride : {kFullStride, kDirtyStride}) {
     SCOPED_TRACE("sweep_stride " + std::to_string(stride));
-    rig r(mode_config(stride, 47));
-    r.populate(40);
-    ASSERT_GE(r.converge(), 0);
-    r.step_rounds(static_cast<int>(kDirtyStride));
-    ASSERT_EQ(r.overlay().dirty_pending(), 0u);
+    drtree_backend be(mode_config(stride, 47));
+    scenario_runner runner(be);
+    runner.populate(40);
+    ASSERT_GE(runner.converge(80), 0);
+    runner.step_rounds(static_cast<int>(kDirtyStride));
+    ASSERT_EQ(be.overlay().dirty_pending(), 0u);
 
     // A crash marks the dead peer's neighborhood: backlog becomes
     // nonzero without any stabilization having run yet.
-    const auto victim = interior_non_root(r);
+    const auto victim = interior_non_root(be.overlay());
     ASSERT_NE(victim, kNoPeer);
-    r.overlay().crash(victim);
-    EXPECT_GT(r.overlay().dirty_pending(), 0u)
+    be.overlay().crash(victim);
+    EXPECT_GT(be.overlay().dirty_pending(), 0u)
         << "crash did not mark the survivors that must repair around it";
 
-    ASSERT_GE(r.converge(120), 0);
-    r.step_rounds(static_cast<int>(kDirtyStride));
-    EXPECT_EQ(r.overlay().dirty_pending(), 0u)
+    ASSERT_GE(runner.converge(120), 0);
+    runner.step_rounds(static_cast<int>(kDirtyStride));
+    EXPECT_EQ(be.overlay().dirty_pending(), 0u)
         << "backlog did not re-drain after repair";
-    EXPECT_TRUE(r.legal());
+    EXPECT_TRUE(be.legal());
   }
 }
 

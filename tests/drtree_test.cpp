@@ -7,37 +7,45 @@
 #include <ostream>
 #include <set>
 
-#include "analysis/harness.h"
 #include "analysis/models.h"
 #include "drtree/checker.h"
 #include "drtree/corruptor.h"
 #include "drtree/overlay.h"
+#include "engine/backends.h"
+#include "engine/runner.h"
 #include "spatial/sample.h"
 
 namespace drt::overlay {
 namespace {
 
-using analysis::harness_config;
-using analysis::testbed;
+using engine::drtree_backend;
+using engine::scenario_runner;
 using spatial::kNoPeer;
 using spatial::peer_id;
 
-harness_config small_config(std::uint64_t seed = 1) {
-  harness_config hc;
-  hc.net.seed = seed;
-  hc.workload_seed = seed * 97 + 13;
-  hc.dr.min_children = 2;
-  hc.dr.max_children = 6;
-  return hc;
+engine::overlay_backend_config small_config(std::uint64_t seed = 1) {
+  engine::overlay_backend_config bc;
+  bc.net.seed = seed;
+  bc.dr.min_children = 2;
+  bc.dr.max_children = 6;
+  return bc;
+}
+
+/// The workload stream that goes with small_config(seed).
+engine::runner_config workload_of(std::uint64_t seed = 1) {
+  engine::runner_config rc;
+  rc.workload.seed = seed * 97 + 13;
+  return rc;
 }
 
 // ------------------------------------------------------------ bootstrap
 
 TEST(DrTree, SinglePeerIsLegalRoot) {
-  testbed tb(small_config());
-  tb.add(geo::make_rect2(0, 0, 10, 10));
-  ASSERT_GE(tb.converge(), 0);
-  const auto r = tb.report();
+  drtree_backend be(small_config());
+  scenario_runner runner(be, workload_of());
+  runner.add(geo::make_rect2(0, 0, 10, 10));
+  ASSERT_GE(runner.converge(80), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
   EXPECT_EQ(r.roots, 1u);
   EXPECT_EQ(r.height, 0u);
@@ -45,79 +53,82 @@ TEST(DrTree, SinglePeerIsLegalRoot) {
 }
 
 TEST(DrTree, TwoPeersElectRootByLargestMbr) {
-  testbed tb(small_config());
-  const auto small = tb.add(geo::make_rect2(0, 0, 10, 10));
-  const auto large = tb.add(geo::make_rect2(0, 0, 500, 500));
-  ASSERT_GE(tb.converge(), 0);
-  const auto r = tb.report();
+  drtree_backend be(small_config());
+  scenario_runner runner(be, workload_of());
+  const auto small = runner.add(geo::make_rect2(0, 0, 10, 10));
+  const auto large = runner.add(geo::make_rect2(0, 0, 500, 500));
+  ASSERT_GE(runner.converge(80), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
-  EXPECT_EQ(tb.overlay().current_root(), large);
-  EXPECT_FALSE(tb.overlay().peer(small).is_root());
+  EXPECT_EQ(be.overlay().current_root(), large);
+  EXPECT_FALSE(be.overlay().peer(small).is_root());
   EXPECT_EQ(r.height, 1u);
   // The root appears at both levels (recursively its own child).
-  EXPECT_TRUE(tb.overlay().peer(large).inst(1).has_child(large));
+  EXPECT_TRUE(be.overlay().peer(large).inst(1).has_child(large));
 }
 
 TEST(DrTree, ConcurrentJoinStormConverges) {
   // Launch many joins without settling between them: probes, descents,
   // and splits interleave arbitrarily in flight.
-  testbed tb(small_config(251));
+  drtree_backend be(small_config(251));
+  scenario_runner runner(be, workload_of(251));
   for (int i = 0; i < 30; ++i) {
-    auto params = tb.config().subs;
-    params.workspace = tb.config().dr.workspace;
     const auto rects = workload::make_subscriptions(
-        workload::subscription_family::uniform, 1, tb.workload_rng(), params);
-    tb.overlay().add_peer(rects[0]);  // no settle!
+        workload::subscription_family::uniform, 1, runner.rng(),
+        runner.config().workload.subs);
+    be.overlay().add_peer(rects[0]);  // no settle!
   }
-  tb.overlay().settle();
-  ASSERT_GE(tb.converge(150), 0);
-  const auto r = tb.report();
+  be.overlay().settle();
+  ASSERT_GE(runner.converge(150), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
   EXPECT_EQ(r.live_peers, 30u);
   EXPECT_EQ(r.reachable, 30u);
 }
 
 TEST(DrTree, LeaveDuringJoinInFlight) {
-  testbed tb(small_config(257));
-  tb.populate(20);
-  ASSERT_GE(tb.converge(), 0);
+  drtree_backend be(small_config(257));
+  scenario_runner runner(be, workload_of(257));
+  runner.populate(20);
+  ASSERT_GE(runner.converge(80), 0);
   // Start joins, then immediately remove peers before draining.
-  auto params = tb.config().subs;
-  params.workspace = tb.config().dr.workspace;
   const auto rects = workload::make_subscriptions(
-      workload::subscription_family::uniform, 5, tb.workload_rng(), params);
-  for (const auto& r : rects) tb.overlay().add_peer(r);
-  auto live = tb.overlay().live_peers();
+      workload::subscription_family::uniform, 5, runner.rng(),
+      runner.config().workload.subs);
+  for (const auto& r : rects) be.overlay().add_peer(r);
+  auto live = be.overlay().live_peers();
   for (int i = 0; i < 5; ++i) {
-    tb.overlay().controlled_leave(live[static_cast<std::size_t>(i) * 3]);
+    be.overlay().controlled_leave(live[static_cast<std::size_t>(i) * 3]);
   }
-  tb.overlay().settle();
-  ASSERT_GE(tb.converge(200), 0);
-  const auto r = tb.report();
+  be.overlay().settle();
+  ASSERT_GE(runner.converge(200), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
   EXPECT_EQ(r.live_peers, 20u);  // 20 + 5 joined - 5 left
 }
 
 TEST(DrTree, SequentialJoinsStayLegal) {
-  testbed tb(small_config(3));
+  drtree_backend be(small_config(3));
+  scenario_runner runner(be, workload_of(3));
   for (std::size_t i = 0; i < 40; ++i) {
-    tb.populate(1);
-    ASSERT_GE(tb.converge(), 0) << "diverged after join " << i;
+    runner.populate(1);
+    ASSERT_GE(runner.converge(80), 0) << "diverged after join " << i;
   }
-  const auto r = tb.report();
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal());
   EXPECT_EQ(r.live_peers, 40u);
   EXPECT_EQ(r.reachable, 40u);
 }
 
 TEST(DrTree, HeightStaysLogarithmic) {
-  auto hc = small_config(5);
-  hc.dr.min_children = 2;
-  hc.dr.max_children = 8;
-  testbed tb(hc);
-  tb.populate(128);
-  ASSERT_GE(tb.converge(), 0);
-  const auto r = tb.report();
+  auto bc = small_config(5);
+  bc.dr.min_children = 2;
+  bc.dr.max_children = 8;
+  drtree_backend be(bc);
+  scenario_runner runner(be, workload_of(5));
+  runner.populate(128);
+  ASSERT_GE(runner.converge(80), 0);
+  const auto r = checker(be.overlay()).check();
   ASSERT_TRUE(r.legal()) << r.violations.front();
   // Lemma 3.1: height O(log_m N); for N=128, m=2: <= ~7 + slack.
   EXPECT_TRUE(checker::within_height_bound(r.height, 2, 128, 2))
@@ -126,12 +137,13 @@ TEST(DrTree, HeightStaysLogarithmic) {
 }
 
 TEST(DrTree, PaperSampleBuildsLegalTree) {
-  testbed tb(small_config(7));
+  drtree_backend be(small_config(7));
+  scenario_runner runner(be, workload_of(7));
   for (const auto& sub : spatial::sample_subscriptions()) {
-    tb.add(sub.filter);
+    runner.add(sub.filter);
   }
-  ASSERT_GE(tb.converge(), 0);
-  const auto r = tb.report(/*check_containment=*/true);
+  ASSERT_GE(runner.converge(80), 0);
+  const auto r = checker(be.overlay()).check(/*check_containment=*/true);
   EXPECT_TRUE(r.legal());
   // Property 3.1 (weak containment awareness) holds on the sample.
   EXPECT_EQ(r.weak_violations, 0u);
@@ -141,28 +153,31 @@ TEST(DrTree, PaperSampleBuildsLegalTree) {
 // --------------------------------------------------------- dissemination
 
 TEST(DrTree, NoFalseNegativesOnUniformWorkload) {
-  testbed tb(small_config(11));
-  tb.populate(60);
-  ASSERT_GE(tb.converge(), 0);
-  const auto acc = tb.publish_sweep(200, workload::event_family::uniform);
+  drtree_backend be(small_config(11));
+  scenario_runner runner(be, workload_of(11));
+  runner.populate(60);
+  ASSERT_GE(runner.converge(80), 0);
+  const auto acc = runner.publish_sweep(200, workload::event_family::uniform);
   EXPECT_EQ(acc.false_negatives, 0u);
   EXPECT_GT(acc.deliveries, 0u);
 }
 
 TEST(DrTree, NoFalseNegativesOnMatchingWorkload) {
-  testbed tb(small_config(13));
-  tb.populate(60);
-  ASSERT_GE(tb.converge(), 0);
-  const auto acc = tb.publish_sweep(200, workload::event_family::matching);
+  drtree_backend be(small_config(13));
+  scenario_runner runner(be, workload_of(13));
+  runner.populate(60);
+  ASSERT_GE(runner.converge(80), 0);
+  const auto acc = runner.publish_sweep(200, workload::event_family::matching);
   EXPECT_EQ(acc.false_negatives, 0u);
   EXPECT_GT(acc.interested, 0u);
 }
 
 TEST(DrTree, FalsePositiveRateIsLow) {
-  testbed tb(small_config(17));
-  tb.populate(100);
-  ASSERT_GE(tb.converge(), 0);
-  const auto acc = tb.publish_sweep(300, workload::event_family::matching);
+  drtree_backend be(small_config(17));
+  scenario_runner runner(be, workload_of(17));
+  runner.populate(100);
+  ASSERT_GE(runner.converge(80), 0);
+  const auto acc = runner.publish_sweep(300, workload::event_family::matching);
   // §4: "the false positive rate is in the order of 2-3% with most
   // workloads" — measured as the probability a peer receives an event it
   // did not subscribe to.  Allow headroom; bench E10 reports exact rates.
@@ -171,10 +186,11 @@ TEST(DrTree, FalsePositiveRateIsLow) {
 }
 
 TEST(DrTree, PublicationCostLogarithmicNotBroadcast) {
-  testbed tb(small_config(19));
-  tb.populate(100);
-  ASSERT_GE(tb.converge(), 0);
-  const auto acc = tb.publish_sweep(100, workload::event_family::uniform);
+  drtree_backend be(small_config(19));
+  scenario_runner runner(be, workload_of(19));
+  runner.populate(100);
+  ASSERT_GE(runner.converge(80), 0);
+  const auto acc = runner.publish_sweep(100, workload::event_family::uniform);
   // An event must not degenerate into a broadcast: messages per event
   // should be far below N on a sparse-match workload.
   EXPECT_LT(acc.messages_per_event(), 60.0);
@@ -184,15 +200,16 @@ TEST(DrTree, EventFromSampleWalkthrough) {
   // The paper's Fig. 4 walkthrough: event `a` published by S2 reaches
   // exactly the interested peers (S2, S3, S4 in our reconstruction, plus
   // any containers — no false negative, and the FP count is reported).
-  testbed tb(small_config(23));
+  drtree_backend be(small_config(23));
+  scenario_runner runner(be, workload_of(23));
   std::vector<peer_id> ids;
   for (const auto& sub : spatial::sample_subscriptions()) {
-    ids.push_back(tb.add(sub.filter));
+    ids.push_back(runner.add(sub.filter));
   }
-  ASSERT_GE(tb.converge(), 0);
+  ASSERT_GE(runner.converge(80), 0);
   const auto a = spatial::sample_events()[0];
   const auto publisher = ids[1];  // S2
-  const auto r = tb.overlay().publish_and_drain(publisher, a.value);
+  const auto r = be.overlay().publish_and_drain(publisher, a.value);
   EXPECT_EQ(r.false_negatives, 0u);
   EXPECT_EQ(r.interested, 5u);  // S2, S3, S4, S5, S6 contain `a`
   EXPECT_GE(r.delivered, r.interested);
@@ -201,62 +218,66 @@ TEST(DrTree, EventFromSampleWalkthrough) {
 // ------------------------------------------------------- departures
 
 TEST(DrTree, ControlledLeavesStabilize) {
-  testbed tb(small_config(29));
-  tb.populate(50);
-  ASSERT_GE(tb.converge(), 0);
-  auto live = tb.overlay().live_peers();
+  drtree_backend be(small_config(29));
+  scenario_runner runner(be, workload_of(29));
+  runner.populate(50);
+  ASSERT_GE(runner.converge(80), 0);
+  auto live = be.overlay().live_peers();
   // Remove a third of the peers via controlled departures.
   for (std::size_t i = 0; i < 16; ++i) {
     const auto victim = live[i * 3 % live.size()];
-    if (!tb.overlay().alive(victim)) continue;
-    tb.overlay().controlled_leave(victim);
-    tb.overlay().settle();
+    if (!be.overlay().alive(victim)) continue;
+    be.overlay().controlled_leave(victim);
+    be.overlay().settle();
   }
-  ASSERT_GE(tb.converge(120), 0);
-  const auto r = tb.report();
+  ASSERT_GE(runner.converge(120), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
   EXPECT_EQ(r.reachable, r.live_peers);
 }
 
 TEST(DrTree, UncontrolledCrashesStabilize) {
-  testbed tb(small_config(31));
-  tb.populate(50);
-  ASSERT_GE(tb.converge(), 0);
-  auto live = tb.overlay().live_peers();
-  tb.workload_rng().shuffle(live);
+  drtree_backend be(small_config(31));
+  scenario_runner runner(be, workload_of(31));
+  runner.populate(50);
+  ASSERT_GE(runner.converge(80), 0);
+  auto live = be.overlay().live_peers();
+  runner.rng().shuffle(live);
   for (std::size_t i = 0; i < 12; ++i) {
-    tb.overlay().crash(live[i]);
+    be.overlay().crash(live[i]);
   }
-  ASSERT_GE(tb.converge(150), 0);
-  const auto r = tb.report();
+  ASSERT_GE(runner.converge(150), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
   EXPECT_EQ(r.live_peers, 38u);
   EXPECT_EQ(r.reachable, 38u);
 }
 
 TEST(DrTree, RootCrashRecovers) {
-  testbed tb(small_config(37));
-  tb.populate(30);
-  ASSERT_GE(tb.converge(), 0);
-  const auto root = tb.overlay().current_root();
+  drtree_backend be(small_config(37));
+  scenario_runner runner(be, workload_of(37));
+  runner.populate(30);
+  ASSERT_GE(runner.converge(80), 0);
+  const auto root = be.overlay().current_root();
   ASSERT_NE(root, kNoPeer);
-  tb.overlay().crash(root);
-  ASSERT_GE(tb.converge(150), 0);
-  const auto r = tb.report();
+  be.overlay().crash(root);
+  ASSERT_GE(runner.converge(150), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
   EXPECT_EQ(r.live_peers, 29u);
-  EXPECT_NE(tb.overlay().current_root(), root);
+  EXPECT_NE(be.overlay().current_root(), root);
 }
 
 TEST(DrTree, MassCrashRecovers) {
-  testbed tb(small_config(41));
-  tb.populate(60);
-  ASSERT_GE(tb.converge(), 0);
-  auto live = tb.overlay().live_peers();
-  tb.workload_rng().shuffle(live);
-  for (std::size_t i = 0; i < 30; ++i) tb.overlay().crash(live[i]);
-  ASSERT_GE(tb.converge(250), 0);
-  const auto r = tb.report();
+  drtree_backend be(small_config(41));
+  scenario_runner runner(be, workload_of(41));
+  runner.populate(60);
+  ASSERT_GE(runner.converge(80), 0);
+  auto live = be.overlay().live_peers();
+  runner.rng().shuffle(live);
+  for (std::size_t i = 0; i < 30; ++i) be.overlay().crash(live[i]);
+  ASSERT_GE(runner.converge(250), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
   EXPECT_EQ(r.live_peers, 30u);
 }
@@ -268,17 +289,18 @@ class CorruptionTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(CorruptionTest, ArbitraryCorruptionConverges) {
   // Lemma 3.6: from an arbitrary configuration the system reaches a
   // legitimate configuration in a finite number of steps.
-  testbed tb(small_config(GetParam()));
-  tb.populate(40);
-  ASSERT_GE(tb.converge(), 0);
+  drtree_backend be(small_config(GetParam()));
+  scenario_runner runner(be, workload_of(GetParam()));
+  runner.populate(40);
+  ASSERT_GE(runner.converge(80), 0);
 
-  corruptor c(tb.overlay(), GetParam() * 31 + 5);
+  corruptor c(be.overlay(), GetParam() * 31 + 5);
   const auto mutations = c.corrupt(uniform_corruption(0.35));
   ASSERT_GT(mutations, 0u);
 
-  const int rounds = tb.converge(250);
+  const int rounds = runner.converge(250);
   ASSERT_GE(rounds, 0) << "never re-stabilized";
-  const auto r = tb.report();
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal());
   EXPECT_EQ(r.reachable, r.live_peers);
 }
@@ -287,100 +309,104 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionTest,
                          ::testing::Values(43, 47, 53, 59, 61));
 
 TEST(DrTree, CheckerDetectsEachCorruptionKind) {
-  testbed tb(small_config(67));
-  tb.populate(30);
-  ASSERT_GE(tb.converge(), 0);
-  ASSERT_TRUE(tb.legal());
+  drtree_backend be(small_config(67));
+  scenario_runner runner(be, workload_of(67));
+  runner.populate(30);
+  ASSERT_GE(runner.converge(80), 0);
+  ASSERT_TRUE(be.legal());
 
   // Convergence can reshape the tree between corruptions, so re-pick a
   // non-root interior victim before each mutation.
   auto pick_victim = [&]() -> peer_id {
-    const auto root = tb.overlay().current_root();
-    for (const auto p : tb.overlay().live_peers()) {
-      if (p != root && tb.overlay().peer(p).top() > 0) return p;
+    const auto root = be.overlay().current_root();
+    for (const auto p : be.overlay().live_peers()) {
+      if (p != root && be.overlay().peer(p).top() > 0) return p;
     }
     return kNoPeer;
   };
 
-  corruptor c(tb.overlay(), 71);
+  corruptor c(be.overlay(), 71);
 
   auto victim = pick_victim();
   ASSERT_NE(victim, kNoPeer);
-  c.scramble_mbr(victim, tb.overlay().peer(victim).top());
-  EXPECT_FALSE(tb.legal());
-  ASSERT_GE(tb.converge(100), 0);
+  c.scramble_mbr(victim, be.overlay().peer(victim).top());
+  EXPECT_FALSE(be.legal());
+  ASSERT_GE(runner.converge(100), 0);
 
   victim = pick_victim();
   ASSERT_NE(victim, kNoPeer);
-  c.flip_underloaded(victim, tb.overlay().peer(victim).top());
-  EXPECT_FALSE(tb.legal());
-  ASSERT_GE(tb.converge(100), 0);
+  c.flip_underloaded(victim, be.overlay().peer(victim).top());
+  EXPECT_FALSE(be.legal());
+  ASSERT_GE(runner.converge(100), 0);
 
   victim = pick_victim();
   ASSERT_NE(victim, kNoPeer);
-  c.scramble_children(victim, tb.overlay().peer(victim).top());
-  EXPECT_FALSE(tb.legal());
-  ASSERT_GE(tb.converge(150), 0);
+  c.scramble_children(victim, be.overlay().peer(victim).top());
+  EXPECT_FALSE(be.legal());
+  ASSERT_GE(runner.converge(150), 0);
 
   victim = pick_victim();
   ASSERT_NE(victim, kNoPeer);
-  c.scramble_parent(victim, tb.overlay().peer(victim).top());
-  EXPECT_FALSE(tb.legal());
-  ASSERT_GE(tb.converge(150), 0);
+  c.scramble_parent(victim, be.overlay().peer(victim).top());
+  EXPECT_FALSE(be.legal());
+  ASSERT_GE(runner.converge(150), 0);
 }
 
 TEST(DrTree, FabricatedInstancesDissolve) {
-  testbed tb(small_config(73));
-  tb.populate(25);
-  ASSERT_GE(tb.converge(), 0);
-  corruptor c(tb.overlay(), 79);
+  drtree_backend be(small_config(73));
+  scenario_runner runner(be, workload_of(73));
+  runner.populate(25);
+  ASSERT_GE(runner.converge(80), 0);
+  corruptor c(be.overlay(), 79);
   for (int i = 0; i < 5; ++i) {
-    const auto live = tb.overlay().live_peers();
+    const auto live = be.overlay().live_peers();
     c.fabricate_instance(live[i * 4 % live.size()]);
   }
-  EXPECT_FALSE(tb.legal());
-  ASSERT_GE(tb.converge(200), 0);
-  EXPECT_TRUE(tb.legal());
+  EXPECT_FALSE(be.legal());
+  ASSERT_GE(runner.converge(200), 0);
+  EXPECT_TRUE(be.legal());
 }
 
 TEST(DrTree, DroppedInstancesRepair) {
-  testbed tb(small_config(83));
-  tb.populate(25);
-  ASSERT_GE(tb.converge(), 0);
-  corruptor c(tb.overlay(), 89);
-  const auto root = tb.overlay().current_root();
+  drtree_backend be(small_config(83));
+  scenario_runner runner(be, workload_of(83));
+  runner.populate(25);
+  ASSERT_GE(runner.converge(80), 0);
+  corruptor c(be.overlay(), 89);
+  const auto root = be.overlay().current_root();
   c.drop_top_instance(root);
-  EXPECT_FALSE(tb.legal());
-  ASSERT_GE(tb.converge(200), 0);
-  EXPECT_TRUE(tb.legal());
+  EXPECT_FALSE(be.legal());
+  ASSERT_GE(runner.converge(200), 0);
+  EXPECT_TRUE(be.legal());
 }
 
 // ------------------------------------------------------------- churn
 
 TEST(DrTree, MixedChurnStaysRecoverable) {
-  testbed tb(small_config(97));
-  tb.populate(40);
-  ASSERT_GE(tb.converge(), 0);
-  auto& rng = tb.workload_rng();
+  drtree_backend be(small_config(97));
+  scenario_runner runner(be, workload_of(97));
+  runner.populate(40);
+  ASSERT_GE(runner.converge(80), 0);
+  auto& rng = runner.rng();
   for (int step = 0; step < 30; ++step) {
     const double dice = rng.next_double();
-    const auto live = tb.overlay().live_peers();
+    const auto live = be.overlay().live_peers();
     if (dice < 0.4 || live.size() < 10) {
-      tb.populate(1);
+      runner.populate(1);
     } else if (dice < 0.7) {
-      tb.overlay().controlled_leave(live[rng.index(live.size())]);
+      be.overlay().controlled_leave(live[rng.index(live.size())]);
     } else {
-      tb.overlay().crash(live[rng.index(live.size())]);
+      be.overlay().crash(live[rng.index(live.size())]);
     }
-    tb.overlay().advance(tb.config().dr.stabilize_period / 2);
-    tb.overlay().settle();
+    be.overlay().advance(be.overlay().config().stabilize_period / 2);
+    be.overlay().settle();
   }
-  ASSERT_GE(tb.converge(250), 0);
-  const auto r = tb.report();
+  ASSERT_GE(runner.converge(250), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
   EXPECT_EQ(r.reachable, r.live_peers);
   // Accuracy survives churn.
-  const auto acc = tb.publish_sweep(50, workload::event_family::matching);
+  const auto acc = runner.publish_sweep(50, workload::event_family::matching);
   EXPECT_EQ(acc.false_negatives, 0u);
 }
 
@@ -401,21 +427,22 @@ void PrintTo(const variation& v, std::ostream* os) { *os << v.name; }
 class VariationTest : public ::testing::TestWithParam<variation> {};
 
 TEST_P(VariationTest, JoinsLeavesStayLegal) {
-  auto hc = small_config(101);
-  hc.dr.split = GetParam().split;
-  hc.dr.min_children = GetParam().m;
-  hc.dr.max_children = GetParam().big_m;
-  testbed tb(hc);
-  tb.populate(60);
-  ASSERT_GE(tb.converge(), 0);
-  EXPECT_TRUE(tb.legal());
-  auto live = tb.overlay().live_peers();
-  tb.workload_rng().shuffle(live);
-  for (int i = 0; i < 15; ++i) tb.overlay().controlled_leave(live[i]);
-  ASSERT_GE(tb.converge(200), 0);
-  const auto r = tb.report();
+  auto bc = small_config(101);
+  bc.dr.split = GetParam().split;
+  bc.dr.min_children = GetParam().m;
+  bc.dr.max_children = GetParam().big_m;
+  drtree_backend be(bc);
+  scenario_runner runner(be, workload_of(101));
+  runner.populate(60);
+  ASSERT_GE(runner.converge(80), 0);
+  EXPECT_TRUE(be.legal());
+  auto live = be.overlay().live_peers();
+  runner.rng().shuffle(live);
+  for (int i = 0; i < 15; ++i) be.overlay().controlled_leave(live[i]);
+  ASSERT_GE(runner.converge(200), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
-  const auto acc = tb.publish_sweep(50);
+  const auto acc = runner.publish_sweep(50);
   EXPECT_EQ(acc.false_negatives, 0u);
 }
 
@@ -433,14 +460,15 @@ INSTANTIATE_TEST_SUITE_P(Configs, VariationTest,
 class ElectionTest : public ::testing::TestWithParam<election_policy> {};
 
 TEST_P(ElectionTest, OverlayLegalUnderAnyPolicy) {
-  auto hc = small_config(103);
-  hc.dr.election = GetParam();
-  testbed tb(hc);
-  tb.populate(50);
-  ASSERT_GE(tb.converge(), 0);
-  const auto r = tb.report();
+  auto bc = small_config(103);
+  bc.dr.election = GetParam();
+  drtree_backend be(bc);
+  scenario_runner runner(be, workload_of(103));
+  runner.populate(50);
+  ASSERT_GE(runner.converge(80), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
-  const auto acc = tb.publish_sweep(80);
+  const auto acc = runner.publish_sweep(80);
   EXPECT_EQ(acc.false_negatives, 0u);
 }
 
@@ -453,63 +481,68 @@ INSTANTIATE_TEST_SUITE_P(Policies, ElectionTest,
                          });
 
 TEST(DrTree, JoinsSucceedUnderMessageLoss) {
-  auto hc = small_config(107);
-  hc.net.message_loss = 0.15;
-  testbed tb(hc);
-  tb.populate(30);
+  auto bc = small_config(107);
+  bc.net.message_loss = 0.15;
+  drtree_backend be(bc);
+  scenario_runner runner(be, workload_of(107));
+  runner.populate(30);
   // With loss, joins may need several probe rounds.
-  ASSERT_GE(tb.converge(300), 0);
-  const auto r = tb.report();
+  ASSERT_GE(runner.converge(300), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
   EXPECT_EQ(r.reachable, 30u);
 }
 
 TEST(DrTree, OracleRootModeWorks) {
-  testbed tb(small_config(109));
-  tb.overlay().oracle = oracle_mode::root;
-  tb.populate(30);
-  ASSERT_GE(tb.converge(), 0);
-  EXPECT_TRUE(tb.legal());
+  drtree_backend be(small_config(109));
+  scenario_runner runner(be, workload_of(109));
+  be.overlay().oracle = oracle_mode::root;
+  runner.populate(30);
+  ASSERT_GE(runner.converge(80), 0);
+  EXPECT_TRUE(be.legal());
 }
 
 TEST(DrTree, FpReorganizationKeepsLegality) {
-  auto hc = small_config(113);
-  hc.dr.fp_reorganization = true;
-  testbed tb(hc);
-  tb.populate(40);
-  ASSERT_GE(tb.converge(), 0);
-  const auto acc = tb.publish_sweep(300, workload::event_family::hotspot);
+  auto bc = small_config(113);
+  bc.dr.fp_reorganization = true;
+  drtree_backend be(bc);
+  scenario_runner runner(be, workload_of(113));
+  runner.populate(40);
+  ASSERT_GE(runner.converge(80), 0);
+  const auto acc = runner.publish_sweep(300, workload::event_family::hotspot);
   EXPECT_EQ(acc.false_negatives, 0u);
-  ASSERT_GE(tb.converge(150), 0);
-  EXPECT_TRUE(tb.legal());
+  ASSERT_GE(runner.converge(150), 0);
+  EXPECT_TRUE(be.legal());
 }
 
 // --------------------------------------------------------------- search
 
 TEST(DrTreeSearch, RangeQueriesMatchBruteForce) {
-  testbed tb(small_config(211));
-  tb.populate(80);
-  ASSERT_GE(tb.converge(), 0);
-  auto& rng = tb.workload_rng();
-  const auto live = tb.overlay().live_peers();
+  drtree_backend be(small_config(211));
+  scenario_runner runner(be, workload_of(211));
+  runner.populate(80);
+  ASSERT_GE(runner.converge(80), 0);
+  auto& rng = runner.rng();
+  const auto live = be.overlay().live_peers();
   for (int q = 0; q < 40; ++q) {
     const double x = rng.uniform_real(0, 900);
     const double y = rng.uniform_real(0, 900);
     const auto query = geo::make_rect2(x, y, x + rng.uniform_real(10, 100),
                                        y + rng.uniform_real(10, 100));
     const auto origin = live[rng.index(live.size())];
-    const auto r = tb.overlay().search_and_drain(origin, query);
+    const auto r = be.overlay().search_and_drain(origin, query);
     EXPECT_EQ(r.false_negatives, 0u) << "query " << q;
     EXPECT_EQ(r.false_positives, 0u) << "query " << q;
   }
 }
 
 TEST(DrTreeSearch, CostIsLogarithmicNotLinear) {
-  testbed tb(small_config(223));
-  tb.populate(120);
-  ASSERT_GE(tb.converge(), 0);
-  auto& rng = tb.workload_rng();
-  const auto live = tb.overlay().live_peers();
+  drtree_backend be(small_config(223));
+  scenario_runner runner(be, workload_of(223));
+  runner.populate(120);
+  ASSERT_GE(runner.converge(80), 0);
+  auto& rng = runner.rng();
+  const auto live = be.overlay().live_peers();
   // A tiny query touching few filters must not visit most of the overlay.
   std::uint64_t total_messages = 0;
   int queries = 0;
@@ -518,7 +551,7 @@ TEST(DrTreeSearch, CostIsLogarithmicNotLinear) {
     const double y = rng.uniform_real(0, 990);
     const auto query = geo::make_rect2(x, y, x + 5, y + 5);
     const auto r =
-        tb.overlay().search_and_drain(live[rng.index(live.size())], query);
+        be.overlay().search_and_drain(live[rng.index(live.size())], query);
     EXPECT_EQ(r.false_negatives, 0u);
     total_messages += r.messages;
     ++queries;
@@ -527,12 +560,13 @@ TEST(DrTreeSearch, CostIsLogarithmicNotLinear) {
 }
 
 TEST(DrTreeSearch, WholeWorkspaceQueryFindsEveryone) {
-  testbed tb(small_config(227));
-  tb.populate(50);
-  ASSERT_GE(tb.converge(), 0);
-  const auto origin = tb.overlay().live_peers().front();
-  const auto r = tb.overlay().search_and_drain(
-      origin, tb.config().dr.workspace);
+  drtree_backend be(small_config(227));
+  scenario_runner runner(be, workload_of(227));
+  runner.populate(50);
+  ASSERT_GE(runner.converge(80), 0);
+  const auto origin = be.overlay().live_peers().front();
+  const auto r = be.overlay().search_and_drain(
+      origin, be.overlay().config().workspace);
   EXPECT_EQ(r.hits.size(), 50u);
   EXPECT_EQ(r.false_negatives, 0u);
 }
@@ -540,14 +574,15 @@ TEST(DrTreeSearch, WholeWorkspaceQueryFindsEveryone) {
 // ------------------------------------------------------------ partition
 
 TEST(DrTreePartition, SplitBrainHealsAfterPartitionLifts) {
-  testbed tb(small_config(229));
-  tb.populate(40);
-  ASSERT_GE(tb.converge(), 0);
+  drtree_backend be(small_config(229));
+  scenario_runner runner(be, workload_of(229));
+  runner.populate(40);
+  ASSERT_GE(runner.converge(80), 0);
 
   // Surgically detach a subtree: pick a child of the root, make it a
   // fragment root, and drop it from the root's children.
-  const auto root = tb.overlay().current_root();
-  auto& rp = tb.overlay().peer(root);
+  const auto root = be.overlay().current_root();
+  auto& rp = be.overlay().peer(root);
   const auto h = rp.top();
   peer_id detached = kNoPeer;
   for (const auto c : rp.inst(h).children) {
@@ -558,7 +593,7 @@ TEST(DrTreePartition, SplitBrainHealsAfterPartitionLifts) {
   }
   ASSERT_NE(detached, kNoPeer);
   rp.inst(h).remove_child(detached);
-  tb.overlay().peer(detached).inst(h - 1).parent = detached;
+  be.overlay().peer(detached).inst(h - 1).parent = detached;
 
   // Collect the fragment membership (peers under the detached subtree).
   std::set<peer_id> fragment;
@@ -568,7 +603,7 @@ TEST(DrTreePartition, SplitBrainHealsAfterPartitionLifts) {
     frontier.pop_back();
     fragment.insert(p);
     if (hh == 0) continue;
-    if (const auto* ins = tb.overlay().peer(p).find_inst(hh)) {
+    if (const auto* ins = be.overlay().peer(p).find_inst(hh)) {
       for (const auto c : ins->children) {
         if (c != p) frontier.emplace_back(c, hh - 1);
       }
@@ -578,22 +613,22 @@ TEST(DrTreePartition, SplitBrainHealsAfterPartitionLifts) {
 
   // Partition the network between the fragment and the rest: probes
   // cannot cross, so two legal-but-separate trees persist.
-  tb.overlay().sim().set_link_filter(
+  be.overlay().sim().set_link_filter(
       [fragment](sim::process_id from, sim::process_id to) {
         return fragment.count(static_cast<peer_id>(from)) ==
                fragment.count(static_cast<peer_id>(to));
       });
   for (int round = 0; round < 10; ++round) {
-    tb.overlay().advance(tb.config().dr.stabilize_period);
-    tb.overlay().settle();
+    be.overlay().advance(be.overlay().config().stabilize_period);
+    be.overlay().settle();
   }
-  EXPECT_EQ(tb.overlay().root_peers().size(), 2u)
+  EXPECT_EQ(be.overlay().root_peers().size(), 2u)
       << "fragments merged across a partition?";
 
   // Heal the partition: the root probes merge the fragments back.
-  tb.overlay().sim().set_link_filter(nullptr);
-  ASSERT_GE(tb.converge(150), 0);
-  const auto r = tb.report();
+  be.overlay().sim().set_link_filter(nullptr);
+  ASSERT_GE(runner.converge(150), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
   EXPECT_EQ(r.roots, 1u);
   EXPECT_EQ(r.reachable, 40u);
@@ -602,15 +637,16 @@ TEST(DrTreePartition, SplitBrainHealsAfterPartitionLifts) {
 // --------------------------------------------------------- memory/shape
 
 TEST(DrTree, MemoryPerPeerIsPolylogarithmic) {
-  testbed tb(small_config(127));
-  tb.populate(120);
-  ASSERT_GE(tb.converge(), 0);
-  const auto r = tb.report();
+  drtree_backend be(small_config(127));
+  scenario_runner runner(be, workload_of(127));
+  runner.populate(120);
+  ASSERT_GE(runner.converge(80), 0);
+  const auto r = checker(be.overlay()).check();
   ASSERT_TRUE(r.legal());
   // Lemma 3.1: per-peer memory O(M log^2 N / log m).  Generous constant.
   const double bound =
-      8.0 * analysis::predicted_memory(120, tb.config().dr.min_children,
-                                       tb.config().dr.max_children);
+      8.0 * analysis::predicted_memory(120, be.overlay().config().min_children,
+                                       be.overlay().config().max_children);
   EXPECT_LT(static_cast<double>(r.max_peer_links), bound);
 }
 
@@ -620,12 +656,13 @@ TEST(DrTree, WeakContainmentMostlyHoldsOnNestedWorkload) {
   // can occasionally sit above it (the paper itself concedes "the order of
   // node insertion and removal may lead to sub-optimal configurations"),
   // so we bound the violation rate rather than assert zero.
-  auto hc = small_config(131);
-  hc.family = workload::subscription_family::nested;
-  testbed tb(hc);
-  tb.populate(50);
-  ASSERT_GE(tb.converge(), 0);
-  const auto r = tb.report(/*check_containment=*/true);
+  drtree_backend be(small_config(131));
+  auto rc = workload_of(131);
+  rc.workload.family = workload::subscription_family::nested;
+  scenario_runner runner(be, rc);
+  runner.populate(50);
+  ASSERT_GE(runner.converge(80), 0);
+  const auto r = checker(be.overlay()).check(/*check_containment=*/true);
   EXPECT_TRUE(r.legal()) << r.violations.front();
   ASSERT_GT(r.containment_pairs, 0u);
   const double violation_rate =

@@ -4,26 +4,27 @@
 // DOT renderers and per-instance data structures.
 #include <gtest/gtest.h>
 
-#include "analysis/harness.h"
 #include "drtree/checker.h"
 #include "drtree/dot.h"
 #include "drtree/overlay.h"
+#include "engine/backends.h"
+#include "engine/runner.h"
 
 namespace drt::overlay {
 namespace {
 
-using analysis::harness_config;
-using analysis::testbed;
+using engine::drtree_backend;
+using engine::scenario_runner;
 using geo::make_rect2;
 using spatial::kNoPeer;
 using spatial::peer_id;
 
-harness_config quiet_config(std::uint64_t seed = 1) {
-  harness_config hc;
-  hc.net.seed = seed;
-  hc.dr.min_children = 2;
-  hc.dr.max_children = 4;
-  return hc;
+engine::overlay_backend_config quiet_config(std::uint64_t seed = 1) {
+  engine::overlay_backend_config bc;
+  bc.net.seed = seed;
+  bc.dr.min_children = 2;
+  bc.dr.max_children = 4;
+  return bc;
 }
 
 // ------------------------------------------------------------- instance
@@ -44,49 +45,51 @@ TEST(Instance, ChildSetOperations) {
 // ------------------------------------------------------------ check_mbr
 
 TEST(CheckMbr, LeafRestoresFilter) {
-  testbed tb(quiet_config(3));
-  const auto a = tb.add(make_rect2(0, 0, 10, 10));
-  auto& peer = tb.overlay().peer(a);
+  drtree_backend be(quiet_config(3));
+  scenario_runner runner(be);
+  const auto a = runner.add(make_rect2(0, 0, 10, 10));
+  auto& peer = be.overlay().peer(a);
   peer.inst(0).mbr = make_rect2(5, 5, 6, 6);
   peer.check_mbr(0);
   EXPECT_EQ(peer.inst(0).mbr, peer.filter());
 }
 
 TEST(CheckMbr, InteriorRecomputesUnionOfChildren) {
-  testbed tb(quiet_config(5));
-  const auto a = tb.add(make_rect2(0, 0, 10, 10));
-  const auto b = tb.add(make_rect2(20, 20, 500, 500));
-  tb.overlay().settle();
-  tb.converge();
-  const auto root = tb.overlay().current_root();
+  drtree_backend be(quiet_config(5));
+  scenario_runner runner(be);
+  const auto a = runner.add(make_rect2(0, 0, 10, 10));
+  const auto b = runner.add(make_rect2(20, 20, 500, 500));
+  be.overlay().settle();
+  runner.converge(80);
+  const auto root = be.overlay().current_root();
   ASSERT_EQ(root, b);  // larger coverage wins the election
-  auto& root_peer = tb.overlay().peer(root);
+  auto& root_peer = be.overlay().peer(root);
   root_peer.inst(1).mbr = make_rect2(0, 0, 1, 1);  // corrupt
   root_peer.check_mbr(1);
   EXPECT_EQ(root_peer.inst(1).mbr,
-            join(tb.overlay().peer(a).filter(),
-                 tb.overlay().peer(b).filter()));
+            join(be.overlay().peer(a).filter(),
+                 be.overlay().peer(b).filter()));
 }
 
 // --------------------------------------------------------- check_parent
 
 TEST(CheckParent, NonTopInstanceRepairsOwnChainLocally) {
-  testbed tb(quiet_config(7));
-  testbed* tbp = &tb;
+  drtree_backend be(quiet_config(7));
+  scenario_runner runner(be);
   // Build until some peer owns at least heights 0..2.
   peer_id deep = kNoPeer;
   for (int n = 0; n < 40 && deep == kNoPeer; ++n) {
-    tbp->populate(1);
-    tbp->converge();
-    for (const auto p : tbp->overlay().live_peers()) {
-      if (tbp->overlay().peer(p).top() >= 2) {
+    runner.populate(1);
+    runner.converge(80);
+    for (const auto p : be.overlay().live_peers()) {
+      if (be.overlay().peer(p).top() >= 2) {
         deep = p;
         break;
       }
     }
   }
   ASSERT_NE(deep, kNoPeer);
-  auto& peer = tbp->overlay().peer(deep);
+  auto& peer = be.overlay().peer(deep);
   // Corrupt the own-chain parent pointer of a non-top instance.
   peer.inst(0).parent = kNoPeer;
   peer.check_parent(0);
@@ -96,39 +99,41 @@ TEST(CheckParent, NonTopInstanceRepairsOwnChainLocally) {
 }
 
 TEST(CheckParent, UnlistedTopRejoins) {
-  testbed tb(quiet_config(11));
-  tb.populate(12);
-  tb.converge();
-  const auto root = tb.overlay().current_root();
+  drtree_backend be(quiet_config(11));
+  scenario_runner runner(be);
+  runner.populate(12);
+  runner.converge(80);
+  const auto root = be.overlay().current_root();
   peer_id victim = kNoPeer;
-  for (const auto p : tb.overlay().live_peers()) {
-    if (p != root && tb.overlay().peer(p).top() == 0) {
+  for (const auto p : be.overlay().live_peers()) {
+    if (p != root && be.overlay().peer(p).top() == 0) {
       victim = p;
       break;
     }
   }
   ASSERT_NE(victim, kNoPeer);
-  auto& vp = tb.overlay().peer(victim);
+  auto& vp = be.overlay().peer(victim);
   const auto old_parent = vp.inst(0).parent;
   // Remove the victim from its parent's children set (one-sided fault).
-  tb.overlay().peer(old_parent).inst(1).remove_child(victim);
+  be.overlay().peer(old_parent).inst(1).remove_child(victim);
   vp.check_parent(0);
   // Fig. 11: "the node sets itself as parent and initiates a join".
   EXPECT_EQ(vp.inst(0).parent, victim);
   // The join probe is in flight; draining re-attaches the victim.
-  tb.overlay().settle();
-  ASSERT_GE(tb.converge(60), 0);
-  EXPECT_TRUE(tb.legal());
+  be.overlay().settle();
+  ASSERT_GE(runner.converge(60), 0);
+  EXPECT_TRUE(be.legal());
 }
 
 // ------------------------------------------------------- check_children
 
 TEST(CheckChildren, DiscardsDeadAndForeignChildren) {
-  testbed tb(quiet_config(13));
-  tb.populate(12);
-  tb.converge();
-  const auto root = tb.overlay().current_root();
-  auto& rp = tb.overlay().peer(root);
+  drtree_backend be(quiet_config(13));
+  scenario_runner runner(be);
+  runner.populate(12);
+  runner.converge(80);
+  const auto root = be.overlay().current_root();
+  auto& rp = be.overlay().peer(root);
   const auto h = rp.top();
   const auto before = rp.inst(h).children.size();
 
@@ -141,10 +146,10 @@ TEST(CheckChildren, DiscardsDeadAndForeignChildren) {
     }
   }
   ASSERT_NE(dead_child, kNoPeer);
-  tb.overlay().crash(dead_child);
+  be.overlay().crash(dead_child);
   // Foreign: a peer whose parent is someone else.
   peer_id foreign = kNoPeer;
-  for (const auto p : tb.overlay().live_peers()) {
+  for (const auto p : be.overlay().live_peers()) {
     if (p != root && !rp.inst(h).has_child(p)) {
       foreign = p;
       break;
@@ -160,15 +165,16 @@ TEST(CheckChildren, DiscardsDeadAndForeignChildren) {
   EXPECT_LE(rp.inst(h).children.size(), before);
   // The underloaded flag reflects the new size.
   EXPECT_EQ(rp.inst(h).underloaded,
-            rp.inst(h).children.size() < tb.config().dr.min_children);
+            rp.inst(h).children.size() < be.overlay().config().min_children);
 }
 
 TEST(CheckChildren, ChildlessInteriorDissolves) {
-  testbed tb(quiet_config(17));
-  tb.populate(8);
-  tb.converge();
-  const auto root = tb.overlay().current_root();
-  auto& rp = tb.overlay().peer(root);
+  drtree_backend be(quiet_config(17));
+  scenario_runner runner(be);
+  runner.populate(8);
+  runner.converge(80);
+  const auto root = be.overlay().current_root();
+  auto& rp = be.overlay().peer(root);
   const auto h = rp.top();
   ASSERT_GT(h, 0u);
   rp.inst(h).children.clear();
@@ -177,14 +183,15 @@ TEST(CheckChildren, ChildlessInteriorDissolves) {
 }
 
 TEST(CheckChildren, SingletonRootDemotesItself) {
-  testbed tb(quiet_config(19));
-  const auto a = tb.add(make_rect2(0, 0, 50, 50));
-  const auto b = tb.add(make_rect2(10, 10, 20, 20));
-  tb.overlay().settle();
-  tb.converge();
-  const auto root = tb.overlay().current_root();
+  drtree_backend be(quiet_config(19));
+  scenario_runner runner(be);
+  const auto a = runner.add(make_rect2(0, 0, 50, 50));
+  const auto b = runner.add(make_rect2(10, 10, 20, 20));
+  be.overlay().settle();
+  runner.converge(80);
+  const auto root = be.overlay().current_root();
   ASSERT_EQ(root, a);
-  auto& rp = tb.overlay().peer(root);
+  auto& rp = be.overlay().peer(root);
   // Remove the non-self child: the root instance holds only itself.
   rp.inst(1).remove_child(b);
   rp.check_children(1);
@@ -195,16 +202,17 @@ TEST(CheckChildren, SingletonRootDemotesItself) {
 // ----------------------------------------------------------- check_cover
 
 TEST(CheckCover, PromotesBetterCoveringChild) {
-  testbed tb(quiet_config(23));
-  const auto small = tb.add(make_rect2(0, 0, 10, 10));
-  const auto big = tb.add(make_rect2(0, 0, 800, 800));
-  tb.overlay().settle();
-  tb.converge();
-  ASSERT_EQ(tb.overlay().current_root(), big);
+  drtree_backend be(quiet_config(23));
+  scenario_runner runner(be);
+  const auto small = static_cast<peer_id>(runner.add(make_rect2(0, 0, 10, 10)));
+  const auto big = static_cast<peer_id>(runner.add(make_rect2(0, 0, 800, 800)));
+  be.overlay().settle();
+  runner.converge(80);
+  ASSERT_EQ(be.overlay().current_root(), big);
 
   // Manually invert the hierarchy: small leads, big beneath.
-  auto& bp = tb.overlay().peer(big);
-  auto& sp = tb.overlay().peer(small);
+  auto& bp = be.overlay().peer(big);
+  auto& sp = be.overlay().peer(small);
   bp.erase_inst(1);
   auto& si = sp.ensure_inst(1);
   si.parent = small;
@@ -224,15 +232,16 @@ TEST(CheckCover, PromotesBetterCoveringChild) {
 // ------------------------------------------------------------------ dot
 
 TEST(Dot, RendersInstanceAndPeerGraphs) {
-  testbed tb(quiet_config(29));
-  tb.populate(10);
-  tb.converge();
-  const auto instances = to_dot_instances(tb.overlay());
+  drtree_backend be(quiet_config(29));
+  scenario_runner runner(be);
+  runner.populate(10);
+  runner.converge(80);
+  const auto instances = to_dot_instances(be.overlay());
   EXPECT_NE(instances.find("digraph drtree"), std::string::npos);
   EXPECT_NE(instances.find("(root)"), std::string::npos);
   EXPECT_NE(instances.find("->"), std::string::npos);
 
-  const auto peers = to_dot_peers(tb.overlay());
+  const auto peers = to_dot_peers(be.overlay());
   EXPECT_NE(peers.find("graph drtree_peers"), std::string::npos);
   EXPECT_NE(peers.find("--"), std::string::npos);
 }
@@ -240,17 +249,18 @@ TEST(Dot, RendersInstanceAndPeerGraphs) {
 // ----------------------------------------------------- join edge cases
 
 TEST(JoinEdgeCases, DuplicateJoinProbesAreHarmless) {
-  testbed tb(quiet_config(31));
-  tb.populate(10);
-  tb.converge();
+  drtree_backend be(quiet_config(31));
+  scenario_runner runner(be);
+  runner.populate(10);
+  runner.converge(80);
   // The root's stabilize pass sends probes every period; run many periods
   // and verify the structure neither churns nor corrupts.
-  const auto before = tb.report();
+  const auto before = checker(be.overlay()).check();
   for (int i = 0; i < 10; ++i) {
-    tb.overlay().advance(tb.config().dr.stabilize_period);
-    tb.overlay().settle();
+    be.overlay().advance(be.overlay().config().stabilize_period);
+    be.overlay().settle();
   }
-  const auto after = tb.report();
+  const auto after = checker(be.overlay()).check();
   EXPECT_TRUE(after.legal());
   EXPECT_EQ(after.height, before.height);
   EXPECT_EQ(after.live_peers, before.live_peers);
@@ -260,22 +270,23 @@ TEST(JoinEdgeCases, TallerFragmentAbsorbsShorterTree) {
   // Build two overlays in one simulator world: fragment A (well grown)
   // and a lone root B; B's probe must end with a single legal tree no
   // matter which side absorbs.
-  testbed tb(quiet_config(37));
-  tb.populate(20);
-  tb.converge();
+  drtree_backend be(quiet_config(37));
+  scenario_runner runner(be);
+  runner.populate(20);
+  runner.converge(80);
   // Detach a subtree by crashing its parent chain... simpler: add a peer
   // whose join probe is lost (message loss burst), leaving it a fragment
   // root, then let stabilization merge it.
-  const auto loner = tb.overlay().add_peer(make_rect2(1, 1, 2, 2));
+  const auto loner = be.overlay().add_peer(make_rect2(1, 1, 2, 2));
   // Do not settle: drop everything in flight by crashing and restarting
   // the loner (its outgoing probe dies with it).
-  tb.overlay().crash(loner);
-  tb.overlay().settle();
-  tb.overlay().sim().restart(loner);
-  EXPECT_TRUE(tb.overlay().peer(loner).is_root());
-  ASSERT_GE(tb.converge(80), 0);
-  EXPECT_TRUE(tb.legal());
-  EXPECT_EQ(tb.report().reachable, 21u);
+  be.overlay().crash(loner);
+  be.overlay().settle();
+  be.overlay().sim().restart(loner);
+  EXPECT_TRUE(be.overlay().peer(loner).is_root());
+  ASSERT_GE(runner.converge(80), 0);
+  EXPECT_TRUE(be.legal());
+  EXPECT_EQ(checker(be.overlay()).check().reachable, 21u);
 }
 
 }  // namespace

@@ -186,16 +186,26 @@ TEST(DrtreeBackend, RestartAfterUnsubscribeKeepsGroundTruthExact) {
 }
 
 // sub_id is 64 bits, peer ids 32: (1 << 32) + s must not be read as s.
-void expect_wide_ids_never_name_a_peer(backend& be) {
+void expect_wide_ids_never_name_a_peer(backend& be,
+                                       const overlay::dr_overlay& ov) {
   SCOPED_TRACE(be.name());
   const auto s = be.subscribe(geo::make_rect2(0, 0, 100, 100));
-  be.subscribe(geo::make_rect2(50, 50, 150, 150));
+  const auto t = be.subscribe(geo::make_rect2(50, 50, 150, 150));
   const sub_id forged = (sub_id{1} << 32) + s;
   EXPECT_FALSE(be.alive(forged));
   EXPECT_FALSE(be.unsubscribe(forged));
   EXPECT_FALSE(be.crash(forged));
   EXPECT_TRUE(be.alive(s));
   EXPECT_EQ(be.population(), 2u);
+
+  // A side that names no peer installs no partition.
+  for (const sub_id bad : {forged, t + 1, kNoSub}) {
+    EXPECT_FALSE(be.partition({bad})) << bad;
+    EXPECT_FALSE(ov.partitioned()) << bad;
+  }
+  ASSERT_TRUE(be.partition({s}));
+  EXPECT_TRUE(ov.partitioned());
+  ASSERT_TRUE(be.heal());
 
   ASSERT_TRUE(be.crash(s));
   EXPECT_FALSE(be.restart(forged));
@@ -204,10 +214,13 @@ void expect_wide_ids_never_name_a_peer(backend& be) {
 }
 
 TEST(DrtreeBackend, WideIdsNeverNameAPeer) {
-  drtree_backend dr(small_config(5));
-  expect_wide_ids_never_name_a_peer(dr);
-  broker_backend br(small_config(5));
-  expect_wide_ids_never_name_a_peer(br);
+  // A dynamic net model, so both backends offer partition().
+  auto bc = small_config(5);
+  bc.net.model = net::dynamic_model_config{};
+  drtree_backend dr(bc);
+  expect_wide_ids_never_name_a_peer(dr, dr.overlay());
+  broker_backend br(bc);
+  expect_wide_ids_never_name_a_peer(br, br.broker().raw_overlay());
 }
 
 TEST(DrtreeBackend, BackendAndOverlayPublishesShareEventIds) {

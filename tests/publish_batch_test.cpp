@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "analysis/harness.h"
 #include "baselines/flooding.h"
 #include "drtree/checker.h"
 #include "drtree/messages.h"
@@ -385,19 +384,20 @@ TEST(SubtreeSummary, MergeCoversChildBeyondItsFrame) {
 TEST(SubtreeSummary, AdmitNeverPrunesInsideFilters) {
   // Grid admit must be an over-approximation: every point inside a live
   // filter below the root must be admitted at the root instance.
-  analysis::harness_config hc;
-  hc.dr = frozen_dr(summary_mode::both);
-  hc.dr.stabilize_period = 10.0;
-  hc.net.seed = 19;
-  analysis::testbed tb(hc);
-  tb.populate(40);
-  ASSERT_GE(tb.converge(200), 0);
-  const auto root = tb.overlay().current_root();
-  const auto& rp = tb.overlay().peer(root);
+  engine::overlay_backend_config bc;
+  bc.dr = frozen_dr(summary_mode::both);
+  bc.dr.stabilize_period = 10.0;
+  bc.net.seed = 19;
+  engine::drtree_backend be(bc);
+  engine::scenario_runner runner(be);
+  runner.populate(40);
+  ASSERT_GE(runner.converge(200), 0);
+  const auto root = be.overlay().current_root();
+  const auto& rp = be.overlay().peer(root);
   const auto& top = rp.inst(rp.top());
   util::rng rng(4);
-  for (const auto p : tb.overlay().live_peers()) {
-    const auto& f = tb.overlay().peer(p).filter();
+  for (const auto p : be.overlay().live_peers()) {
+    const auto& f = be.overlay().peer(p).filter();
     for (int i = 0; i < 8; ++i) {
       pt v;
       v[0] = rng.uniform_real(f.lo[0], f.hi[0]);
@@ -412,71 +412,74 @@ TEST(SubtreeSummary, AdmitNeverPrunesInsideFilters) {
 // ------------------------------------------------ checker summary rule
 
 TEST(SummarySoundness, CheckerRuleQuietOnConvergedTrees) {
-  analysis::harness_config hc;
-  hc.dr = frozen_dr(summary_mode::both);
-  hc.dr.stabilize_period = 10.0;
-  hc.net.seed = 23;
-  analysis::testbed tb(hc);
-  tb.populate(48);
-  ASSERT_GE(tb.converge(200), 0);
-  const auto r = tb.report();
+  engine::overlay_backend_config bc;
+  bc.dr = frozen_dr(summary_mode::both);
+  bc.dr.stabilize_period = 10.0;
+  bc.net.seed = 23;
+  engine::drtree_backend be(bc);
+  engine::scenario_runner runner(be);
+  runner.populate(48);
+  ASSERT_GE(runner.converge(200), 0);
+  const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
   EXPECT_EQ(r.summary_violations, 0u);
 }
 
 TEST(SummarySoundness, CheckerRuleHoldsUnderChurnAndCrashSoak) {
-  analysis::harness_config hc;
-  hc.dr = frozen_dr(summary_mode::both);
-  hc.dr.stabilize_period = 10.0;
-  hc.net.seed = 29;
-  analysis::testbed tb(hc);
-  tb.populate(32);
-  ASSERT_GE(tb.converge(200), 0);
+  engine::overlay_backend_config bc;
+  bc.dr = frozen_dr(summary_mode::both);
+  bc.dr.stabilize_period = 10.0;
+  bc.net.seed = 29;
+  engine::drtree_backend be(bc);
+  engine::scenario_runner runner(be);
+  runner.populate(32);
+  ASSERT_GE(runner.converge(200), 0);
 
   util::rng rng(31);
   for (int wave = 0; wave < 6; ++wave) {
     SCOPED_TRACE("wave " + std::to_string(wave));
     // Joins, controlled leaves, and crashes interleaved.
-    tb.populate(4);
-    auto live = tb.overlay().live_peers();
+    runner.populate(4);
+    auto live = be.overlay().live_peers();
     for (int k = 0; k < 2 && live.size() > 8; ++k) {
       const auto victim = live[rng.index(live.size())];
       if (wave % 2 == 0) {
-        tb.overlay().controlled_leave(victim);
+        be.overlay().controlled_leave(victim);
       } else {
-        tb.overlay().crash(victim);
+        be.overlay().crash(victim);
       }
-      tb.overlay().settle();
-      live = tb.overlay().live_peers();
+      be.overlay().settle();
+      live = be.overlay().live_peers();
     }
-    ASSERT_GE(tb.converge(300), 0);
-    const auto r = tb.report();
+    ASSERT_GE(runner.converge(300), 0);
+    const auto r = checker(be.overlay()).check();
     EXPECT_TRUE(r.legal()) << r.violations.front();
     EXPECT_EQ(r.summary_violations, 0u);
     // Accuracy spot check: summaries must not introduce false negatives.
-    const auto acc = tb.publish_sweep(20, workload::event_family::matching);
+    const auto acc = runner.publish_sweep(20, workload::event_family::matching);
     EXPECT_EQ(acc.false_negatives, 0u);
   }
 }
 
 TEST(SummarySoundness, CheckerRuleFlagsACorruptedBitmap) {
-  analysis::harness_config hc;
-  hc.dr = frozen_dr(summary_mode::both);
-  hc.dr.stabilize_period = 10.0;
-  hc.net.seed = 37;
-  analysis::testbed tb(hc);
-  tb.populate(24);
-  ASSERT_GE(tb.converge(200), 0);
-  ASSERT_EQ(tb.report().summary_violations, 0u);
+  engine::overlay_backend_config bc;
+  bc.dr = frozen_dr(summary_mode::both);
+  bc.dr.stabilize_period = 10.0;
+  bc.net.seed = 37;
+  engine::drtree_backend be(bc);
+  engine::scenario_runner runner(be);
+  runner.populate(24);
+  ASSERT_GE(runner.converge(200), 0);
+  ASSERT_EQ(checker(be.overlay()).check().summary_violations, 0u);
 
   // Clear the root's occupancy bits: the summary now under-approximates
   // and the rule must fire (this is exactly the bug class it exists for).
-  const auto root = tb.overlay().current_root();
-  auto& rp = tb.overlay().peer(root);
+  const auto root = be.overlay().current_root();
+  auto& rp = be.overlay().peer(root);
   auto& top = rp.inst(rp.top());
   ASSERT_TRUE(top.summary.valid());
   top.summary.bits = 0;
-  const auto r = tb.report();
+  const auto r = checker(be.overlay()).check();
   EXPECT_GT(r.summary_violations, 0u);
   EXPECT_FALSE(r.legal());
 }
@@ -488,15 +491,17 @@ TEST(SummaryPruning, GridReducesMessagesAtUnchangedAccuracy) {
   // the occupancy grid exists for.  Same seed, same filters, same events;
   // only the summary mode differs.
   auto run_mode = [](summary_mode mode) {
-    analysis::harness_config hc;
-    hc.dr = frozen_dr(mode);
-    hc.dr.stabilize_period = 10.0;
-    hc.net.seed = 41;
-    hc.family = workload::subscription_family::clustered;
-    analysis::testbed tb(hc);
-    tb.populate(64);
-    EXPECT_GE(tb.converge(300), 0);
-    return tb.publish_sweep(120, workload::event_family::uniform);
+    engine::overlay_backend_config bc;
+    bc.dr = frozen_dr(mode);
+    bc.dr.stabilize_period = 10.0;
+    bc.net.seed = 41;
+    engine::drtree_backend be(bc);
+    engine::runner_config rc;
+    rc.workload.family = workload::subscription_family::clustered;
+    engine::scenario_runner runner(be, rc);
+    runner.populate(64);
+    EXPECT_GE(runner.converge(300), 0);
+    return runner.publish_sweep(120, workload::event_family::uniform);
   };
   const auto mbr_only = run_mode(summary_mode::mbr);
   const auto grid = run_mode(summary_mode::both);

@@ -14,8 +14,6 @@
 //    evolving population, which a static timeline cannot express).
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "drtree/checker.h"
 #include "drtree/corruptor.h"
 #include "engine/backends.h"
@@ -25,22 +23,12 @@
 namespace drt::engine {
 namespace {
 
-struct rig {
-  explicit rig(std::uint64_t net_seed, std::uint64_t workload_seed,
-               double loss = 0.0) {
-    overlay_backend_config bc;
-    bc.net.seed = net_seed;
-    bc.net.message_loss = loss;
-    backend = std::make_unique<drtree_backend>(bc);
-    runner_config rc;
-    rc.workload.seed = workload_seed;
-    runner = std::make_unique<scenario_runner>(*backend, rc);
-  }
-  overlay::dr_overlay& overlay() { return backend->overlay(); }
-
-  std::unique_ptr<drtree_backend> backend;
-  std::unique_ptr<scenario_runner> runner;
-};
+overlay_backend_config net_config(std::uint64_t seed, double loss = 0.0) {
+  overlay_backend_config bc;
+  bc.net.seed = seed;
+  bc.net.message_loss = loss;
+  return bc;
+}
 
 struct fuzz_params {
   std::uint64_t seed;
@@ -54,9 +42,10 @@ class FuzzTest : public ::testing::TestWithParam<fuzz_params> {};
 
 TEST_P(FuzzTest, AdversarialScheduleAlwaysReconverges) {
   const auto param = GetParam();
-  rig r(param.seed, param.seed * 31 + 7);
-  auto& be = *r.backend;
-  auto& runner = *r.runner;
+  drtree_backend be(net_config(param.seed));
+  runner_config rc;
+  rc.workload.seed = param.seed * 31 + 7;
+  scenario_runner runner(be, rc);
   runner.populate(param.initial_peers);
   ASSERT_GE(runner.converge(80), 0);
 
@@ -93,14 +82,14 @@ TEST_P(FuzzTest, AdversarialScheduleAlwaysReconverges) {
       }
     }
     // Let a little time pass between operations.
-    r.overlay().advance(r.overlay().config().stabilize_period / 4);
-    r.overlay().settle(2000000);
+    be.overlay().advance(be.overlay().config().stabilize_period / 4);
+    be.overlay().settle(2000000);
   }
 
   const int rounds = runner.converge(400);
   ASSERT_GE(rounds, 0) << "fuzz schedule " << param.name
                        << " never re-converged";
-  const auto report = overlay::checker(r.overlay()).check();
+  const auto report = overlay::checker(be.overlay()).check();
   EXPECT_TRUE(report.legal());
   EXPECT_EQ(report.reachable, report.live_peers);
 
@@ -122,7 +111,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Soak, SustainedChurnWithPeriodicAccuracyChecks) {
   // The declarative version: eight epochs of churn + converge + sweep as
   // one scenario, judged entirely from the recorder.
-  rig r(777, 7);
+  drtree_backend be(net_config(777));
+  scenario_runner runner(be);
   const auto sc = scenario::make("sustained_churn")
                       .seed(777)
                       .populate(40)
@@ -136,7 +126,7 @@ TEST(Soak, SustainedChurnWithPeriodicAccuracyChecks) {
                                         workload::event_family::matching);
                               })
                       .build();
-  const auto rec = r.runner->run(sc);
+  const auto rec = runner.run(sc);
 
   int epoch = 0;
   for (const auto& m : rec.phases()) {
@@ -156,7 +146,8 @@ TEST(Soak, SustainedChurnWithPeriodicAccuracyChecks) {
 }
 
 TEST(Soak, MessageLossyNetworkStillConverges) {
-  rig r(888, 7, /*loss=*/0.10);
+  drtree_backend be(net_config(888, /*loss=*/0.10));
+  scenario_runner runner(be);
   const auto sc = scenario::make("lossy_churn")
                       .seed(888)
                       .populate(30)
@@ -167,12 +158,12 @@ TEST(Soak, MessageLossyNetworkStillConverges) {
                               })
                       .converge(400)
                       .build();
-  const auto rec = r.runner->run(sc);
+  const auto rec = runner.run(sc);
   const auto* heal = rec.last("converge_until_legal");
   ASSERT_NE(heal, nullptr);
   ASSERT_GE(heal->rounds, 0) << "lossy churn never re-converged";
   EXPECT_EQ(heal->legal, 1);
-  EXPECT_TRUE(r.backend->legal());
+  EXPECT_TRUE(be.legal());
 }
 
 }  // namespace

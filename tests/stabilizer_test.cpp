@@ -9,8 +9,6 @@
 // through the backend's overlay accessor.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "drtree/checker.h"
 #include "drtree/corruptor.h"
 #include "engine/backends.h"
@@ -25,26 +23,6 @@ using engine::scenario_runner;
 using spatial::kNoPeer;
 using spatial::peer_id;
 
-/// A populated DR-tree behind the engine interface, with white-box
-/// access for fault staging.
-struct rig {
-  explicit rig(engine::overlay_backend_config config)
-      : backend(std::make_unique<drtree_backend>(config)),
-        runner(std::make_unique<scenario_runner>(*backend)) {}
-
-  void populate(std::size_t n) { runner->populate(n); }
-  peer_id add(const spatial::box& filter) {
-    return static_cast<peer_id>(runner->add(filter));
-  }
-  int converge(int max_rounds = 80) { return runner->converge(max_rounds); }
-  bool legal() const { return backend->legal(); }
-  dr_overlay& overlay() { return backend->overlay(); }
-  util::rng& rng() { return runner->rng(); }
-
-  std::unique_ptr<drtree_backend> backend;
-  std::unique_ptr<scenario_runner> runner;
-};
-
 engine::overlay_backend_config config_with(stabilizer_switches sw,
                                            std::uint64_t seed) {
   engine::overlay_backend_config bc;
@@ -53,10 +31,10 @@ engine::overlay_backend_config config_with(stabilizer_switches sw,
   return bc;
 }
 
-peer_id interior_non_root(rig& r) {
-  const auto root = r.overlay().current_root();
-  for (const auto p : r.overlay().live_peers()) {
-    if (p != root && r.overlay().peer(p).top() > 0) return p;
+peer_id interior_non_root(const dr_overlay& ov) {
+  const auto root = ov.current_root();
+  for (const auto p : ov.live_peers()) {
+    if (p != root && ov.peer(p).top() > 0) return p;
   }
   return kNoPeer;
 }
@@ -67,30 +45,32 @@ TEST(StabilizerAblation, CheckMbrIsNecessary) {
   // corrupted LEAF MBR — only "if Is_Leaf(p,l): mbr <- filter" fixes it.
   auto sw = stabilizer_switches{};
   sw.check_mbr = false;
-  rig r(config_with(sw, 3));
-  r.populate(30);
-  ASSERT_GE(r.converge(), 0);
+  drtree_backend be(config_with(sw, 3));
+  scenario_runner runner(be);
+  runner.populate(30);
+  ASSERT_GE(runner.converge(80), 0);
 
-  corruptor c(r.overlay(), 7);
-  const auto victim = r.overlay().live_peers()[5];
+  corruptor c(be.overlay(), 7);
+  const auto victim = be.overlay().live_peers()[5];
   c.scramble_mbr(victim, 0);  // leaf MBR != filter
-  if (r.overlay().peer(victim).inst(0).mbr ==
-      r.overlay().peer(victim).filter()) {
+  if (be.overlay().peer(victim).inst(0).mbr ==
+      be.overlay().peer(victim).filter()) {
     c.scramble_mbr(victim, 0);  // astronomically unlikely collision
   }
-  ASSERT_FALSE(r.legal());
-  EXPECT_EQ(r.converge(40), -1)
+  ASSERT_FALSE(be.legal());
+  EXPECT_EQ(runner.converge(40), -1)
       << "leaf MBR corruption repaired with CHECK_MBR disabled?";
 
   // Control: the full stabilizer fixes the same fault class.
-  rig control(config_with(stabilizer_switches{}, 3));
-  control.populate(30);
-  ASSERT_GE(control.converge(), 0);
+  drtree_backend control(config_with(stabilizer_switches{}, 3));
+  scenario_runner control_runner(control);
+  control_runner.populate(30);
+  ASSERT_GE(control_runner.converge(80), 0);
   corruptor c2(control.overlay(), 7);
   control.overlay().peer(control.overlay().live_peers()[5]).inst(0).mbr =
       geo::make_rect2(1, 2, 3, 4);
   ASSERT_FALSE(control.legal());
-  EXPECT_GE(control.converge(40), 0);
+  EXPECT_GE(control_runner.converge(40), 0);
 }
 
 TEST(StabilizerAblation, CheckParentIsNecessary) {
@@ -102,17 +82,18 @@ TEST(StabilizerAblation, CheckParentIsNecessary) {
   // CHECK_CHILDREN, and only "if p not in C(parent): rejoin" recovers it.
   auto sw = stabilizer_switches{};
   sw.check_parent = false;
-  rig r(config_with(sw, 5));
-  r.populate(30);
-  ASSERT_GE(r.converge(), 0);
+  drtree_backend be(config_with(sw, 5));
+  scenario_runner runner(be);
+  runner.populate(30);
+  ASSERT_GE(runner.converge(80), 0);
 
-  const auto victim = interior_non_root(r);
+  const auto victim = interior_non_root(be.overlay());
   ASSERT_NE(victim, kNoPeer);
-  auto& victim_peer = r.overlay().peer(victim);
+  auto& victim_peer = be.overlay().peer(victim);
   auto& ins = victim_peer.inst(victim_peer.top());
   // Pick a live impostor that is neither the victim nor its real parent.
   spatial::peer_id impostor = kNoPeer;
-  for (const auto p : r.overlay().live_peers()) {
+  for (const auto p : be.overlay().live_peers()) {
     if (p != victim && p != ins.parent) {
       impostor = p;
       break;
@@ -120,15 +101,16 @@ TEST(StabilizerAblation, CheckParentIsNecessary) {
   }
   ASSERT_NE(impostor, kNoPeer);
   ins.parent = impostor;
-  ASSERT_FALSE(r.legal());
-  EXPECT_EQ(r.converge(40), -1)
+  ASSERT_FALSE(be.legal());
+  EXPECT_EQ(runner.converge(40), -1)
       << "orphan rejoined with CHECK_PARENT disabled?";
 
   // Control: with CHECK_PARENT enabled the identical fault heals.
-  rig control(config_with(stabilizer_switches{}, 5));
-  control.populate(30);
-  ASSERT_GE(control.converge(), 0);
-  const auto victim2 = interior_non_root(control);
+  drtree_backend control(config_with(stabilizer_switches{}, 5));
+  scenario_runner control_runner(control);
+  control_runner.populate(30);
+  ASSERT_GE(control_runner.converge(80), 0);
+  const auto victim2 = interior_non_root(control.overlay());
   ASSERT_NE(victim2, kNoPeer);
   auto& vp2 = control.overlay().peer(victim2);
   auto& ins2 = vp2.inst(vp2.top());
@@ -141,26 +123,27 @@ TEST(StabilizerAblation, CheckParentIsNecessary) {
   }
   ins2.parent = impostor2;
   ASSERT_FALSE(control.legal());
-  EXPECT_GE(control.converge(60), 0);
+  EXPECT_GE(control_runner.converge(60), 0);
 }
 
 TEST(StabilizerAblation, CheckChildrenIsNecessary) {
   auto sw = stabilizer_switches{};
   sw.check_children = false;
-  rig r(config_with(sw, 7));
-  r.populate(30);
-  ASSERT_GE(r.converge(), 0);
+  drtree_backend be(config_with(sw, 7));
+  scenario_runner runner(be);
+  runner.populate(30);
+  ASSERT_GE(runner.converge(80), 0);
 
   // Adopt a stranger: the stranger's parent pointer does not change, so
   // only CHECK_CHILDREN ("simply discards the child") can repair it.
-  const auto root = r.overlay().current_root();
-  const auto victim = interior_non_root(r);
+  const auto root = be.overlay().current_root();
+  const auto victim = interior_non_root(be.overlay());
   ASSERT_NE(victim, kNoPeer);
-  auto& victim_peer = r.overlay().peer(victim);
+  auto& victim_peer = be.overlay().peer(victim);
   auto& ins = victim_peer.inst(victim_peer.top());
   ins.add_child(root);  // the root is never a legitimate child here
-  ASSERT_FALSE(r.legal());
-  EXPECT_EQ(r.converge(40), -1)
+  ASSERT_FALSE(be.legal());
+  EXPECT_EQ(runner.converge(40), -1)
       << "stranger child discarded with CHECK_CHILDREN disabled?";
 }
 
@@ -170,17 +153,18 @@ TEST(StabilizerAblation, CheckStructureIsNecessary) {
   auto bc = config_with(sw, 11);
   bc.dr.min_children = 3;
   bc.dr.max_children = 6;
-  rig r(bc);
-  r.populate(60);
-  ASSERT_GE(r.converge(), 0);
+  drtree_backend be(bc);
+  scenario_runner runner(be);
+  runner.populate(60);
+  ASSERT_GE(runner.converge(80), 0);
 
   // Shrink some interior node below m by discarding children: without
   // compaction/redistribution nothing restores the m bound (joins could,
   // but none arrive).
-  const auto root = r.overlay().current_root();
+  const auto root = be.overlay().current_root();
   peer_id victim = kNoPeer;
-  for (const auto p : r.overlay().live_peers()) {
-    const auto& peer = r.overlay().peer(p);
+  for (const auto p : be.overlay().live_peers()) {
+    const auto& peer = be.overlay().peer(p);
     if (p == root || peer.top() == 0) continue;
     const auto& ins = peer.inst(peer.top());
     if (ins.children.size() >= 4) {
@@ -190,39 +174,39 @@ TEST(StabilizerAblation, CheckStructureIsNecessary) {
   }
   ASSERT_NE(victim, kNoPeer);
   // Crash children of the victim until it is underloaded.
-  auto& victim_peer = r.overlay().peer(victim);
+  auto& victim_peer = be.overlay().peer(victim);
   const auto h = victim_peer.top();
   std::size_t crashed = 0;
   for (const auto c : victim_peer.inst(h).children) {
     if (c == victim) continue;
     if (victim_peer.inst(h).children.size() - crashed <= 2) break;
-    r.overlay().crash(c);
+    be.overlay().crash(c);
     ++crashed;
   }
   ASSERT_GT(crashed, 0u);
-  EXPECT_EQ(r.converge(40), -1)
+  EXPECT_EQ(runner.converge(40), -1)
       << "m bound restored with CHECK_STRUCTURE disabled?";
 
   // Control: full stabilizer handles the identical scenario.
   auto bc2 = config_with(stabilizer_switches{}, 11);
   bc2.dr.min_children = 3;
   bc2.dr.max_children = 6;
-  rig control(bc2);
-  control.populate(60);
-  ASSERT_GE(control.converge(), 0);
+  drtree_backend control(bc2);
+  scenario_runner control_runner(control);
+  control_runner.populate(60);
+  ASSERT_GE(control_runner.converge(80), 0);
   auto live = control.overlay().live_peers();
   for (std::size_t i = 0; i < 6; ++i) {
     control.overlay().crash(live[i * 7 % live.size()]);
   }
-  EXPECT_GE(control.converge(200), 0);
+  EXPECT_GE(control_runner.converge(200), 0);
 }
 
 // Hand-build a three-peer tree where a *small*-filter peer is the root
 // and a big-filter peer sits below it — the Fig. 13 violation ("the child
 // of a node may better cover the node sub-tree than the node itself").
-void stage_cover_violation(rig& r, spatial::peer_id a, spatial::peer_id b,
-                           spatial::peer_id c) {
-  auto& ov = r.overlay();
+void stage_cover_violation(dr_overlay& ov, spatial::peer_id a,
+                           spatial::peer_id b, spatial::peer_id c) {
   for (const auto p : {a, b, c}) {
     auto& peer = ov.peer(p);
     while (peer.top() > 0) peer.erase_inst(peer.top());
@@ -247,82 +231,87 @@ TEST(StabilizerAblation, CheckCoverIsNecessary) {
   auto bc = config_with(sw, 13);
   bc.dr.min_children = 2;
   bc.dr.max_children = 4;
-  rig r(bc);
-  const auto a = r.add(geo::make_rect2(0, 0, 10, 10));     // small: root
-  const auto b = r.add(geo::make_rect2(20, 0, 30, 10));    // small
-  const auto c = r.add(geo::make_rect2(0, 0, 900, 900));   // big: child
-  r.overlay().settle();
-  stage_cover_violation(r, a, b, c);
-  ASSERT_FALSE(r.legal());  // "child c offers a better cover"
-  EXPECT_EQ(r.converge(40), -1)
+  drtree_backend be(bc);
+  scenario_runner runner(be);
+  const auto a = runner.add(geo::make_rect2(0, 0, 10, 10));     // small: root
+  const auto b = runner.add(geo::make_rect2(20, 0, 30, 10));    // small
+  const auto c = runner.add(geo::make_rect2(0, 0, 900, 900));   // big: child
+  be.overlay().settle();
+  stage_cover_violation(be.overlay(), a, b, c);
+  ASSERT_FALSE(be.legal());  // "child c offers a better cover"
+  EXPECT_EQ(runner.converge(40), -1)
       << "cover violation repaired with CHECK_COVER disabled?";
 
   // Control: with CHECK_COVER enabled the big filter is promoted.
   auto bc2 = config_with(stabilizer_switches{}, 13);
   bc2.dr.min_children = 2;
   bc2.dr.max_children = 4;
-  rig control(bc2);
-  const auto a2 = control.add(geo::make_rect2(0, 0, 10, 10));
-  const auto b2 = control.add(geo::make_rect2(20, 0, 30, 10));
-  const auto c2 = control.add(geo::make_rect2(0, 0, 900, 900));
+  drtree_backend control(bc2);
+  scenario_runner control_runner(control);
+  const auto a2 = control_runner.add(geo::make_rect2(0, 0, 10, 10));
+  const auto b2 = control_runner.add(geo::make_rect2(20, 0, 30, 10));
+  const auto c2 = control_runner.add(geo::make_rect2(0, 0, 900, 900));
   control.overlay().settle();
-  stage_cover_violation(control, a2, b2, c2);
+  stage_cover_violation(control.overlay(), a2, b2, c2);
   ASSERT_FALSE(control.legal());
-  ASSERT_GE(control.converge(40), 0);
+  ASSERT_GE(control_runner.converge(40), 0);
   EXPECT_EQ(control.overlay().current_root(), c2);  // promoted
 }
 
 TEST(EfficientLeave, HandoffKeepsStructureLegalImmediately) {
   auto bc = config_with(stabilizer_switches{}, 17);
   bc.dr.efficient_leave = true;
-  rig r(bc);
-  r.populate(50);
-  ASSERT_GE(r.converge(), 0);
+  drtree_backend be(bc);
+  scenario_runner runner(be);
+  runner.populate(50);
+  ASSERT_GE(runner.converge(80), 0);
 
   // Remove interior peers one by one; with handoff the structure should
   // be repairable within very few rounds each time.
   for (int i = 0; i < 10; ++i) {
-    const auto victim = interior_non_root(r);
+    const auto victim = interior_non_root(be.overlay());
     if (victim == kNoPeer) break;
-    ASSERT_TRUE(r.backend->unsubscribe(victim));
-    const int rounds = r.converge(40);
+    ASSERT_TRUE(be.unsubscribe(victim));
+    const int rounds = runner.converge(40);
     ASSERT_GE(rounds, 0) << "handoff leave " << i << " diverged";
     EXPECT_LE(rounds, 6) << "handoff leave " << i << " needed " << rounds;
   }
-  EXPECT_TRUE(r.legal());
+  EXPECT_TRUE(be.legal());
 }
 
 TEST(EfficientLeave, RootHandoffElectsNewRoot) {
   auto bc = config_with(stabilizer_switches{}, 19);
   bc.dr.efficient_leave = true;
-  rig r(bc);
-  r.populate(30);
-  ASSERT_GE(r.converge(), 0);
-  const auto root = r.overlay().current_root();
-  ASSERT_TRUE(r.backend->unsubscribe(root));
-  ASSERT_GE(r.converge(60), 0);
-  EXPECT_TRUE(r.legal());
-  EXPECT_NE(r.overlay().current_root(), kNoPeer);
-  EXPECT_NE(r.overlay().current_root(), root);
+  drtree_backend be(bc);
+  scenario_runner runner(be);
+  runner.populate(30);
+  ASSERT_GE(runner.converge(80), 0);
+  const auto root = be.overlay().current_root();
+  ASSERT_TRUE(be.unsubscribe(root));
+  ASSERT_GE(runner.converge(60), 0);
+  EXPECT_TRUE(be.legal());
+  EXPECT_NE(be.overlay().current_root(), kNoPeer);
+  EXPECT_NE(be.overlay().current_root(), root);
 }
 
 TEST(EfficientLeave, CheaperThanFig9Baseline) {
   auto run = [](bool handoff) {
     auto bc = config_with(stabilizer_switches{}, 23);
     bc.dr.efficient_leave = handoff;
-    rig r(bc);
-    r.populate(60);
-    r.converge();
-    auto live = r.overlay().live_peers();
-    r.rng().shuffle(live);
-    const auto m0 = r.backend->counters().messages;
+    drtree_backend be(bc);
+  scenario_runner runner(be);
+    runner.populate(60);
+    runner.converge(80);
+    auto live = be.overlay().live_peers();
+    runner.rng().shuffle(live);
+    const auto m0 = be.counters().messages;
     for (int i = 0; i < 15; ++i) {
-      if (r.backend->alive(live[i])) {
-        r.backend->unsubscribe(live[i]);
+      if (be.alive(live[i])) {
+        be.unsubscribe(live[i]);
       }
     }
-    r.converge(300);
-    return r.backend->counters().messages - m0;
+    runner.converge(300);
+    return be.counters().messages - m0;
   };
   const auto baseline = run(false);
   const auto handoff = run(true);
