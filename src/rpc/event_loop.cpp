@@ -1,19 +1,12 @@
 #include "rpc/event_loop.h"
 
 #include <fcntl.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <limits>
 #include <utility>
 
 #include "util/expect.h"
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 namespace drt::rpc {
 
@@ -27,17 +20,12 @@ void set_nonblocking(int fd) {
 
 }  // namespace
 
-event_loop::event_loop(event_loop_config config)
-    : config_(config), start_(std::chrono::steady_clock::now()) {
+event_loop::event_loop() {
   DRT_ENSURE(::pipe(wake_fds_) == 0);
   set_nonblocking(wake_fds_[0]);
   set_nonblocking(wake_fds_[1]);
-#ifdef __linux__
-  if (!config_.force_poll) {
-    epoll_fd_ = ::epoll_create1(0);
-    DRT_ENSURE(epoll_fd_ >= 0);
-  }
-#endif
+  epoll_fd_ = ::epoll_create1(0);
+  DRT_ENSURE(epoll_fd_ >= 0);
   // The self-pipe is a regular watch with no callback: draining it is
   // the dispatch path's job, the wakeup itself is the point.
   watch(wake_fds_[0], kReadable, [this](std::uint32_t) {
@@ -48,35 +36,17 @@ event_loop::event_loop(event_loop_config config)
 }
 
 event_loop::~event_loop() {
-#ifdef __linux__
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-#endif
+  ::close(epoll_fd_);
   ::close(wake_fds_[0]);
   ::close(wake_fds_[1]);
 }
 
-std::uint64_t event_loop::now_ms() const {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start_)
-          .count());
-}
-
-void event_loop::arm(int fd, std::uint32_t interest, bool add) {
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    struct epoll_event ev = {};
-    ev.data.fd = fd;
-    if ((interest & kReadable) != 0) ev.events |= EPOLLIN;
-    if ((interest & kWritable) != 0) ev.events |= EPOLLOUT;
-    DRT_ENSURE(::epoll_ctl(epoll_fd_, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD,
-                           fd, &ev) == 0);
-    return;
-  }
-#endif
-  (void)fd;
-  (void)interest;
-  (void)add;  // poll fallback rebuilds its fd set every iteration
+void event_loop::arm(int fd, std::uint32_t interest, int op) {
+  struct epoll_event ev = {};
+  ev.data.fd = fd;
+  if ((interest & kReadable) != 0) ev.events |= EPOLLIN;
+  if ((interest & kWritable) != 0) ev.events |= EPOLLOUT;
+  DRT_ENSURE(::epoll_ctl(epoll_fd_, op, fd, &ev) == 0);
 }
 
 void event_loop::watch(int fd, std::uint32_t interest, io_fn fn) {
@@ -86,7 +56,7 @@ void event_loop::watch(int fd, std::uint32_t interest, io_fn fn) {
   auto& w = watches_[fd];
   w.interest = interest;
   w.fn = std::move(fn);
-  arm(fd, interest, add);
+  arm(fd, interest, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD);
 }
 
 void event_loop::set_interest(int fd, std::uint32_t interest) {
@@ -94,26 +64,14 @@ void event_loop::set_interest(int fd, std::uint32_t interest) {
   DRT_EXPECT(it != watches_.end());
   if (it->second.interest == interest) return;
   it->second.interest = interest;
-  arm(fd, interest, /*add=*/false);
+  arm(fd, interest, EPOLL_CTL_MOD);
 }
 
 void event_loop::unwatch(int fd) {
   auto it = watches_.find(fd);
   if (it == watches_.end()) return;
   watches_.erase(it);
-#ifdef __linux__
-  if (epoll_fd_ >= 0) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
-}
-
-timer_id event_loop::after(std::uint64_t delay_ms, std::function<void()> fn) {
-  return timers_.schedule(now_ms() + std::max<std::uint64_t>(delay_ms, 1),
-                          std::move(fn));
-}
-
-timer_id event_loop::every(std::uint64_t period_ms, std::function<void()> fn) {
-  const auto period = std::max<std::uint64_t>(period_ms, 1);
-  return timers_.schedule_periodic(now_ms() + period, period, std::move(fn));
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
 void event_loop::post(std::function<void()> fn) {
@@ -131,36 +89,6 @@ void event_loop::stop() {
   [[maybe_unused]] const auto n = ::write(wake_fds_[1], "s", 1);
 }
 
-int event_loop::wait_budget_ms(int max_wait_ms) const {
-  const std::uint64_t wake = timers_.next_wake();
-  if (wake == timer_wheel::kNever) return max_wait_ms;
-  const std::uint64_t now = now_ms();
-  if (wake <= now) return 0;
-  const std::uint64_t until = wake - now;
-  if (max_wait_ms < 0) return static_cast<int>(std::min<std::uint64_t>(
-      until, std::numeric_limits<int>::max()));
-  return static_cast<int>(
-      std::min<std::uint64_t>(until, static_cast<std::uint64_t>(max_wait_ms)));
-}
-
-std::size_t event_loop::dispatch_ready(
-    const std::vector<std::pair<int, std::uint32_t>>& ready) {
-  std::size_t dispatched = 0;
-  for (const auto& [fd, mask] : ready) {
-    // Re-validate per event: an earlier callback in this batch may have
-    // unwatched the fd.  If it also opened a new fd that reused the
-    // number, the stale readiness delivered here is harmless — fds are
-    // non-blocking and callbacks must tolerate EAGAIN.
-    auto it = watches_.find(fd);
-    if (it == watches_.end()) continue;
-    const auto effective = mask & (it->second.interest | kReadable);
-    if (effective == 0) continue;
-    it->second.fn(effective);
-    ++dispatched;
-  }
-  return dispatched;
-}
-
 std::size_t event_loop::drain_tasks() {
   running_tasks_.clear();
   {
@@ -172,56 +100,32 @@ std::size_t event_loop::drain_tasks() {
 }
 
 std::size_t event_loop::run_once(int max_wait_ms) {
-  const int wait = wait_budget_ms(max_wait_ms);
-  ready_.clear();
-
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    struct epoll_event events[64];
-    const int n = ::epoll_wait(epoll_fd_, events, 64, wait);
-    for (int i = 0; i < n; ++i) {
-      std::uint32_t mask = 0;
-      if ((events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
-        mask |= kReadable;
-      }
-      if ((events[i].events & EPOLLOUT) != 0) mask |= kWritable;
-      const int fd = events[i].data.fd;
-      if (mask != 0) ready_.emplace_back(fd, mask);
+  struct epoll_event events[64];
+  const int n = ::epoll_wait(epoll_fd_, events, 64, max_wait_ms);
+  std::size_t work = 0;
+  for (int i = 0; i < n; ++i) {
+    std::uint32_t mask = 0;
+    if ((events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
+      mask |= kReadable;
     }
-  } else
-#endif
-  {
-    pollfds_.clear();
-    for (const auto& [fd, w] : watches_) {
-      struct pollfd p = {};
-      p.fd = fd;
-      if ((w.interest & kReadable) != 0) p.events |= POLLIN;
-      if ((w.interest & kWritable) != 0) p.events |= POLLOUT;
-      pollfds_.push_back(p);
-    }
-    const int n = ::poll(pollfds_.data(),
-                         static_cast<nfds_t>(pollfds_.size()), wait);
-    if (n > 0) {
-      for (const auto& p : pollfds_) {
-        std::uint32_t mask = 0;
-        if ((p.revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL)) != 0) {
-          mask |= kReadable;
-        }
-        if ((p.revents & POLLOUT) != 0) mask |= kWritable;
-        if (mask != 0) ready_.emplace_back(p.fd, mask);
-      }
-    }
+    if ((events[i].events & EPOLLOUT) != 0) mask |= kWritable;
+    // Re-validate per event: an earlier callback in this batch may have
+    // unwatched the fd.  If it also opened a new fd that reused the
+    // number, the stale readiness delivered here is harmless — fds are
+    // non-blocking and callbacks must tolerate EAGAIN.
+    auto it = watches_.find(events[i].data.fd);
+    if (it == watches_.end()) continue;
+    mask &= it->second.interest | kReadable;
+    if (mask == 0) continue;
+    it->second.fn(mask);
+    ++work;
   }
-
-  std::size_t work = dispatch_ready(ready_);
-  work += timers_.advance(now_ms());
-  work += drain_tasks();
-  return work;
+  return work + drain_tasks();
 }
 
 void event_loop::run() {
   while (!stopped()) {
-    run_once(100);
+    run_once(-1);
   }
 }
 

@@ -1,33 +1,24 @@
 // Single-threaded readiness event loop for the service mode
-// (DESIGN.md §10): epoll on Linux, poll(2) everywhere (and on Linux under
-// `force_poll`, which CI uses to keep the fallback honest).
+// (DESIGN.md §10), on epoll, so service mode needs Linux.
 //
 // This is the async substrate the daemon runs on instead of the
-// simulator's virtual clock: fd readiness callbacks, a hierarchical
-// timer wheel (rpc/timer_wheel.h) driven by the monotonic clock at 1 ms
-// ticks, and a posted-task queue.  Everything runs on the thread inside
-// run(); the only cross-thread entry points are stop() and post(), which
-// are lock/atomic-protected and wake the loop through a self-pipe.
+// simulator's virtual clock: fd readiness callbacks and a posted-task
+// queue.  It keeps no timers: a caller with a deadline passes the time
+// left to run_once() as its wait, as service::run does for the
+// stabilizer.  Everything runs on the thread inside run()/run_once();
+// the only cross-thread entry points are stop() and post(), which are
+// lock/atomic-protected and wake the loop through a self-pipe.
 #ifndef DRT_RPC_EVENT_LOOP_H
 #define DRT_RPC_EVENT_LOOP_H
 
-#include <poll.h>
-
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
-#include "rpc/timer_wheel.h"
-
 namespace drt::rpc {
-
-struct event_loop_config {
-  bool force_poll = false;  ///< use poll(2) even where epoll exists
-};
 
 class event_loop {
  public:
@@ -38,7 +29,7 @@ class event_loop {
   /// and hangups surface as kReadable so the read() observes them).
   using io_fn = std::function<void(std::uint32_t)>;
 
-  explicit event_loop(event_loop_config config = {});
+  event_loop();
   ~event_loop();
 
   event_loop(const event_loop&) = delete;
@@ -54,12 +45,6 @@ class event_loop {
   void unwatch(int fd);
   std::size_t watched() const { return watches_.size(); }
 
-  // ------------------------------------------------------------- timers
-  timer_id after(std::uint64_t delay_ms, std::function<void()> fn);
-  timer_id every(std::uint64_t period_ms, std::function<void()> fn);
-  bool cancel(timer_id id) { return timers_.cancel(id); }
-  timer_wheel& timers() { return timers_; }
-
   // -------------------------------------------------------------- tasks
   /// Run `fn` on the loop thread at the end of the current (or next)
   /// iteration.  Thread-safe.
@@ -68,18 +53,13 @@ class event_loop {
   // ----------------------------------------------------------- running
   /// Drive until stop().  One call at a time, from one thread.
   void run();
-  /// One poll/dispatch/timers/tasks iteration, waiting at most
-  /// `max_wait_ms` (the timer wheel may shorten the wait).  Returns the
-  /// number of callbacks dispatched.
+  /// One wait/dispatch/tasks iteration, waiting at most `max_wait_ms`
+  /// (-1: until an fd is ready, a post() or a stop()).  Returns the
+  /// number of callbacks and tasks run.
   std::size_t run_once(int max_wait_ms);
   /// Thread- and signal-safe: flags the loop and wakes it.
   void stop();
   bool stopped() const { return stop_.load(std::memory_order_acquire); }
-
-  /// Milliseconds of monotonic time since construction == the timer
-  /// wheel's tick clock.
-  std::uint64_t now_ms() const;
-  bool using_epoll() const { return epoll_fd_ >= 0; }
 
  private:
   struct watch_state {
@@ -87,29 +67,18 @@ class event_loop {
     io_fn fn;
   };
 
-  void arm(int fd, std::uint32_t interest, bool add);
-  std::size_t dispatch_ready(
-      const std::vector<std::pair<int, std::uint32_t>>& ready);
+  void arm(int fd, std::uint32_t interest, int op);
   std::size_t drain_tasks();
-  int wait_budget_ms(int max_wait_ms) const;
-
-  event_loop_config config_;
-  std::chrono::steady_clock::time_point start_;
-  timer_wheel timers_;
 
   std::unordered_map<int, watch_state> watches_;
 
-  int epoll_fd_ = -1;      ///< -1: poll fallback
+  int epoll_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  ///< self-pipe; [0] read, [1] write
 
   std::atomic<bool> stop_{false};
   std::mutex tasks_mutex_;
   std::vector<std::function<void()>> tasks_;
-
-  // Scratch buffers reused across iterations.
-  std::vector<std::pair<int, std::uint32_t>> ready_;
-  std::vector<struct pollfd> pollfds_;
-  std::vector<std::function<void()>> running_tasks_;
+  std::vector<std::function<void()>> running_tasks_;  ///< reused scratch
 };
 
 }  // namespace drt::rpc

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string_view>
@@ -37,7 +38,7 @@ void set_nodelay(int fd) {
 }  // namespace
 
 service::service(service_config config)
-    : config_(config), loop_({config.force_poll}), be_(config.backend) {
+    : config_(config), be_(config.backend) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   DRT_ENSURE(listen_fd_ >= 0);
   int one = 1;
@@ -69,28 +70,43 @@ service::~service() {
 void service::run() {
   loop_.watch(listen_fd_, event_loop::kReadable,
               [this](std::uint32_t) { on_accept(); });
-  timer_id stabilizer = kNoTimer;
-  if (config_.stabilize_every_ms > 0) {
-    stabilizer = loop_.every(config_.stabilize_every_ms, [this] {
+  serving_.store(true, std::memory_order_release);
+
+  // The stabilizer's next tick is due one period after the last one
+  // ended, so a round that overruns its period delays the next tick
+  // instead of bursting to catch up.
+  using clock = std::chrono::steady_clock;
+  const std::chrono::milliseconds period(config_.stabilize_every_ms);
+  auto next_tick = clock::now() + period;
+  std::uint64_t ticks = 0;
+  while (!loop_.stopped()) {
+    if (period.count() == 0) {
+      loop_.run_once(-1);  // until I/O, a post() or stop()
+      continue;
+    }
+    auto now = clock::now();
+    if (now >= next_tick) {
       // Backlog-aware cadence: a period with no marked instances runs no
       // round — except every sweep_stride-th tick, which runs
       // unconditionally so silent corruption is still found within K
       // wall-clock periods (the same bound the virtual-time scheduler
       // gives).  At stride 1 every tick is such a tick.
       const auto& ov = be_.overlay();
-      ++stabilize_tick_;
-      if (ov.dirty_pending() == 0 &&
-          stabilize_tick_ % ov.config().sweep_stride != 0) {
+      ++ticks;
+      if (ov.dirty_pending() == 0 && ticks % ov.config().sweep_stride != 0) {
         ++stats_.stabilize_skipped;
-        return;
+      } else {
+        be_.step_round();
+        ++stats_.stabilize_rounds;
       }
-      be_.step_round();
-      ++stats_.stabilize_rounds;
-    });
+      now = clock::now();
+      next_tick = now + period;
+    }
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(next_tick - now);
+    loop_.run_once(static_cast<int>(std::min<std::int64_t>(
+        left.count(), std::numeric_limits<int>::max())));
   }
-
-  serving_.store(true, std::memory_order_release);
-  loop_.run();
   serving_.store(false, std::memory_order_release);
 
   // Shutdown: drop connections without churning the overlay — the
@@ -103,7 +119,6 @@ void service::run() {
   }
   conns_.clear();
   owners_.clear();
-  if (stabilizer != kNoTimer) loop_.cancel(stabilizer);
   loop_.unwatch(listen_fd_);
 }
 
@@ -193,10 +208,6 @@ bool service::drain_frames(connection& conn) {
     ++stats_.frames_in;
     handle_frame(conn, frame);
     off += consumed;
-    if (conn.wbuf.size() > config_.max_write_buffer) {
-      ++stats_.protocol_errors;  // dead-slow consumer
-      conn.dead = true;
-    }
   }
   if (off > 0) {
     conn.rbuf.erase(conn.rbuf.begin(),
@@ -560,6 +571,12 @@ void service::send_bytes(connection& conn, frame_type type,
   conn.wbuf.insert(conn.wbuf.end(), scratch_.begin(), scratch_.end());
   ++stats_.frames_out;
   flush(conn);
+  // Checked per frame, on whichever connection it lands: a publish's
+  // pushes fill its subscribers' buffers, not the publisher's.
+  if (!conn.dead && conn.wbuf.size() > config_.max_write_buffer) {
+    ++stats_.protocol_errors;  // dead-slow consumer: reap() closes it
+    conn.dead = true;
+  }
 }
 
 void service::send_error(connection& conn, std::uint32_t seq,

@@ -2,7 +2,9 @@
 // one-shard engine::drtree_backend — hosted behind a localhost TCP
 // listener, serving the wire protocol of
 // rpc/wire.h to many concurrent client connections on a single-threaded
-// event loop (rpc/event_loop.h).
+// epoll loop (rpc/event_loop.h).  The wall-clock stabilizer is the
+// daemon's only deadline: run() keeps it and hands the time left to the
+// loop as its wait.
 //
 // Ownership and churn: every subscription is owned by the connection
 // that created it.  A connection closing — gracefully or by vanishing
@@ -41,14 +43,13 @@ struct service_config {
   /// Configuration of the hosted overlay (workspace, summaries, net).
   engine::overlay_backend_config backend{};
   /// Wall-clock stabilizer cadence: every period the daemon runs one
-  /// overlay stabilization round (a timer-wheel periodic).  0 disables
+  /// overlay stabilization round (run() keeps the deadline).  0 disables
   /// it — required for digest-parity runs, where only client operations
   /// may generate overlay traffic.
   std::uint32_t stabilize_every_ms = 0;
-  /// Diagnostics/CI: run the event loop on poll(2) instead of epoll.
-  bool force_poll = false;
-  /// A connection whose outbound buffer exceeds this is dropped as a
-  /// dead-slow consumer (its subscriptions leave with it).
+  /// A connection whose outbound buffer exceeds this — replies or event
+  /// pushes alike — is dropped as a dead-slow consumer (its subscriptions
+  /// leave with it).
   std::size_t max_write_buffer = 4u << 20;
 };
 
@@ -183,8 +184,7 @@ class service {
   /// Subscription owner index: sub id -> owning connection fd.
   std::unordered_map<engine::sub_id, int> owners_;
   counters stats_;
-  std::atomic<bool> serving_{false};  ///< run() is inside loop_.run()
-  std::uint64_t stabilize_tick_ = 0;  ///< wall-clock stabilizer periods seen
+  std::atomic<bool> serving_{false};  ///< run() is driving loop_
   std::vector<std::byte> scratch_;  ///< frame-encode scratch
   std::vector<int> scratch_fds_;    ///< reap() collection scratch
 };

@@ -1,12 +1,15 @@
 // Service-mode tests (DESIGN.md §10): the wire codec (round-trip + fuzz +
-// malformed-input rejection), the hierarchical timer wheel, the event
-// loop, the drtd service against real localhost sockets, and the
-// engine::net_backend adapter — including the digest-parity guarantee:
-// a churn-free timeline served over TCP must reproduce the
-// drtree_backend's recorder digest bit for bit.
+// malformed-input rejection), the epoll event loop, the drtd service
+// against real localhost sockets (its wall-clock stabilizer and
+// write-buffer cap included), and the engine::net_backend adapter —
+// including the digest-parity guarantee: a churn-free timeline served
+// over TCP must reproduce the drtree_backend's recorder digest bit for
+// bit.  drtd's flag validation is tested by CTest cases next to its
+// target (src/CMakeLists.txt).
 //
 // The soak test at the bottom is gated behind DRT_NET_SOAK=1 (CI runs it
-// under ASan); everything else is tier-1.
+// under ASan); everything else is tier-1, and CI also runs this suite
+// under TSan.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -32,7 +35,6 @@
 #include "rpc/event_loop.h"
 #include "rpc/net_backend.h"
 #include "rpc/service.h"
-#include "rpc/timer_wheel.h"
 #include "rpc/wire.h"
 #include "util/rng.h"
 
@@ -299,181 +301,7 @@ TEST(WireCodecDeathTest, OversizedPayloadIsAnEncoderContractViolation) {
       "");
 }
 
-// =========================================================== timer wheel
-
-TEST(TimerWheel, FiresInDeadlineOrderAtExactTicks) {
-  timer_wheel w;
-  std::vector<std::pair<int, std::uint64_t>> fired;
-  w.schedule(30, [&] { fired.emplace_back(3, w.now()); });
-  w.schedule(10, [&] { fired.emplace_back(1, w.now()); });
-  w.schedule(20, [&] { fired.emplace_back(2, w.now()); });
-  EXPECT_EQ(w.pending(), 3u);
-  EXPECT_EQ(w.advance(100), 3u);
-  EXPECT_EQ(w.pending(), 0u);
-  ASSERT_EQ(fired.size(), 3u);
-  EXPECT_EQ(fired[0], (std::pair<int, std::uint64_t>{1, 10}));
-  EXPECT_EQ(fired[1], (std::pair<int, std::uint64_t>{2, 20}));
-  EXPECT_EQ(fired[2], (std::pair<int, std::uint64_t>{3, 30}));
-}
-
-TEST(TimerWheel, SameTickFiresInScheduleOrder) {
-  timer_wheel w;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    w.schedule(5, [&order, i] { order.push_back(i); });
-  }
-  w.advance(5);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(TimerWheel, PastDeadlinesFireOnTheNextTick) {
-  timer_wheel w;
-  w.advance(50);
-  bool fired = false;
-  w.schedule(10, [&] { fired = true; });  // already in the past
-  w.advance(51);
-  EXPECT_TRUE(fired);
-}
-
-TEST(TimerWheel, CancelIsExactIncludingFromACallbackOnTheSameTick) {
-  timer_wheel w;
-  bool late_fired = false;
-  const timer_id victim = w.schedule(10, [&] { late_fired = true; });
-  EXPECT_TRUE(w.cancel(victim));
-  EXPECT_FALSE(w.cancel(victim));  // second cancel: already gone
-
-  // Same-tick assassination: the first timer cancels the second before
-  // the wheel reaches it.
-  timer_id second = kNoTimer;
-  bool second_fired = false;
-  w.schedule(20, [&] { w.cancel(second); });
-  second = w.schedule(20, [&] { second_fired = true; });
-  w.advance(100);
-  EXPECT_FALSE(late_fired);
-  EXPECT_FALSE(second_fired);
-  EXPECT_EQ(w.pending(), 0u);
-}
-
-TEST(TimerWheel, PeriodicRepeatsAndCancelStops) {
-  timer_wheel w;
-  int count = 0;
-  timer_id id = kNoTimer;
-  id = w.schedule_periodic(10, 10, [&] {
-    if (++count == 3) w.cancel(id);
-  });
-  // Fine-grained advances: one firing per period boundary.
-  for (std::uint64_t t = 1; t <= 100; ++t) w.advance(t);
-  EXPECT_EQ(count, 3);
-  EXPECT_EQ(w.pending(), 0u);
-}
-
-TEST(TimerWheel, PeriodicSkipsMissedPeriodsInsteadOfBursting) {
-  timer_wheel w;
-  std::vector<std::uint64_t> fires;
-  w.schedule_periodic(10, 10, [&] { fires.push_back(w.now()); });
-  // One big jump across 4 period boundaries: the stabilizer that slept
-  // through them runs once, and the next deadline lands past the jump.
-  w.advance(45);
-  EXPECT_EQ(fires, (std::vector<std::uint64_t>{10}));
-  w.advance(55);
-  EXPECT_EQ(fires, (std::vector<std::uint64_t>{10, 50}));
-}
-
-TEST(TimerWheel, CascadesAcrossLevelBoundaries) {
-  // Deltas straddling the level-0 lap (64) and the level-1 lap (4096):
-  // each must fire at its exact deadline, not at a cascade boundary.
-  for (const std::uint64_t delta :
-       {63ull, 64ull, 65ull, 4095ull, 4096ull, 4097ull}) {
-    timer_wheel w;
-    w.advance(7);  // misalign the cursor from slot 0
-    std::uint64_t fired_at = 0;
-    w.schedule(7 + delta, [&] { fired_at = w.now(); });
-    w.advance(7 + delta - 1);
-    EXPECT_EQ(fired_at, 0u) << "delta " << delta << " fired early";
-    w.advance(7 + delta);
-    EXPECT_EQ(fired_at, 7 + delta) << "delta " << delta;
-  }
-}
-
-TEST(TimerWheel, OverflowBeyondHorizonFiresExactlyOnce) {
-  timer_wheel w;
-  const std::uint64_t deadline = timer_wheel::kHorizon + 1234;
-  std::uint64_t fired_at = 0;
-  int fires = 0;
-  w.schedule(deadline, [&] {
-    fired_at = w.now();
-    ++fires;
-  });
-  // Before the horizon lap the wheel only promises a wake at the lap.
-  EXPECT_LE(w.next_wake(), timer_wheel::kHorizon);
-  w.advance(deadline - 1);
-  EXPECT_EQ(fires, 0);
-  w.advance(deadline + 10);
-  EXPECT_EQ(fires, 1);
-  EXPECT_EQ(fired_at, deadline);
-  EXPECT_EQ(w.pending(), 0u);
-}
-
-TEST(TimerWheel, NextWakeIsExactWithinLevelZeroAndNeverWhenIdle) {
-  timer_wheel w;
-  EXPECT_EQ(w.next_wake(), timer_wheel::kNever);
-  const timer_id id = w.schedule(17, [] {});
-  EXPECT_EQ(w.next_wake(), 17u);
-  w.cancel(id);
-  // Cancelled ids linger in slots; the wake hint may still point there,
-  // but advancing through it fires nothing.
-  EXPECT_EQ(w.advance(100), 0u);
-  EXPECT_EQ(w.next_wake(), timer_wheel::kNever);
-}
-
-TEST(TimerWheel, AdvanceJumpsIdleSpansWithoutPerTickWork) {
-  timer_wheel w;
-  int fires = 0;
-  w.schedule(1'000'000, [&] { ++fires; });
-  // One advance spanning a million ticks; with per-tick iteration this
-  // would time out, with next_wake jumps it is near-instant.
-  const auto start = std::chrono::steady_clock::now();
-  w.advance(2'000'000);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(fires, 1);
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            1000);
-}
-
-TEST(TimerWheelDeathTest, ZeroPeriodIsAContractViolation) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  timer_wheel w;
-  EXPECT_DEATH(w.schedule_periodic(5, 0, [] {}), "");
-}
-
 // ============================================================ event loop
-
-TEST(EventLoop, AfterFiresOnceAndStopsTheLoop) {
-  event_loop loop;
-  int fires = 0;
-  loop.after(5, [&] {
-    ++fires;
-    loop.stop();
-  });
-  loop.run();
-  EXPECT_EQ(fires, 1);
-  EXPECT_TRUE(loop.stopped());
-}
-
-TEST(EventLoop, EveryRepeatsUntilCancelled) {
-  event_loop loop;
-  int fires = 0;
-  timer_id id = kNoTimer;
-  id = loop.every(2, [&] {
-    if (++fires == 3) {
-      loop.cancel(id);
-      loop.stop();
-    }
-  });
-  loop.run();
-  EXPECT_EQ(fires, 3);
-}
 
 TEST(EventLoop, PostRunsOnTheLoopThread) {
   event_loop loop;
@@ -495,41 +323,63 @@ TEST(EventLoop, StopFromAnotherThreadWakesABlockedLoop) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     loop.stop();
   });
-  loop.run();  // blocked in poll until the stopper's wakeup
+  loop.run();  // blocked in epoll_wait until the stopper's wakeup
   stopper.join();
   EXPECT_TRUE(loop.stopped());
 }
 
 TEST(EventLoop, DispatchesPipeReadability) {
-  for (const bool force_poll : {false, true}) {
-    event_loop loop(event_loop_config{force_poll});
-    int fds[2] = {-1, -1};
-    ASSERT_EQ(::pipe(fds), 0);
-    char received = 0;
-    loop.watch(fds[0], event_loop::kReadable, [&](std::uint32_t mask) {
-      EXPECT_NE(mask & event_loop::kReadable, 0u);
-      ASSERT_EQ(::read(fds[0], &received, 1), 1);
-      loop.stop();
-    });
-    // watched() includes the loop's internal self-pipe wakeup watch.
-    EXPECT_EQ(loop.watched(), 2u);
-    ASSERT_EQ(::write(fds[1], "x", 1), 1);
-    loop.run();
-    EXPECT_EQ(received, 'x');
-    loop.unwatch(fds[0]);
-    EXPECT_EQ(loop.watched(), 1u);
-    ::close(fds[0]);
-    ::close(fds[1]);
-  }
+  event_loop loop;
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(fds), 0);
+  char received = 0;
+  loop.watch(fds[0], event_loop::kReadable, [&](std::uint32_t mask) {
+    EXPECT_NE(mask & event_loop::kReadable, 0u);
+    ASSERT_EQ(::read(fds[0], &received, 1), 1);
+    loop.stop();
+  });
+  // watched() includes the loop's internal self-pipe wakeup watch.
+  EXPECT_EQ(loop.watched(), 2u);
+  ASSERT_EQ(::write(fds[1], "x", 1), 1);
+  loop.run();
+  EXPECT_EQ(received, 'x');
+  loop.unwatch(fds[0]);
+  EXPECT_EQ(loop.watched(), 1u);
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
-TEST(EventLoop, ForcePollDisablesEpoll) {
-  event_loop loop(event_loop_config{true});
-  EXPECT_FALSE(loop.using_epoll());
-#ifdef __linux__
-  event_loop native;
-  EXPECT_TRUE(native.using_epoll());
-#endif
+TEST(EventLoop, CallbackThatUnwatchesALaterReadyFdSuppressesIt) {
+  // Both pipes are readable before the wait, so one epoll_wait returns
+  // both; whichever callback runs first unwatches and closes the other
+  // pipe, whose readiness is already in the batch and must be dropped.
+  event_loop loop;
+  int a[2] = {-1, -1};
+  int b[2] = {-1, -1};
+  ASSERT_EQ(::pipe(a), 0);
+  ASSERT_EQ(::pipe(b), 0);
+  int calls = 0;
+  int closed = -1;
+  auto watch_closing = [&](int own, int other) {
+    loop.watch(own, event_loop::kReadable, [&, other](std::uint32_t) {
+      ++calls;
+      loop.unwatch(other);
+      ::close(other);
+      closed = other;
+    });
+  };
+  watch_closing(a[0], b[0]);
+  watch_closing(b[0], a[0]);
+  ASSERT_EQ(::write(a[1], "x", 1), 1);
+  ASSERT_EQ(::write(b[1], "x", 1), 1);
+  EXPECT_EQ(loop.run_once(0), 1u);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(loop.watched(), 2u);  // the survivor and the self-pipe
+  const int survivor = closed == a[0] ? b[0] : a[0];
+  loop.unwatch(survivor);
+  ::close(survivor);
+  ::close(a[1]);
+  ::close(b[1]);
 }
 
 // ======================================================= service + client
@@ -651,7 +501,7 @@ TEST(Service, AbruptDisconnectIsTheChurnPrimitive) {
 
   await_population(fx.port(), 1);
   EXPECT_TRUE(keeper.alive(kept));
-  EXPECT_GE(fx.get().stats().disconnect_unsubscribes, 2u);
+  EXPECT_GE(fx.get().stats_snapshot().disconnect_unsubscribes, 2u);
 }
 
 TEST(Service, ForeignSubscriptionOperationsAreRejected) {
@@ -705,7 +555,49 @@ TEST(Service, GarbageBytesCloseTheConnection) {
   client c(fx.port());
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c.ping());
-  EXPECT_GE(fx.get().stats().protocol_errors, 1u);
+  EXPECT_GE(fx.get().stats_snapshot().protocol_errors, 1u);
+}
+
+TEST(Service, SubscriberThatNeverReadsIsDroppedAtTheWriteCap) {
+  // The cap holds for every connection a request writes to, not only the
+  // requester's: pushes to a subscriber that stopped reading pile up in
+  // its buffer until the daemon drops it, while the publisher keeps
+  // getting its replies.
+  service_config cfg;
+  cfg.backend = small_config(13);
+  cfg.max_write_buffer = 64u << 10;
+  service_fixture fx(cfg);
+
+  client publisher(fx.port());
+  ASSERT_TRUE(publisher.ok());
+  const auto pub = publisher.subscribe(make_rect2(900, 900, 1000, 1000));
+  ASSERT_TRUE(publisher.alive(pub));
+
+  client sink(fx.port());  // subscribes, then never reads again
+  ASSERT_TRUE(sink.ok());
+  constexpr int kSinkSubs = 8;
+  for (int i = 0; i < kSinkSubs; ++i) {
+    ASSERT_NE(sink.subscribe(make_rect2(0, 0, 500, 500)),
+              static_cast<std::uint64_t>(engine::kNoSub));
+  }
+
+  // Each batch pushes 64 x 8 frames at the sink.  The bound leaves room
+  // for the kernel's socket buffers to fill before the daemon's does.
+  const auto before = fx.get().stats_snapshot();
+  auto now = before;
+  const std::vector<spatial::pt> values(64, spatial::pt{{100, 100}});
+  for (int i = 0;
+       i < 1000 && now.connections_closed == before.connections_closed;
+       ++i) {
+    ASSERT_EQ(publisher.publish_batch(pub, values.data(), values.size()).ok,
+              1u);
+    now = fx.get().stats_snapshot();
+  }
+  EXPECT_EQ(now.connections_closed, before.connections_closed + 1);
+  EXPECT_EQ(now.disconnect_unsubscribes,
+            before.disconnect_unsubscribes + kSinkSubs);
+  EXPECT_EQ(publisher.publish(pub, spatial::pt{{100, 100}}).ok, 1u);
+  EXPECT_EQ(publisher.stat().population, 1u);
 }
 
 TEST(Service, ManyConcurrentClients) {
@@ -742,20 +634,6 @@ TEST(Service, ManyConcurrentClients) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
   await_population(fx.port(), 0);
-}
-
-TEST(Service, ServesOverPollFallback) {
-  service_config cfg;
-  cfg.backend = small_config(11);
-  cfg.force_poll = true;
-  service_fixture fx(cfg);
-
-  client c(fx.port());
-  ASSERT_TRUE(c.ok());
-  const auto s = c.subscribe(make_rect2(0, 0, 10, 10));
-  ASSERT_TRUE(c.alive(s));
-  EXPECT_EQ(c.publish(s, spatial::pt{{5, 5}}).delivered, 1u);
-  EXPECT_TRUE(c.unsubscribe(s));
 }
 
 TEST(Service, WallClockStabilizerRunsRounds) {
