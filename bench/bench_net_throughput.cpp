@@ -14,8 +14,9 @@
 // uses, DESIGN.md §12) and the p50/p99/p999 columns read off the merged
 // log-bucketed distribution — no sample vectors, no sorting.
 //
-// The table schema is bench_publish_throughput's seven columns plus
-// clients/p50_us/p99_us, so compare_benches.sh gates both the same way.
+// The table schema is bench_publish_throughput's six columns plus
+// clients/p50_us/p99_us/p999_us, so compare_benches.sh gates both the
+// same way.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "drtree/summary.h"
 #include "obs/metrics.h"
 #include "rpc/client.h"
 #include "rpc/service.h"
@@ -149,12 +149,11 @@ void run_net_throughput(benchmark::State& state, std::size_t clients,
   state.counters["p99_us"] = p99;
   state.counters["p999_us"] = p999;
 
-  results::instance().set_headers({"N", "batch", "summary", "events",
-                                   "msgs/event", "deliveries", "fn",
-                                   "clients", "p50_us", "p99_us", "p999_us"});
+  results::instance().set_headers({"N", "batch", "events", "msgs/event",
+                                   "deliveries", "fn", "clients", "p50_us",
+                                   "p99_us", "p999_us"});
   results::instance().add_row(
       {table::cell(kPopulation), table::cell(batch),
-       std::string(drt::overlay::to_string(cfg.backend.dr.summary)),
        table::cell(total_events), table::cell(msgs_per_event, 2),
        table::cell(deliveries), table::cell(false_negatives),
        table::cell(clients), table::cell(p50, 1), table::cell(p99, 1),

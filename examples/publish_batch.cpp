@@ -3,12 +3,11 @@
 //  1. Build a DR-tree population with clustered interest via the
 //     engine's declarative scenario builder, using the publish_batch
 //     phase: events travel in shared multi-publish envelopes that route
-//     the tree once and split only where children's summaries diverge.
+//     the tree once and split only where children's MBRs select
+//     different events.
 //  2. Publish the same number of events scalar (one envelope each) and
 //     batched (64 per envelope) through the backend, and compare the
 //     network cost per event at identical delivery accuracy.
-//  3. Flip on subtree summaries (occupancy grids over the instance
-//     MBRs) and show the additional routing reduction.
 #include <cstdio>
 #include <iostream>
 
@@ -45,41 +44,35 @@ int main() {
             << "  deliveries " << row->deliveries << ", false negatives "
             << row->false_negatives << " (exactness preserved)\n";
 
-  // Scalar vs batched vs batched+summaries, same events each time.
+  // Scalar vs batched, same events each time.
   std::cout << "\n== Messages per event, 128 peers, 256 events ==\n";
-  for (const bool summaries : {false, true}) {
-    engine::overlay_backend_config c2;
-    c2.net.seed = 11;
-    c2.dr.summary =
-        summaries ? overlay::summary_mode::both : overlay::summary_mode::mbr;
-    engine::drtree_backend be(c2);
-    engine::runner_config rc;
-    rc.workload.family = workload::subscription_family::clustered;
-    rc.workload.seed = 11;
-    engine::scenario_runner r(be, rc);
-    r.populate(128);
-    r.converge();
-    const auto scalar = r.publish_sweep(256);
-    const auto batched = r.publish_batch(256, 64);
-    std::printf(
-        "  summary=%-4s scalar %.2f msgs/event | batch=64 %.2f msgs/event "
-        "(fn %zu/%zu)\n",
-        summaries ? "both" : "mbr",
-        static_cast<double>(scalar.messages) /
-            static_cast<double>(scalar.events),
-        static_cast<double>(batched.messages) /
-            static_cast<double>(batched.events),
-        scalar.false_negatives, batched.false_negatives);
-    if (scalar.false_negatives != 0 || batched.false_negatives != 0) {
-      std::cerr << "sweep lost events\n";
-      return 1;
-    }
-    if (batched.messages >= scalar.messages) {
-      std::cerr << "batching did not reduce messages\n";
-      return 1;
-    }
+  engine::overlay_backend_config c2;
+  c2.net.seed = 11;
+  engine::drtree_backend be(c2);
+  engine::runner_config rc;
+  rc.workload.family = workload::subscription_family::clustered;
+  rc.workload.seed = 11;
+  engine::scenario_runner r(be, rc);
+  r.populate(128);
+  r.converge();
+  const auto scalar = r.publish_sweep(256);
+  const auto batched = r.publish_batch(256, 64);
+  std::printf(
+      "  scalar %.2f msgs/event | batch=64 %.2f msgs/event (fn %zu/%zu)\n",
+      static_cast<double>(scalar.messages) /
+          static_cast<double>(scalar.events),
+      static_cast<double>(batched.messages) /
+          static_cast<double>(batched.events),
+      scalar.false_negatives, batched.false_negatives);
+  if (scalar.false_negatives != 0 || batched.false_negatives != 0) {
+    std::cerr << "sweep lost events\n";
+    return 1;
   }
-  std::cout << "\nBatches amortize the descent; summaries prune the dead "
-               "space the MBRs admit.\n";
+  if (batched.messages >= scalar.messages) {
+    std::cerr << "batching did not reduce messages\n";
+    return 1;
+  }
+  std::cout << "\nBatches amortize the descent: one envelope climbs and "
+               "splits where the MBRs do.\n";
   return 0;
 }

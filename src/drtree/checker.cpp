@@ -229,52 +229,6 @@ check_report checker::check(bool check_containment,
     r.reachable = reached;
   }
 
-  // Subtree-summary soundness (DESIGN.md §9): every instance's occupancy
-  // summary must over-approximate the union of the live leaf filters
-  // below it — a cleared bit over a subscribed region would structurally
-  // drop events.  Staleness is only legal in the other direction (extra
-  // set bits cost false positives, never false negatives).  The probe
-  // checks each leaf filter clamped to the instance MBR: points outside
-  // the MBR are not routed by the paper's baseline either, and points
-  // outside the summary frame fall back to the MBR test by construction.
-  if (overlay_.config().summary != summary_mode::mbr) {
-    overlay_.for_each_live([&](peer_id p) {
-      const auto& peer = overlay_.peer(p);
-      for (const auto h : peer.instance_heights()) {
-        const auto* ins = peer.find_inst(h);
-        if (ins == nullptr || !ins->summary.valid()) continue;
-        // Walk the subtree below (p, h); the visited set keeps corrupted
-        // (cyclic) topologies terminating.
-        std::unordered_set<std::uint64_t> visited;
-        std::deque<std::pair<peer_id, std::size_t>> frontier;
-        frontier.emplace_back(p, h);
-        bool sound = true;
-        while (!frontier.empty() && sound) {
-          const auto [q, hh] = frontier.front();
-          frontier.pop_front();
-          const auto key = (static_cast<std::uint64_t>(q) << 32) |
-                           static_cast<std::uint64_t>(hh);
-          if (!visited.insert(key).second) continue;
-          if (!overlay_.alive(q)) continue;
-          const auto* qi = overlay_.peer(q).find_inst(hh);
-          if (qi == nullptr) continue;
-          if (hh == 0) {
-            const auto& f = overlay_.peer(q).filter();
-            if (!ins->summary.covers(intersection(f, ins->mbr))) {
-              ++r.summary_violations;
-              complain(where(p, h) + ": summary misses leaf " +
-                           std::to_string(q) + "'s filter",
-                       p);
-              sound = false;  // one complaint per instance is enough
-            }
-            continue;
-          }
-          for (const auto c : qi->children) frontier.emplace_back(c, hh - 1);
-        }
-      }
-    });
-  }
-
   // Properties 3.1 / 3.2 over strictly-contained pairs.
   if (check_containment && root != kNoPeer && r.roots == 1) {
     // The all-pairs scans below genuinely need a random-access snapshot;

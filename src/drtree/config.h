@@ -4,7 +4,6 @@
 
 #include <cstddef>
 
-#include "drtree/summary.h"
 #include "obs/trace.h"
 #include "rtree/split.h"
 #include "sim/simulator.h"
@@ -96,20 +95,6 @@ struct dr_config {
 
   /// The workspace used to clamp unbounded filters for area heuristics.
   spatial::box workspace = geo::make_rect2(0, 0, 1000, 1000);
-
-  /// Publish-path subtree summaries (DESIGN.md §9).  `mbr` is the paper's
-  /// routing, bit-for-bit; `both` additionally maintains a k×k occupancy
-  /// bitmap per instance and admits an event into a child only when its
-  /// MBR contains the point AND the cell bit is set, so the fan-out
-  /// prunes a non-matching subtree with one bit probe.  Maintenance is
-  /// incremental (join paths OR their delta in; full rebuilds piggyback on
-  /// the CHECK_MBR stabilizer) — no extra message round ever.
-  summary_mode summary = summary_mode::mbr;
-
-  /// Occupancy-grid resolution k (k×k cells, 1..8) when summaries are
-  /// enabled.  Higher k prunes more dead space per instance; k*k bits
-  /// must fit the inline 64-bit word.
-  std::size_t summary_grid = 8;
 
   /// Flight-recorder tracing (DESIGN.md §12).  `off` costs exactly one
   /// null-pointer branch per emit site — runs are bit-identical to the

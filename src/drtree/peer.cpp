@@ -36,7 +36,6 @@ dr_peer::dr_peer(dr_overlay& overlay, box filter)
   leaf.mbr = filter_;
   leaf.parent = kNoPeer;  // set to self id in on_start (id unknown here)
   levels_.push_back({0, slot});
-  rebuild_summary(0);
 }
 
 dr_peer::~dr_peer() {
@@ -315,7 +314,6 @@ void dr_peer::leave_with_handoff() {
       }
     }
     li.underloaded = li.children.size() < overlay_.config().min_children;
-    lp.rebuild_summary(h);
     overlay_.mark_dirty(leader, h);
     for (const auto c : members) overlay_.mark_dirty(c, h - 1);
 
@@ -465,7 +463,6 @@ void dr_peer::descend_join(std::size_t h, dr_msg m) {
     if (ins == nullptr || h <= m.h) return;  // corrupted route: retry later
     // "adjusts its MBR in order to include the new subscription"
     ins->mbr = join(ins->mbr, m.mbr);
-    summary_mark(*ins, m.mbr);
     overlay_.mark_dirty(pid(), h);  // MBR grew on the descent path
     if (h == m.h + 1) {
       add_child_at(m.h, m.subject, m.mbr);
@@ -538,7 +535,6 @@ void dr_peer::root_grow(const dr_msg& m) {
   wi.add_child(q);
   wi.mbr = join(inst(h).mbr, qp.inst(h).mbr);
   wi.underloaded = wi.children.size() < overlay_.config().min_children;
-  wp.rebuild_summary(h + 1);
   inst(h).parent = winner;
   qp.inst(h).parent = winner;
   overlay_.mark_dirty(pid(), h);
@@ -577,7 +573,6 @@ void dr_peer::add_child_at(std::size_t t, peer_id q, const box& q_mbr) {
     auto& qi = qp.ensure_inst(t);
     qi.parent = pid();
     ins.mbr = join(ins.mbr, qi.mbr.is_empty() ? q_mbr : qi.mbr);
-    summary_mark(ins, qi.mbr.is_empty() ? q_mbr : qi.mbr);
     ins.underloaded = ins.children.size() < overlay_.config().min_children;
     overlay_.mark_dirty(pid(), t + 1);
     overlay_.mark_dirty(q, t);
@@ -674,7 +669,6 @@ void dr_peer::split_and_push(std::size_t h, peer_id extra,
   }
   if (auto* own = lp.find_inst(h - 1)) own->parent = leader;
   li.underloaded = li.children.size() < m_min;
-  lp.rebuild_summary(h);
   overlay_.mark_dirty(leader, h);
 
   if (is_root_at(h)) {
@@ -689,7 +683,6 @@ void dr_peer::split_and_push(std::size_t h, peer_id extra,
     wi.add_child(leader);
     wi.mbr = join(ins.mbr, li.mbr);
     wi.underloaded = wi.children.size() < m_min;
-    wp.rebuild_summary(h + 1);
     ins.parent = winner;
     li.parent = winner;
     overlay_.mark_dirty(winner, h + 1);
@@ -899,7 +892,6 @@ void dr_peer::compute_mbr(std::size_t h) {
   if (ins == nullptr) return;
   if (h == 0) {
     ins->mbr = filter_;
-    rebuild_summary(0);
     return;
   }
   auto r = box::empty();
@@ -912,49 +904,7 @@ void dr_peer::compute_mbr(std::size_t h) {
     }
     if (qi != nullptr) r = join(r, qi->mbr);
   }
-  const bool changed = ins->mbr != r;
   ins->mbr = r;
-  // Quiescent instances skip the full re-rasterization on most rounds:
-  // eager marks keep an unchanged-MBR summary sound, so only periodic
-  // tightening is needed (stale bits of departed subtrees).
-  constexpr std::uint64_t kSummaryRefreshStride = 8;
-  if (changed || ++summary_refresh_tick_ % kSummaryRefreshStride == 0) {
-    rebuild_summary(h);
-  }
-}
-
-// ------------------------------------- subtree summaries (DESIGN.md §9)
-
-void dr_peer::rebuild_summary(std::size_t h) {
-  const auto& cfg = overlay_.config();
-  if (cfg.summary == summary_mode::mbr) return;
-  auto* ins = find_inst(h);
-  if (ins == nullptr) return;
-  auto& s = ins->summary;
-  s.reset_frame(ins->mbr.clamped(cfg.workspace), cfg.summary_grid);
-  if (!s.valid()) return;
-  if (h == 0) {
-    s.mark_box(filter_);
-    return;
-  }
-  for (const auto q : ins->children) {
-    const instance* qi = nullptr;
-    if (q == pid()) {
-      qi = find_inst(h - 1);
-    } else if (sees(q)) {
-      qi = overlay_.peer(q).find_inst(h - 1);
-    }
-    if (qi != nullptr) s.merge(qi->summary, qi->mbr);
-  }
-}
-
-void dr_peer::summary_mark(instance& ins, const box& b) {
-  if (overlay_.config().summary == summary_mode::mbr) return;
-  ins.summary.mark_box(b);
-}
-
-bool dr_peer::admits(const instance& ins, const spatial::pt& v) const {
-  return summary_admits(overlay_.config().summary, ins.summary, ins.mbr, v);
 }
 
 void dr_peer::check_mbr(std::size_t h) {
@@ -1459,7 +1409,7 @@ void dr_peer::fan_out_batch(std::size_t h, const spatial::event* evs,
       // bounded and tiny).
       dr_batch_msg sub;
       for (std::uint32_t i = 0; i < n; ++i) {
-        if (!admits(*own, evs[i].value)) continue;
+        if (!own->mbr.contains(evs[i].value)) continue;
         record_instance_event(h - 1, evs[i]);
         sub.events[sub.count++] = evs[i];
       }
@@ -1469,11 +1419,11 @@ void dr_peer::fan_out_batch(std::size_t h, const spatial::event* evs,
     if (!sees(q)) continue;
     const auto* qi = overlay_.peer(q).find_inst(h - 1);
     if (qi == nullptr) continue;
-    // Split point of the envelope: each child gets the subset its summary
-    // admits; children admitting nothing are pruned envelope-free.
+    // Split point of the envelope: each child gets the subset its MBR
+    // contains; children containing none are pruned envelope-free.
     dr_batch_msg m;
     for (std::uint32_t i = 0; i < n; ++i) {
-      if (admits(*qi, evs[i].value)) m.events[m.count++] = evs[i];
+      if (qi->mbr.contains(evs[i].value)) m.events[m.count++] = evs[i];
     }
     if (m.count == 0) continue;
     m.kind = msg_kind::event_down;

@@ -133,8 +133,9 @@ class dr_peer : public sim::process {
 
   /// Publish `n` <= dr_batch_msg::kMaxEvents events (§2.3/§3
   /// dissemination) in one envelope (DESIGN.md §9): climb to the root and
-  /// descend every sibling subtree whose admit test passes, routing the
-  /// events once and splitting only where children's admit sets diverge.
+  /// descend every sibling subtree whose MBR contains an event, routing
+  /// the events once and splitting only where children's MBRs select
+  /// different events.
   /// On a quiescent tree each event is delivered exactly as when published
   /// alone; n = 1 is a single publish.
   void publish(const spatial::event* evs, std::size_t n);
@@ -188,23 +189,6 @@ class dr_peer : public sim::process {
                                      const spatial::box& r) const;
   void compute_mbr(std::size_t h);  // Compute_MBR(p, l)
 
-  // Subtree-summary maintenance (DESIGN.md §9).  rebuild_summary re-frames
-  // and re-rasterizes an instance from its children (leaf: from the
-  // filter); it rides compute_mbr, so the stabilizer's CHECK_MBR probes
-  // double as summary refresh — no extra message round.  When the
-  // recomputed MBR is unchanged the interior rebuild is skipped except
-  // every kSummaryRefreshStride-th time: additions mark eagerly so a
-  // skipped rebuild only delays *tightening* (clearing bits of departed
-  // subtrees), never soundness, and quiescent trees would otherwise pay
-  // a full re-rasterization per instance per stabilize period.
-  // summary_mark is the incremental delta: join paths OR the arriving
-  // subtree's MBR in without a rebuild.  Both are no-ops when
-  // dr_config::summary == summary_mode::mbr.
-  void rebuild_summary(std::size_t h);
-  void summary_mark(instance& ins, const spatial::box& b);
-  /// The fan-out admit test: MBR containment plus (when enabled) the
-  /// occupancy-bitmap probe.
-  bool admits(const instance& ins, const spatial::pt& v) const;
   bool is_better_mbr_cover(std::size_t h, spatial::peer_id q) const;
   /// Adjust_Parent generalized to keep instance chains contiguous: q
   /// replaces this peer at heights [h, top()].
@@ -240,8 +224,8 @@ class dr_peer : public sim::process {
   // Dissemination helpers.  `hop` counts network messages traversed.
   void deliver_local(const spatial::event& ev, std::size_t hop);
   /// The sibling fan-out: push the events into every child subtree of the
-  /// instance at `h`, re-filtering them against each child's admit test
-  /// and sending one envelope per child that admits any, skipping `skip`
+  /// instance at `h`, re-filtering them against each child's MBR and
+  /// sending one envelope per child whose MBR contains any, skipping `skip`
   /// — the child the events arrived from (kNoPeer when descending).
   /// Recurses down the own-instance chain.
   void fan_out_batch(std::size_t h, const spatial::event* evs,
@@ -302,11 +286,6 @@ class dr_peer : public sim::process {
   // Dissemination loop guard under corrupted topologies: the last
   // dr_config::seen_ring event ids this peer accepted.
   seen_set seen_;
-
-  /// Counts compute_mbr calls that left an interior MBR unchanged; every
-  /// kSummaryRefreshStride-th one still rebuilds the summary so bits of
-  /// departed subtrees eventually clear (see rebuild_summary).
-  std::uint64_t summary_refresh_tick_ = 0;
 
   // Hot-path scratch, reused across messages so the publish/search loops
   // never allocate: the local-descent worklist of handle_search_down and

@@ -40,7 +40,7 @@ namespace drt::rpc {
 struct service_config {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (read port()).
   std::uint16_t port = 0;
-  /// Configuration of the hosted overlay (workspace, summaries, net).
+  /// Configuration of the hosted overlay (workspace, degrees, net).
   engine::overlay_backend_config backend{};
   /// Wall-clock stabilizer cadence: every period the daemon runs one
   /// overlay stabilization round (run() keeps the deadline).  0 disables

@@ -305,6 +305,67 @@ TEST_P(CorruptionTest, ArbitraryCorruptionConverges) {
   EXPECT_EQ(r.reachable, r.live_peers);
 }
 
+TEST_P(CorruptionTest, UnreachablePeerAlwaysHasALocalWitness) {
+  // DESIGN.md §5: every other predicate reads one instance, its children
+  // and its parent, and a parent sits exactly one height up, so with
+  // exactly one root a peer the root cannot reach always breaks some
+  // local predicate too.
+  drtree_backend be(small_config(GetParam()));
+  scenario_runner runner(be, workload_of(GetParam()));
+  runner.populate(40);
+  ASSERT_GE(runner.converge(80), 0);
+  auto& ov = be.overlay();
+
+  // Returns how many peers `r` names unreachable.
+  auto expect_witness = [](const check_report& r) {
+    const auto unreachable = static_cast<std::size_t>(std::count_if(
+        r.violations.begin(), r.violations.end(), [](const std::string& v) {
+          return v.find("unreachable from root") != std::string::npos;
+        }));
+    if (unreachable > 0 && r.roots == 1) {
+      EXPECT_LT(unreachable, r.violations.size())
+          << unreachable << " unreachable peers and no local violation";
+    }
+    return unreachable;
+  };
+  // Unlist `q` from the children of `ins`, check, then restore the list:
+  // one broken link under one root, the sharpest case of the claim.
+  auto unlist = [&](instance& ins, peer_id q) {
+    const auto saved = ins.children;
+    ASSERT_TRUE(ins.remove_child(q));
+    EXPECT_GT(expect_witness(checker(ov).check()), 0u);
+    ins.children = saved;
+  };
+  for (const auto p : ov.live_peers()) {
+    SCOPED_TRACE("peer " + std::to_string(p));
+    auto& peer = ov.peer(p);
+    const auto top = peer.top();
+    // The top instance, unlisted at the parent one height up.
+    if (!peer.is_root()) {
+      unlist(ov.peer(peer.inst(top).parent).inst(top + 1), p);
+    }
+    // The own instance at h - 1, unlisted at h: the peers below it are
+    // cut off (h >= 2; a leaf has no children).
+    for (std::size_t h = 2; h <= top; ++h) {
+      SCOPED_TRACE("own h" + std::to_string(h));
+      unlist(peer.inst(h), p);
+    }
+  }
+  ASSERT_TRUE(be.legal());
+
+  // Then arbitrary damage, checked on every report until legal again.
+  corruptor c(ov, GetParam() * 31 + 5);
+  ASSERT_GT(c.corrupt(uniform_corruption(0.35)), 0u);
+  for (int round = 0;; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto r = checker(ov).check();
+    if (r.legal()) break;
+    expect_witness(r);
+    ASSERT_LT(round, 250) << "never re-stabilized";
+    be.step_round();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionTest,
                          ::testing::Values(43, 47, 53, 59, 61));
 

@@ -1,7 +1,7 @@
 // Batched publication (DESIGN.md §9): delivery equivalence between
 // multi-event envelopes and one-event publishes, the envelope's wire
-// kinds, subtree-summary soundness (bitmap admits over-approximate the
-// filter set below), and the batch/summary cost wins the bench gates on.
+// kinds, the message saving batching buys, and a churn-and-crash soak
+// that must stay legal and lose no event.
 //
 // The equivalence harness runs *twin* overlays: identical config, seed,
 // and operation sequence produce bit-identical trees, so the scalar twin
@@ -20,7 +20,6 @@
 #include "drtree/checker.h"
 #include "drtree/messages.h"
 #include "drtree/overlay.h"
-#include "drtree/summary.h"
 #include "engine/backends.h"
 #include "engine/runner.h"
 #include "pubsub/broker.h"
@@ -33,13 +32,11 @@ namespace {
 using spatial::peer_id;
 using spatial::pt;
 
-dr_config frozen_dr(summary_mode mode, std::size_t grid = 8) {
+dr_config frozen_dr() {
   dr_config dr;
   dr.min_children = 2;
   dr.max_children = 6;
   dr.stabilize_period = 1e9;  // freeze topology during the compare
-  dr.summary = mode;
-  dr.summary_grid = grid;
   return dr;
 }
 
@@ -118,23 +115,18 @@ void expect_equivalent(twin_overlays& tw, peer_id publisher,
 // ------------------------------------------------- delivery equivalence
 
 TEST(PublishBatch, DeliveryEquivalenceAcrossConfigs) {
-  const summary_mode modes[] = {summary_mode::mbr, summary_mode::both};
   const std::size_t populations[] = {24, 64};
   const std::size_t batches[] = {4, 16, 64};
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     for (const auto n : populations) {
-      for (const auto mode : modes) {
-        for (const auto batch : batches) {
-          SCOPED_TRACE("seed=" + std::to_string(seed) + " n=" +
-                       std::to_string(n) + " mode=" + to_string(mode) +
-                       " batch=" + std::to_string(batch));
-          twin_overlays tw(frozen_dr(mode), 100 + seed);
-          const auto filters = gen_filters(seed * 31 + 7, n);
-          const auto publisher = tw.populate(filters);
-          const auto values =
-              gen_events(seed * 53 + 11, batch, filters);
-          expect_equivalent(tw, publisher, values);
-        }
+      for (const auto batch : batches) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) + " n=" +
+                     std::to_string(n) + " batch=" + std::to_string(batch));
+        twin_overlays tw(frozen_dr(), 100 + seed);
+        const auto filters = gen_filters(seed * 31 + 7, n);
+        const auto publisher = tw.populate(filters);
+        const auto values = gen_events(seed * 53 + 11, batch, filters);
+        expect_equivalent(tw, publisher, values);
       }
     }
   }
@@ -144,28 +136,25 @@ TEST(PublishBatch, EquivalenceMidChurnWithCrashes) {
   // Crash a slice of the population and compare WITHOUT re-converging:
   // the batch path must match the scalar path on a broken tree too
   // (dead children skipped, fragments still reached identically).
-  for (const auto mode : {summary_mode::mbr, summary_mode::both}) {
-    SCOPED_TRACE(to_string(mode));
-    twin_overlays tw(frozen_dr(mode), 77);
-    const auto filters = gen_filters(1234, 48);
-    const auto publisher = tw.populate(filters);
-    const auto live = tw.scalar.live_peers();
-    for (std::size_t i = 0; i < live.size(); i += 5) {
-      if (live[i] == publisher) continue;
-      tw.scalar.crash(live[i]);
-      tw.batched.crash(live[i]);
-    }
-    tw.scalar.settle();
-    tw.batched.settle();
-    const auto values = gen_events(99, 32, filters);
-    expect_equivalent(tw, publisher, values);
+  twin_overlays tw(frozen_dr(), 77);
+  const auto filters = gen_filters(1234, 48);
+  const auto publisher = tw.populate(filters);
+  const auto live = tw.scalar.live_peers();
+  for (std::size_t i = 0; i < live.size(); i += 5) {
+    if (live[i] == publisher) continue;
+    tw.scalar.crash(live[i]);
+    tw.batched.crash(live[i]);
   }
+  tw.scalar.settle();
+  tw.batched.settle();
+  const auto values = gen_events(99, 32, filters);
+  expect_equivalent(tw, publisher, values);
 }
 
 TEST(PublishBatch, ChunksBeyondEnvelopeCapacity) {
   // More events than one dr_batch_msg holds: multi_publish_and_drain must
   // chunk transparently and still deliver every event exactly once.
-  twin_overlays tw(frozen_dr(summary_mode::both), 5);
+  twin_overlays tw(frozen_dr(), 5);
   const auto filters = gen_filters(42, 32);
   const auto publisher = tw.populate(filters);
   const auto values =
@@ -174,7 +163,7 @@ TEST(PublishBatch, ChunksBeyondEnvelopeCapacity) {
 }
 
 TEST(PublishBatch, BatchedCostsFewerMessages) {
-  twin_overlays tw(frozen_dr(summary_mode::mbr), 9);
+  twin_overlays tw(frozen_dr(), 9);
   const auto filters = gen_filters(7, 64);
   const auto publisher = tw.populate(filters);
   const auto values = gen_events(8, 32, filters);
@@ -196,7 +185,7 @@ TEST(PublishBatch, EnvelopesTravelAsEventKindsOnly) {
   // Batched and single publishes ride one envelope whose wire kinds are
   // event_up / event_down at every event count — the kind values the
   // golden delivery digests hash.
-  dr_overlay ov(frozen_dr(summary_mode::mbr), twin_overlays::seeded(61));
+  dr_overlay ov(frozen_dr(), twin_overlays::seeded(61));
   const auto filters = gen_filters(62, 48);
   for (const auto& f : filters) ov.add_peer_and_settle(f);
   peer_id publisher = spatial::kNoPeer;
@@ -234,7 +223,7 @@ TEST(PublishBatch, EnvelopesTravelAsEventKindsOnly) {
 TEST(PublishBatch, BackendBatchMatchesScalarAggregate) {
   auto make_cfg = [] {
     engine::overlay_backend_config cfg;
-    cfg.dr = frozen_dr(summary_mode::both);
+    cfg.dr = frozen_dr();
     cfg.net.seed = 21;
     return cfg;
   };
@@ -264,7 +253,7 @@ TEST(PublishBatch, BackendBatchMatchesScalarAggregate) {
 
 TEST(PublishBatch, ShardedBackendDeliversBatchesExactly) {
   engine::overlay_backend_config cfg;
-  cfg.dr = frozen_dr(summary_mode::mbr);
+  cfg.dr = frozen_dr();
   cfg.net.seed = 33;
   engine::drtree_backend be(cfg, 2);
   engine::scenario_runner runner(be);
@@ -281,7 +270,7 @@ TEST(PublishBatch, ShardedBackendDeliversBatchesExactly) {
 TEST(PublishBatch, BrokerBatchMatchesScalarOutcomes) {
   auto make_cfg = [] {
     pubsub::broker_config bc;
-    bc.dr = frozen_dr(summary_mode::both);
+    bc.dr = frozen_dr();
     bc.net.seed = 55;
     return bc;
   };
@@ -336,98 +325,11 @@ TEST(PublishBatch, ScenarioPhaseRunsOnBatchAndFallbackBackends) {
   EXPECT_EQ(row2->events, 32u);
 }
 
-// --------------------------------------------- subtree-summary lattice
+// ------------------------------------------------ churn and crash soak
 
-TEST(SubtreeSummary, MarkTestAndCoversAgree) {
-  subtree_summary s;
-  s.reset_frame(geo::make_rect2(0, 0, 100, 100), 8);
-  ASSERT_TRUE(s.valid());
-  EXPECT_FALSE(s.test({10.0, 10.0}));
-  s.mark_box(geo::make_rect2(0, 0, 25, 25));
-  EXPECT_TRUE(s.test({10.0, 10.0}));
-  EXPECT_FALSE(s.test({90.0, 90.0}));
-  EXPECT_TRUE(s.covers(geo::make_rect2(5, 5, 20, 20)));
-  EXPECT_FALSE(s.covers(geo::make_rect2(5, 5, 60, 60)));
-  // Regions outside the frame are vacuously covered (MBR fallback).
-  EXPECT_TRUE(s.covers(geo::make_rect2(200, 200, 300, 300)));
-}
-
-TEST(SubtreeSummary, UnboundedOrEmptyFrameStaysAbsent) {
-  subtree_summary s;
-  s.reset_frame(spatial::box::empty(), 8);
-  EXPECT_FALSE(s.valid());
-  s.reset_frame(spatial::box::universe(), 8);
-  EXPECT_FALSE(s.valid());
-  // Absent summaries admit via the MBR path.
-  const auto mbr = geo::make_rect2(0, 0, 10, 10);
-  EXPECT_TRUE(summary_admits(summary_mode::both, s, mbr, {5.0, 5.0}));
-  EXPECT_FALSE(summary_admits(summary_mode::both, s, mbr, {50.0, 5.0}));
-}
-
-TEST(SubtreeSummary, MergeCoversChildBeyondItsFrame) {
-  // A child whose MBR outgrew its frame occupies the overhang via its
-  // MBR, not its bits; the parent merge must rasterize those strips.
-  subtree_summary child;
-  child.reset_frame(geo::make_rect2(0, 0, 50, 50), 4);
-  child.mark_box(geo::make_rect2(0, 0, 10, 10));
-  const auto child_mbr = geo::make_rect2(0, 0, 80, 50);  // grew right
-
-  subtree_summary parent;
-  parent.reset_frame(geo::make_rect2(0, 0, 100, 100), 8);
-  parent.merge(child, child_mbr);
-  EXPECT_TRUE(parent.covers(geo::make_rect2(0, 0, 10, 10)));
-  // The overhang (x in 50..80) must be covered even though the child
-  // has no bits there.
-  EXPECT_TRUE(parent.covers(geo::make_rect2(55, 5, 75, 45)));
-}
-
-TEST(SubtreeSummary, AdmitNeverPrunesInsideFilters) {
-  // Grid admit must be an over-approximation: every point inside a live
-  // filter below the root must be admitted at the root instance.
+TEST(PublishBatch, ChurnAndCrashWavesStayLegalWithoutFalseNegatives) {
   engine::overlay_backend_config bc;
-  bc.dr = frozen_dr(summary_mode::both);
-  bc.dr.stabilize_period = 10.0;
-  bc.net.seed = 19;
-  engine::drtree_backend be(bc);
-  engine::scenario_runner runner(be);
-  runner.populate(40);
-  ASSERT_GE(runner.converge(200), 0);
-  const auto root = be.overlay().current_root();
-  const auto& rp = be.overlay().peer(root);
-  const auto& top = rp.inst(rp.top());
-  util::rng rng(4);
-  for (const auto p : be.overlay().live_peers()) {
-    const auto& f = be.overlay().peer(p).filter();
-    for (int i = 0; i < 8; ++i) {
-      pt v;
-      v[0] = rng.uniform_real(f.lo[0], f.hi[0]);
-      v[1] = rng.uniform_real(f.lo[1], f.hi[1]);
-      if (!top.mbr.contains(v)) continue;
-      EXPECT_TRUE(summary_admits(summary_mode::both, top.summary, top.mbr, v))
-          << "root summary pruned a subscribed point of peer " << p;
-    }
-  }
-}
-
-// ------------------------------------------------ checker summary rule
-
-TEST(SummarySoundness, CheckerRuleQuietOnConvergedTrees) {
-  engine::overlay_backend_config bc;
-  bc.dr = frozen_dr(summary_mode::both);
-  bc.dr.stabilize_period = 10.0;
-  bc.net.seed = 23;
-  engine::drtree_backend be(bc);
-  engine::scenario_runner runner(be);
-  runner.populate(48);
-  ASSERT_GE(runner.converge(200), 0);
-  const auto r = checker(be.overlay()).check();
-  EXPECT_TRUE(r.legal()) << r.violations.front();
-  EXPECT_EQ(r.summary_violations, 0u);
-}
-
-TEST(SummarySoundness, CheckerRuleHoldsUnderChurnAndCrashSoak) {
-  engine::overlay_backend_config bc;
-  bc.dr = frozen_dr(summary_mode::both);
+  bc.dr = frozen_dr();
   bc.dr.stabilize_period = 10.0;
   bc.net.seed = 29;
   engine::drtree_backend be(bc);
@@ -454,62 +356,10 @@ TEST(SummarySoundness, CheckerRuleHoldsUnderChurnAndCrashSoak) {
     ASSERT_GE(runner.converge(300), 0);
     const auto r = checker(be.overlay()).check();
     EXPECT_TRUE(r.legal()) << r.violations.front();
-    EXPECT_EQ(r.summary_violations, 0u);
-    // Accuracy spot check: summaries must not introduce false negatives.
+    // Accuracy spot check: the repaired tree routes every match.
     const auto acc = runner.publish_sweep(20, workload::event_family::matching);
     EXPECT_EQ(acc.false_negatives, 0u);
   }
-}
-
-TEST(SummarySoundness, CheckerRuleFlagsACorruptedBitmap) {
-  engine::overlay_backend_config bc;
-  bc.dr = frozen_dr(summary_mode::both);
-  bc.dr.stabilize_period = 10.0;
-  bc.net.seed = 37;
-  engine::drtree_backend be(bc);
-  engine::scenario_runner runner(be);
-  runner.populate(24);
-  ASSERT_GE(runner.converge(200), 0);
-  ASSERT_EQ(checker(be.overlay()).check().summary_violations, 0u);
-
-  // Clear the root's occupancy bits: the summary now under-approximates
-  // and the rule must fire (this is exactly the bug class it exists for).
-  const auto root = be.overlay().current_root();
-  auto& rp = be.overlay().peer(root);
-  auto& top = rp.inst(rp.top());
-  ASSERT_TRUE(top.summary.valid());
-  top.summary.bits = 0;
-  const auto r = checker(be.overlay()).check();
-  EXPECT_GT(r.summary_violations, 0u);
-  EXPECT_FALSE(r.legal());
-}
-
-// ------------------------------------------------ summary pruning wins
-
-TEST(SummaryPruning, GridReducesMessagesAtUnchangedAccuracy) {
-  // Clustered filters leave most of the root MBR dead space — the setup
-  // the occupancy grid exists for.  Same seed, same filters, same events;
-  // only the summary mode differs.
-  auto run_mode = [](summary_mode mode) {
-    engine::overlay_backend_config bc;
-    bc.dr = frozen_dr(mode);
-    bc.dr.stabilize_period = 10.0;
-    bc.net.seed = 41;
-    engine::drtree_backend be(bc);
-    engine::runner_config rc;
-    rc.workload.family = workload::subscription_family::clustered;
-    engine::scenario_runner runner(be, rc);
-    runner.populate(64);
-    EXPECT_GE(runner.converge(300), 0);
-    return runner.publish_sweep(120, workload::event_family::uniform);
-  };
-  const auto mbr_only = run_mode(summary_mode::mbr);
-  const auto grid = run_mode(summary_mode::both);
-  EXPECT_EQ(mbr_only.false_negatives, 0u);
-  EXPECT_EQ(grid.false_negatives, 0u);
-  EXPECT_LE(grid.messages, mbr_only.messages)
-      << "the occupancy grid must never route MORE than the plain MBR";
-  EXPECT_LE(grid.false_positives, mbr_only.false_positives);
 }
 
 }  // namespace
