@@ -10,9 +10,10 @@
 // the reliability a transport layer must provide to preserve the paper's
 // guarantee end-to-end.
 //
-// Driven through the scenario engine on an explicit net::uniform_model
-// (the declarative form of the simulator's default transport); the row
-// schema is unchanged so the bench history stays comparable.
+// Driven through the scenario engine: the scenario declares a
+// net::model_config with default delays and the swept loss, and
+// engine::configured_for installs it; the row schema is unchanged so the
+// bench history stays comparable.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -30,7 +31,7 @@ using drt::util::table;
 void BM_Loss(benchmark::State& state) {
   const double loss = static_cast<double>(state.range(0)) / 100.0;
 
-  drt::net::uniform_model_config net;  // default delays, swept loss
+  drt::net::model_config net;  // default delays, swept loss
   net.loss = loss;
   const auto sc = drt::engine::scenario::make("loss")
                       .net(net)

@@ -40,7 +40,7 @@ void BM_PartitionStabilize(benchmark::State& state) {
 
   metrics_recorder rec;
   for (auto _ : state) {
-    drt::engine::drtree_backend be(drt::engine::configured_for(sc, bc));
+    drt::engine::drtree_backend be(bc);
     drt::engine::scenario_runner runner(be);
     rec = runner.run(sc);
   }

@@ -21,8 +21,8 @@
 # but their deltas are still printed.  A tier-1 bench file or benchmark
 # missing from the candidate set is a hard failure.  Two ratios within
 # the candidate run are gated too, independent of machine speed:
-# trace_overhead's ring vs off rows, and sim_core's stabilizer-timer
-# schedule vs its 10k-deep queue ops.
+# trace_overhead's alternating ring-over-off measurement, and sim_core's
+# stabilizer-timer schedule vs its 10k-deep queue ops.
 #
 # Run both sets with --benchmark_repetitions=5: every repetition is one
 # JSON record and the comparison takes the per-name minimum, which is
@@ -68,7 +68,7 @@ for base_file in "$BASE_DIR"/BENCH_*.json; do
   gate="no"
   is_tier1 "$suite" && gate="yes"
   # trace_overhead is tier-1 through its intra-suite ratio gate below
-  # (ring vs off within ONE run); its absolute times are reported but
+  # (ring over off within ONE run); its absolute times are reported but
   # not diff-gated — the scenario re-runs per iteration, so wall-clock
   # swings with machine load while the ratio stays tight.  A missing
   # candidate file still fails via the ratio-gate block.
@@ -131,23 +131,26 @@ for base_file in "$BASE_DIR"/BENCH_*.json; do
 done
 
 # Intra-suite ratio gate for the flight recorder (DESIGN.md §12): in the
-# *candidate* run, the ring-mode row must stay within THRESHOLD% of the
-# off-mode row.  A ratio within one run is robust to machine speed, where
-# the absolute baseline diff above is not, so this is the gate that pins
-# "tracing is cheap" rather than "this machine is fast".
+# *candidate* run, BM_TraceRingOverOff's ring_over_off counter — the
+# fastest ring run over the fastest off run, timed alternately in one
+# benchmark so both modes see the same machine drift — must stay within
+# THRESHOLD% of 1 (minimum over repetitions).  A ratio within one run is
+# robust to machine speed, where the absolute baseline diff above is
+# not, so this is the gate that pins "tracing is cheap" rather than
+# "this machine is fast".
 trace_file="$CAND_DIR/BENCH_trace_overhead.json"
 if [ -f "$trace_file" ]; then
-  ratio_verdict="$(extract "$trace_file" | awk -F'\t' -v thr="$THRESHOLD" '
-    $1 ~ /^BM_TraceOff/  { if (!off  || $2 < off)  off  = $2 }
-    $1 ~ /^BM_TraceRing/ { if (!ring || $2 < ring) ring = $2 }
+  ratio_verdict="$(sed -n 's/.*"name": "BM_TraceRingOverOff[^"]*".*"ring_over_off": \([0-9.eE+-]*\).*/\1/p' "$trace_file" |
+    awk -v thr="$THRESHOLD" '
+    { if (!r || $1 < r) r = $1 }
     END {
-      if (!off || !ring) { print "INCOMPLETE"; exit }
-      d = (ring - off) / off * 100
+      if (!r) { print "INCOMPLETE"; exit }
+      d = (r - 1) * 100
       printf "%.1f %s\n", d, (d > thr ? "FAIL" : "ok")
     }')"
   case "$ratio_verdict" in
     INCOMPLETE)
-      echo "## trace_overhead: off/ring rows missing from candidate (FAIL)"
+      echo "## trace_overhead: BM_TraceRingOverOff ratio missing from candidate (FAIL)"
       failures=$((failures + 1)) ;;
     *FAIL)
       echo "## trace_overhead: ring is ${ratio_verdict% FAIL}% over off (limit ${THRESHOLD}%) -> FAIL"

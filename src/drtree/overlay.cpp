@@ -111,18 +111,14 @@ void dr_overlay::crash(peer_id p) {
 }
 
 bool dr_overlay::partition(const std::vector<peer_id>& side_b) {
-  std::vector<sim::process_id> ids;
-  ids.reserve(side_b.size());
-  for (const auto p : side_b) ids.push_back(static_cast<sim::process_id>(p));
-  const bool ok = sim_.partition(ids);
-  if (ok) mark_all_live();
-  return ok;
+  if (!sim_.partition(side_b)) return false;
+  mark_all_live();
+  return true;
 }
 
-bool dr_overlay::heal_partition() {
-  const bool ok = sim_.heal_partition();
-  if (ok) mark_all_live();
-  return ok;
+void dr_overlay::heal_partition() {
+  sim_.heal_partition();
+  mark_all_live();
 }
 
 void dr_overlay::restart(peer_id p) {
@@ -177,12 +173,6 @@ peer_id dr_overlay::current_root() const {
 }
 
 peer_id dr_overlay::contact_node(peer_id asking) const {
-  if (oracle == oracle_mode::root) {
-    const auto root = current_root();
-    if (root != kNoPeer && root != asking && reachable(asking, root)) {
-      return root;
-    }
-  }
   if (partitioned()) {
     // Split-brain directory: the oracle can only name peers on the
     // asking side of the cut (an out-of-band directory is partitioned

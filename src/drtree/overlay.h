@@ -22,12 +22,6 @@
 
 namespace drt::overlay {
 
-/// How Get_Contact_Node picks the entry point for (re)joins.
-enum class oracle_mode {
-  random_live,  ///< uniformly random live peer (realistic)
-  root,         ///< always the current root (fastest convergence)
-};
-
 /// Outcome of one publication, after the network drained.
 struct publish_result {
   std::uint64_t event_id = 0;
@@ -94,21 +88,19 @@ class dr_overlay {
   }
 
   // ------------------------------------------------------ network faults
-  /// Partition the overlay (requires a dynamic net model; returns false
-  /// otherwise): `side_b` against everyone else.  Cuts messages and the
-  /// reachability oracle; the contact oracle then only hands out
-  /// same-side contacts, so rejoins stay within the joiner's side.
+  /// Partition the overlay: `side_b` against everyone else.  Cuts
+  /// messages and the reachability oracle; the contact oracle then only
+  /// hands out same-side contacts, so rejoins stay within the joiner's
+  /// side.  Returns false, installing nothing, when any id names no
+  /// peer.
   bool partition(const std::vector<spatial::peer_id>& side_b);
-  bool heal_partition();
-  bool degrade_links(double latency_factor, double extra_loss,
+  void heal_partition();
+  void degrade_links(double latency_factor, double extra_loss,
                      sim::sim_time ramp) {
-    return sim_.degrade_links(latency_factor, extra_loss, ramp);
+    sim_.degrade_links(latency_factor, extra_loss, ramp);
   }
   /// True while a partition is installed.
-  bool partitioned() const {
-    const auto* dyn = sim_.dynamic_net();
-    return dyn != nullptr && dyn->partitioned();
-  }
+  bool partitioned() const { return sim_.net_model().partitioned(); }
   /// Allocating snapshot; prefer for_each_live()/live_count() in loops.
   std::vector<spatial::peer_id> live_peers() const;
   std::size_t live_count() const { return sim_.live_count(); }
@@ -134,8 +126,8 @@ class dr_overlay {
   /// All live peers whose topmost instance points to themselves.
   std::vector<spatial::peer_id> root_peers() const;
 
-  /// Get_Contact_Node(): a live peer other than `asking` per the oracle
-  /// mode; kNoPeer when none exists.
+  /// Get_Contact_Node(): a uniformly random live peer other than
+  /// `asking` (on its side of any partition); kNoPeer when none exists.
   spatial::peer_id contact_node(spatial::peer_id asking) const;
 
   // ----------------------------------------------------- dissemination
@@ -309,8 +301,6 @@ class dr_overlay {
 
   /// Advance virtual time by `dt` (due stabilize passes run).
   void advance(sim::sim_time dt) { sim_.run_until(sim_.now() + dt); }
-
-  oracle_mode oracle = oracle_mode::random_live;
 
  private:
   /// Dirty-mark every neighbor of `p` (parent above each instance, every

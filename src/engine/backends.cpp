@@ -56,40 +56,32 @@ bool restart_peer(overlay::dr_overlay& ov, spatial::peer_id p) {
   return true;
 }
 
-/// Both overlay adapters expose partition/degrade iff the sim's net
-/// model has a dynamic fault layer — capabilities are honest, never
-/// aspirational.
-capability_mask overlay_capabilities(const overlay::dr_overlay& ov) {
-  capability_mask m = cap_unsubscribe | cap_crash | cap_restart |
-                      cap_corruption | cap_stabilize;
-  if (ov.sim().dynamic_net() != nullptr) m |= cap_partition | cap_degrade;
-  return m;
-}
+/// What one overlay (one simulator, one net model) can do.
+constexpr capability_mask kOverlayCapabilities =
+    cap_unsubscribe | cap_crash | cap_restart | cap_corruption |
+    cap_stabilize | cap_partition | cap_degrade;
 
-/// Installs nothing and returns false when any id names no peer of `ov`.
+/// Installs nothing and returns false when any id names no peer of `ov`
+/// (peer_of maps it to kNoPeer, which the simulator rejects).
 bool partition_overlay(overlay::dr_overlay& ov,
                        const std::vector<sub_id>& side_b) {
   std::vector<spatial::peer_id> peers;
   peers.reserve(side_b.size());
-  for (const auto s : side_b) {
-    const auto p = peer_of(ov, s);
-    if (p == spatial::kNoPeer) return false;
-    peers.push_back(p);
-  }
+  for (const auto s : side_b) peers.push_back(peer_of(ov, s));
   return ov.partition(peers);
 }
 
-bool degrade_overlay(overlay::dr_overlay& ov, double latency_factor,
+void degrade_overlay(overlay::dr_overlay& ov, double latency_factor,
                      double extra_loss, double ramp_rounds) {
-  return ov.degrade_links(latency_factor, extra_loss,
-                          ramp_rounds * ov.config().stabilize_period);
+  ov.degrade_links(latency_factor, extra_loss,
+                   ramp_rounds * ov.config().stabilize_period);
 }
 
 }  // namespace
 
 overlay_backend_config configured_for(const scenario& sc,
                                       overlay_backend_config base) {
-  if (sc.net.has_value()) base.net.model = *sc.net;
+  if (sc.net.has_value()) base.net.link = *sc.net;
   return base;
 }
 
@@ -125,8 +117,9 @@ spatial::peer_id drtree_backend::local_of(sub_id s) const {
 }
 
 capability_mask drtree_backend::capabilities() const {
-  const auto m = overlay_capabilities(*overlays_[0]);
-  return overlays_.size() == 1 ? m : m & ~(cap_partition | cap_degrade);
+  return overlays_.size() == 1
+             ? kOverlayCapabilities
+             : kOverlayCapabilities & ~(cap_partition | cap_degrade);
 }
 
 bool drtree_backend::partition(const std::vector<sub_id>& side_b) {
@@ -134,14 +127,16 @@ bool drtree_backend::partition(const std::vector<sub_id>& side_b) {
 }
 
 bool drtree_backend::heal() {
-  return overlays_.size() == 1 && overlays_[0]->heal_partition();
+  if (overlays_.size() != 1) return false;
+  overlays_[0]->heal_partition();
+  return true;
 }
 
 bool drtree_backend::degrade_links(double latency_factor, double extra_loss,
                                    double ramp_rounds) {
-  return overlays_.size() == 1 &&
-         degrade_overlay(*overlays_[0], latency_factor, extra_loss,
-                         ramp_rounds);
+  if (overlays_.size() != 1) return false;
+  degrade_overlay(*overlays_[0], latency_factor, extra_loss, ramp_rounds);
+  return true;
 }
 
 sub_id drtree_backend::subscribe(const spatial::box& filter) {
@@ -341,17 +336,23 @@ broker_backend::broker_backend(overlay_backend_config config) {
 }
 
 capability_mask broker_backend::capabilities() const {
-  return overlay_capabilities(broker_->raw_overlay());
+  return kOverlayCapabilities;
 }
 
 bool broker_backend::partition(const std::vector<sub_id>& side_b) {
   return partition_overlay(broker_->raw_overlay(), side_b);
 }
 
+bool broker_backend::heal() {
+  broker_->raw_overlay().heal_partition();
+  return true;
+}
+
 bool broker_backend::degrade_links(double latency_factor, double extra_loss,
                                    double ramp_rounds) {
-  return degrade_overlay(broker_->raw_overlay(), latency_factor, extra_loss,
-                         ramp_rounds);
+  degrade_overlay(broker_->raw_overlay(), latency_factor, extra_loss,
+                  ramp_rounds);
+  return true;
 }
 
 sub_id broker_backend::subscribe(const spatial::box& filter) {
@@ -532,12 +533,9 @@ backend_shape baseline_backend::shape() const {
 // --------------------------------------------------------------- factory
 
 std::vector<std::unique_ptr<backend>> make_all_backends(
-    const overlay_backend_config& config, bool include_broker) {
+    const overlay_backend_config& config) {
   std::vector<std::unique_ptr<backend>> out;
   out.push_back(std::make_unique<drtree_backend>(config));
-  if (include_broker) {
-    out.push_back(std::make_unique<broker_backend>(config));
-  }
   out.push_back(std::make_unique<baseline_backend>(
       std::make_unique<baselines::containment_tree>()));
   out.push_back(std::make_unique<baseline_backend>(

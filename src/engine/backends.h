@@ -6,7 +6,9 @@
 // constructor argument.  At one shard it and broker_backend drive the
 // identical protocol stack through the identical operations, so a
 // churn-free scenario produces bit-identical metrics on either — the
-// engine determinism tests rely on this.  Baselines get honest
+// engine determinism tests rely on this.  Every one-shard overlay
+// adapter can partition and degrade: its simulator owns the net model
+// those faults act on.  Baselines get honest
 // *incremental rebuild* semantics: they have no repair protocol, so every
 // membership change rebuilds the structure from the surviving
 // subscription set (counted in backend_counters::rebuilds); crashes,
@@ -36,8 +38,9 @@ struct overlay_backend_config {
 };
 
 /// The backend config a scenario calls for: `base` with the scenario's
-/// declarative net model (when it has one) installed.  Benches and
-/// tests use this so the scenario value fully determines the transport.
+/// declarative net model config (when it has one) installed as
+/// `net.link`.  Benches and tests use this so the scenario value fully
+/// determines the transport.
 overlay_backend_config configured_for(const scenario& sc,
                                       overlay_backend_config base = {});
 
@@ -68,7 +71,7 @@ class drtree_backend final : public backend {
   std::size_t corrupt(double rate, std::uint64_t seed) override;
   // Partition, heal and degrade act on one simulator's net model; a
   // forest has no honest cross-shard story for them, so they exist only
-  // at one shard (and need its dynamic model).
+  // at one shard.
   bool partition(const std::vector<sub_id>& side_b) override;
   bool heal() override;
   bool degrade_links(double latency_factor, double extra_loss,
@@ -140,7 +143,7 @@ class broker_backend final : public backend {
   bool restart(sub_id s) override;
   std::size_t corrupt(double rate, std::uint64_t seed) override;
   bool partition(const std::vector<sub_id>& side_b) override;
-  bool heal() override { return broker_->raw_overlay().heal_partition(); }
+  bool heal() override;
   bool degrade_links(double latency_factor, double extra_loss,
                      double ramp_rounds) override;
 
@@ -216,10 +219,9 @@ class baseline_backend final : public backend {
 
 /// All five systems of experiment E14 behind the uniform interface: the
 /// DR-tree plus the four baselines (containment tree, dimension forest,
-/// flooding, Z-curve DHT).  `broker` adds the sixth, client-facing
-/// surface when requested.
+/// flooding, Z-curve DHT).
 std::vector<std::unique_ptr<backend>> make_all_backends(
-    const overlay_backend_config& config, bool include_broker = false);
+    const overlay_backend_config& config);
 
 }  // namespace drt::engine
 

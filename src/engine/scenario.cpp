@@ -236,12 +236,8 @@ scenario rolling_churn(std::size_t n, std::size_t waves, std::size_t ops,
 
 scenario split_brain_heal(std::size_t n, double minority, int down_rounds,
                           std::uint64_t seed) {
-  // Dynamic fault layer over the default uniform transport: partitions
-  // need a runtime-controllable model.
-  net::dynamic_model_config dyn;
   return scenario::make("split_brain_heal")
       .seed(seed)
-      .net(dyn)
       .populate(n)
       .converge()
       .publish_sweep(60, workload::event_family::matching)  // healthy FN = 0

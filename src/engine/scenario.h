@@ -30,7 +30,7 @@
 #include <variant>
 #include <vector>
 
-#include "net/config.h"
+#include "net/model.h"
 #include "spatial/types.h"
 #include "workload/workload.h"
 
@@ -189,11 +189,10 @@ struct workload_profile {
 struct scenario {
   std::string name;
   workload_profile workload;
-  /// Declarative network model the scenario is meant to run under; a
-  /// scenario with partition/degrade phases needs a dynamic model here.
-  /// Backends are constructed by the caller, so this is applied via
-  /// engine::configured_for (backends.h) — unset means "whatever the
-  /// backend was built with" (the uniform default).
+  /// Declarative network model config the scenario is meant to run
+  /// under.  Backends are constructed by the caller, so this is applied
+  /// via engine::configured_for (backends.h) — unset means "whatever the
+  /// backend was built with" (the paper's transport by default).
   std::optional<net::model_config> net;
   std::vector<phase> timeline;
 
@@ -270,9 +269,8 @@ scenario massacre_then_heal(std::size_t n = 60, double crash_fraction = 1.0 / 3,
 /// population is cut in two for `down_rounds` stabilization periods
 /// (each side re-legalizes internally — measured by the sweep across
 /// the cut), then the partition heals and the two trees must merge back
-/// to one legal overlay with zero false negatives.  Carries a dynamic
-/// net model over the uniform default, so run it on a backend built via
-/// engine::configured_for.
+/// to one legal overlay with zero false negatives.  Declares no net
+/// model: every one-shard overlay backend can partition.
 scenario split_brain_heal(std::size_t n = 64, double minority = 1.0 / 3,
                           int down_rounds = 8, std::uint64_t seed = 7);
 

@@ -1,195 +1,30 @@
 #include "net/model.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/expect.h"
 
 namespace drt::net {
 
-// ------------------------------------------------------------ validation
-
-namespace {
-
-void validate_uniform(const uniform_model_config& c) {
-  DRT_EXPECT(c.min_delay >= 0.0);
-  DRT_EXPECT(c.max_delay >= c.min_delay);
-  DRT_EXPECT(c.loss >= 0.0 && c.loss <= 1.0);
+model::model(const model_config& config) : config_(config) {
+  DRT_EXPECT(config_.min_delay >= 0.0);
+  DRT_EXPECT(config_.max_delay >= config_.min_delay);
+  DRT_EXPECT(config_.loss >= 0.0 && config_.loss <= 1.0);
+  DRT_EXPECT(config_.duplicate >= 0.0 && config_.duplicate <= 1.0);
+  DRT_EXPECT(config_.reorder >= 0.0 && config_.reorder <= 1.0);
+  DRT_EXPECT(config_.reorder_factor >= 1.0);
 }
 
-void validate_cluster(const cluster_model_config& c) {
-  DRT_EXPECT(c.clusters >= 1);
-  DRT_EXPECT(c.loss >= 0.0 && c.loss <= 1.0);
-  DRT_EXPECT(c.jitter >= 0.0 && c.jitter < 1.0);
-  const std::size_t cells = c.clusters * c.clusters;
-  // Either both matrices empty (shorthand) or both square and ordered.
-  DRT_EXPECT(c.min_matrix.size() == c.max_matrix.size());
-  if (c.min_matrix.empty()) {
-    DRT_EXPECT(c.intra_min >= 0.0 && c.intra_max >= c.intra_min);
-    DRT_EXPECT(c.inter_min >= 0.0 && c.inter_max >= c.inter_min);
-  } else {
-    DRT_EXPECT(c.min_matrix.size() == cells);
-    for (std::size_t i = 0; i < cells; ++i) {
-      DRT_EXPECT(c.min_matrix[i] >= 0.0);
-      DRT_EXPECT(c.max_matrix[i] >= c.min_matrix[i]);
-    }
-  }
-}
-
-void validate_dynamic(const dynamic_model_config& c) {
-  if (const auto* u = std::get_if<uniform_model_config>(&c.base)) {
-    validate_uniform(*u);
-  } else {
-    validate_cluster(std::get<cluster_model_config>(c.base));
-  }
-  DRT_EXPECT(c.extra_loss >= 0.0 && c.extra_loss <= 1.0);
-  DRT_EXPECT(c.duplicate >= 0.0 && c.duplicate <= 1.0);
-  DRT_EXPECT(c.reorder >= 0.0 && c.reorder <= 1.0);
-  DRT_EXPECT(c.reorder_factor >= 1.0);
-}
-
-struct validate_visitor {
-  void operator()(const uniform_model_config& c) const { validate_uniform(c); }
-  void operator()(const cluster_model_config& c) const { validate_cluster(c); }
-  void operator()(const dynamic_model_config& c) const { validate_dynamic(c); }
-};
-
-struct name_visitor {
-  const char* operator()(const uniform_model_config&) const {
-    return "uniform";
-  }
-  const char* operator()(const cluster_model_config&) const {
-    return "cluster";
-  }
-  const char* operator()(const dynamic_model_config&) const {
-    return "dynamic";
-  }
-};
-
-/// splitmix64-style mix of one link identity into [0, 1): the source of
-/// the cluster model's per-link jitter.  Pure function of (from, to), so
-/// it consumes no RNG state and never perturbs other draws.
-double link_hash01(sim::process_id from, sim::process_id to) {
-  std::uint64_t x = (static_cast<std::uint64_t>(from) << 32) |
-                    (static_cast<std::uint64_t>(to) + 1);
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
-
-const char* model_name(const model_config& config) {
-  return std::visit(name_visitor{}, config);
-}
-
-void validate(const model_config& config) {
-  std::visit(validate_visitor{}, config);
-}
-
-// ---------------------------------------------------------- uniform model
-
-link_decision uniform_model::on_send(sim::process_id /*from*/,
-                                     sim::process_id /*to*/,
-                                     sim::sim_time /*now*/, util::rng& rng) {
-  // RNG order is the legacy send path's, verbatim: the loss Bernoulli
-  // only when loss > 0, then exactly one delay draw.  The golden trace
-  // hashes depend on this.
-  link_decision d;
-  if (config_.loss > 0.0 && rng.chance(config_.loss)) {
-    d.deliver = false;
-    ++counters_.dropped;
-    return d;
-  }
-  d.delay = rng.uniform_real(config_.min_delay, config_.max_delay);
-  return d;
-}
-
-// ---------------------------------------------------------- cluster model
-
-cluster_model::cluster_model(const cluster_model_config& config)
-    : config_(config) {
-  const std::size_t k = config_.clusters;
-  if (config_.min_matrix.empty()) {
-    // Expand the intra/inter shorthand into full matrices.
-    min_matrix_.assign(k * k, config_.inter_min);
-    max_matrix_.assign(k * k, config_.inter_max);
-    for (std::size_t i = 0; i < k; ++i) {
-      min_matrix_[i * k + i] = config_.intra_min;
-      max_matrix_[i * k + i] = config_.intra_max;
-    }
-  } else {
-    min_matrix_ = config_.min_matrix;
-    max_matrix_ = config_.max_matrix;
-  }
-}
-
-void cluster_model::on_process_added(sim::process_id id, util::rng& rng) {
-  if (assignment_.size() <= id) assignment_.resize(id + 1, 0);
-  if (config_.random_assignment) {
-    assignment_[id] = static_cast<std::uint32_t>(rng.index(config_.clusters));
-  } else {
-    assignment_[id] = static_cast<std::uint32_t>(next_cluster_);
-    next_cluster_ = (next_cluster_ + 1) % config_.clusters;
-  }
-}
-
-link_decision cluster_model::on_send(sim::process_id from,
-                                     sim::process_id to,
-                                     sim::sim_time /*now*/, util::rng& rng) {
-  link_decision d;
-  if (config_.loss > 0.0 && rng.chance(config_.loss)) {
-    d.deliver = false;
-    ++counters_.dropped;
-    return d;
-  }
-  const std::size_t cf = cluster_of(from);
-  const std::size_t ct = cluster_of(to);
-  ++(cf == ct ? counters_.intra_cluster : counters_.inter_cluster);
-  const std::size_t cell = cf * config_.clusters + ct;
-  d.delay = rng.uniform_real(min_matrix_[cell], max_matrix_[cell]);
-  if (config_.jitter > 0.0) {
-    // Fixed per-link factor in [1 - jitter, 1 + jitter].
-    d.delay *= 1.0 + config_.jitter * (2.0 * link_hash01(from, to) - 1.0);
-  }
-  return d;
-}
-
-void cluster_model::delay_bounds(sim::sim_time& lo, sim::sim_time& hi) const {
-  lo = *std::min_element(min_matrix_.begin(), min_matrix_.end());
-  hi = *std::max_element(max_matrix_.begin(), max_matrix_.end());
-  lo *= 1.0 - config_.jitter;
-  hi *= 1.0 + config_.jitter;
-}
-
-// ---------------------------------------------------------- dynamic model
-
-dynamic_model::dynamic_model(const dynamic_model_config& config)
-    : config_(config) {
-  if (const auto* u = std::get_if<uniform_model_config>(&config_.base)) {
-    base_ = std::make_unique<uniform_model>(*u);
-  } else {
-    base_ = std::make_unique<cluster_model>(
-        std::get<cluster_model_config>(config_.base));
-  }
-}
-
-void dynamic_model::partition(const std::vector<sim::process_id>& side_b) {
-  group_.clear();
+void model::partition(const std::vector<sim::process_id>& side_b) {
+  side_b_.clear();
   for (const auto p : side_b) {
-    if (group_.size() <= p) group_.resize(p + 1, 0);
-    group_[p] = 1;
+    if (side_b_.size() <= p) side_b_.resize(std::size_t{p} + 1, false);
+    side_b_[p] = true;
   }
-  // An all-side-A "partition" is a heal.
-  if (side_b.empty()) group_.clear();
 }
 
-void dynamic_model::heal() { group_.clear(); }
-
-void dynamic_model::degrade(sim::sim_time start, sim::sim_time ramp,
-                            double latency_factor, double extra_loss) {
+void model::degrade(sim::sim_time start, sim::sim_time ramp,
+                    double latency_factor, double extra_loss) {
   DRT_EXPECT(ramp >= 0.0);
   DRT_EXPECT(latency_factor >= 1.0);
   DRT_EXPECT(extra_loss >= 0.0 && extra_loss <= 1.0);
@@ -200,41 +35,40 @@ void dynamic_model::degrade(sim::sim_time start, sim::sim_time ramp,
   degrade_extra_loss_ = extra_loss;
 }
 
-double dynamic_model::degrade_level(sim::sim_time now) const {
+double model::degrade_level(sim::sim_time now) const {
   if (!degrade_active_ || now < degrade_start_) return 0.0;
   if (degrade_ramp_ <= 0.0) return 1.0;  // instant degradation
   return std::min(1.0, (now - degrade_start_) / degrade_ramp_);
 }
 
-link_decision dynamic_model::on_send(sim::process_id from,
-                                     sim::process_id to, sim::sim_time now,
-                                     util::rng& rng) {
-  // Fixed decision order (the determinism contract): partition cut
-  // (no draw), base model, stacked loss, degradation, reorder,
-  // duplication.
+link_decision model::on_send(sim::process_id from, sim::process_id to,
+                             sim::sim_time now, util::rng& rng) {
+  // Fixed decision order (the determinism contract in model.h): the
+  // partition cut (no draw), iid loss, the delay draw, degradation,
+  // reorder, duplication.
+  link_decision d;
   if (!allows(from, to)) {
-    link_decision d;
     d.deliver = false;
     d.partitioned = true;
     ++counters_.partitioned;
     return d;
   }
-  link_decision d = base_->on_send(from, to, now, rng);
-  if (!d.deliver) {
-    ++counters_.dropped;
-    return d;
-  }
-  double stacked_loss = config_.extra_loss;
-  const double level = degrade_level(now);
-  if (level > 0.0) {
-    ++counters_.degraded;
-    stacked_loss = std::min(1.0, stacked_loss + level * degrade_extra_loss_);
-    d.delay *= 1.0 + level * (degrade_latency_factor_ - 1.0);
-  }
-  if (stacked_loss > 0.0 && rng.chance(stacked_loss)) {
+  if (config_.loss > 0.0 && rng.chance(config_.loss)) {
     d.deliver = false;
     ++counters_.dropped;
     return d;
+  }
+  d.delay = rng.uniform_real(config_.min_delay, config_.max_delay);
+  const double level = degrade_level(now);
+  if (level > 0.0) {
+    ++counters_.degraded;
+    d.delay *= 1.0 + level * (degrade_latency_factor_ - 1.0);
+    const double loss = level * degrade_extra_loss_;
+    if (loss > 0.0 && rng.chance(loss)) {
+      d.deliver = false;
+      ++counters_.dropped;
+      return d;
+    }
   }
   if (config_.reorder > 0.0 && rng.chance(config_.reorder)) {
     d.delay *= config_.reorder_factor;
@@ -245,20 +79,6 @@ link_decision dynamic_model::on_send(sim::process_id from,
     ++counters_.duplicated;
   }
   return d;
-}
-
-// --------------------------------------------------------------- factory
-
-std::unique_ptr<link_model> make_model(const model_config& config) {
-  validate(config);
-  if (const auto* u = std::get_if<uniform_model_config>(&config)) {
-    return std::make_unique<uniform_model>(*u);
-  }
-  if (const auto* c = std::get_if<cluster_model_config>(&config)) {
-    return std::make_unique<cluster_model>(*c);
-  }
-  return std::make_unique<dynamic_model>(
-      std::get<dynamic_model_config>(config));
 }
 
 }  // namespace drt::net

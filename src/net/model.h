@@ -1,39 +1,51 @@
-// Pluggable link models (DESIGN.md §7): the simulator consults one
-// link_model on every send to decide a message's fate — deliver after
-// some delay, drop, duplicate — replacing the hard-coded
-// uniform-delay/iid-loss fields of the original substrate.
+// The network model (DESIGN.md §7): the simulator consults one
+// net::model on every send to decide a message's fate — deliver after
+// some delay, drop, duplicate.
 //
-// Determinism contract: a model draws from the simulator's RNG stream in
-// a fixed per-send order, so the (seed, config) pair still pins every
-// run bit-for-bit.  uniform_model consumes the stream exactly as the
-// legacy inline code did (loss Bernoulli only when loss > 0, then one
-// uniform delay draw), which is what keeps the golden trace hashes of
-// tests/sim_determinism_test.cpp unchanged.
+// The paper proves its guarantees over an idealized transport (§2.1):
+// one uniform delay range and iid loss on every link.  A default
+// model_config is exactly that.  On top of it the model carries what
+// the experiments need beyond the paper: static duplication and
+// reordering knobs, and the runtime faults the engine's partition /
+// heal / degrade_links phases drive — partition groups with a later
+// heal, and a latency/loss degradation ramp.
 //
-// dynamic_model additionally owns the runtime fault state — the
-// partition group map and the degradation ramp — and exposes
-// `allows(from, to)`, the reachability predicate the overlay's failure
-// detector queries (a partitioned peer is indistinguishable from a
-// crashed one, which is precisely the split-brain scenario).
+// Determinism contract: the model draws from the simulator's RNG stream
+// in a fixed per-send order, so the (seed, config) pair pins every run
+// bit-for-bit.  Per send: the partition cut (no draw), the loss
+// Bernoulli only when loss > 0, one uniform delay draw, the degradation
+// loss Bernoulli only while a degradation with loss is active, then the
+// reorder and duplicate Bernoullis only when their knobs are set (a
+// duplicate draws its lag).  At default knobs that is the loss
+// Bernoulli and the delay draw alone, which is what keeps the golden
+// trace hashes of tests/sim_determinism_test.cpp unchanged.
 //
-// Shard safety (DESIGN.md §8): every simulator constructs its *own*
-// model instance from the config value and draws from its own RNG, so
-// models carry no cross-simulator state — sim::kernel shards can run
-// their passes on parallel threads without any coordination here.
+// Shard safety (DESIGN.md §8): every simulator owns its model and draws
+// from its own RNG, so a model carries no cross-simulator state.
 #ifndef DRT_NET_MODEL_H
 #define DRT_NET_MODEL_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "net/config.h"
 #include "sim/event_queue.h"
 #include "util/rng.h"
 
 namespace drt::net {
 
-class dynamic_model;
+/// The transport, as a plain value: it travels inside
+/// sim::simulator_config and engine::scenario, so a run's network shape
+/// is part of its reproducible identity.  Checked (util/expect.h) when
+/// a model is built: delays ordered and non-negative, probabilities in
+/// [0, 1], reorder_factor >= 1.
+struct model_config {
+  double min_delay = 0.5;  ///< per-message latency lower bound
+  double max_delay = 1.5;  ///< per-message latency upper bound
+  double loss = 0.0;       ///< iid drop probability per message
+  double duplicate = 0.0;  ///< probability a delivered message is duplicated
+  double reorder = 0.0;    ///< probability a message's delay is stretched
+  double reorder_factor = 3.0;  ///< stretch multiplier for reordered sends
+};
 
 /// Fate of one message send, decided by the model at send time.
 struct link_decision {
@@ -45,153 +57,62 @@ struct link_decision {
   sim::sim_time duplicate_lag = -1.0;
 };
 
-/// Per-model counters, kept next to the simulator's sim_metrics: the
-/// sim counts message outcomes, the model counts *why* (which knob or
-/// fault produced them).
+/// Why messages met their fate, kept next to the simulator's sim_metrics
+/// (which count the outcomes themselves).
 struct model_counters {
-  std::uint64_t dropped = 0;      ///< random loss (base + stacked)
+  std::uint64_t dropped = 0;      ///< random loss (iid or degradation)
   std::uint64_t partitioned = 0;  ///< blocked by an active partition
   std::uint64_t duplicated = 0;   ///< sends that grew a duplicate copy
   std::uint64_t reordered = 0;    ///< sends with a stretched delay
   std::uint64_t degraded = 0;     ///< sends under an active degradation
-  std::uint64_t intra_cluster = 0;///< cluster model: same-cluster sends
-  std::uint64_t inter_cluster = 0;///< cluster model: cross-cluster sends
 };
 
-class link_model {
+class model {
  public:
-  virtual ~link_model() = default;
-
-  virtual const char* name() const = 0;
-
-  /// A process joined the simulation (cluster assignment happens here).
-  /// Must not consume the RNG unless the configuration says so.
-  virtual void on_process_added(sim::process_id id, util::rng& rng) {
-    (void)id;
-    (void)rng;
-  }
-
-  /// Decide the fate of one send at virtual time `now`.  RNG draws
-  /// happen in a fixed per-send order (see the determinism contract
-  /// above).
-  virtual link_decision on_send(sim::process_id from, sim::process_id to,
-                                sim::sim_time now, util::rng& rng) = 0;
-
-  /// Delay bounds over every link (used for calendar-queue bucket
-  /// sizing; correctness never depends on them).
-  virtual void delay_bounds(sim::sim_time& lo, sim::sim_time& hi) const = 0;
-
-  /// The dynamic fault layer, when this model has one.
-  virtual dynamic_model* as_dynamic() { return nullptr; }
+  explicit model(const model_config& config);
 
   const model_counters& counters() const { return counters_; }
 
- protected:
-  model_counters counters_;
-};
-
-/// The paper's transport (and the default): one uniform delay range and
-/// one iid drop probability for every link.  Bit-for-bit identical to
-/// the pre-subsystem hard-coded send path.
-class uniform_model final : public link_model {
- public:
-  explicit uniform_model(const uniform_model_config& config)
-      : config_(config) {}
-
-  const char* name() const override { return "uniform"; }
+  /// Decide the fate of one send at virtual time `now`, drawing from
+  /// `rng` in the order of the determinism contract above.
   link_decision on_send(sim::process_id from, sim::process_id to,
-                        sim::sim_time now, util::rng& rng) override;
-  void delay_bounds(sim::sim_time& lo, sim::sim_time& hi) const override {
-    lo = config_.min_delay;
-    hi = config_.max_delay;
-  }
-
- private:
-  uniform_model_config config_;
-};
-
-/// Topology-aware latency: peers are assigned to clusters at join;
-/// each (from-cluster, to-cluster) pair has its own delay range, and
-/// each individual link carries a fixed hash-derived jitter factor.
-class cluster_model final : public link_model {
- public:
-  explicit cluster_model(const cluster_model_config& config);
-
-  const char* name() const override { return "cluster"; }
-  void on_process_added(sim::process_id id, util::rng& rng) override;
-  link_decision on_send(sim::process_id from, sim::process_id to,
-                        sim::sim_time now, util::rng& rng) override;
-  void delay_bounds(sim::sim_time& lo, sim::sim_time& hi) const override;
-
-  std::size_t cluster_of(sim::process_id id) const {
-    return id < assignment_.size() ? assignment_[id] : 0;
-  }
-
- private:
-  cluster_model_config config_;
-  std::vector<double> min_matrix_;  // resolved (shorthand expanded)
-  std::vector<double> max_matrix_;
-  std::vector<std::uint32_t> assignment_;  // process id -> cluster
-  std::size_t next_cluster_ = 0;           // round-robin cursor
-};
-
-/// Time-varying fault layer over any base model: partitions between
-/// peer sets with later heal, a per-link degradation ramp, and stacked
-/// loss / duplication / reordering.
-class dynamic_model final : public link_model {
- public:
-  explicit dynamic_model(const dynamic_model_config& config);
-
-  const char* name() const override { return "dynamic"; }
-  void on_process_added(sim::process_id id, util::rng& rng) override {
-    base_->on_process_added(id, rng);
-  }
-  link_decision on_send(sim::process_id from, sim::process_id to,
-                        sim::sim_time now, util::rng& rng) override;
-  void delay_bounds(sim::sim_time& lo, sim::sim_time& hi) const override {
-    base_->delay_bounds(lo, hi);
-  }
-  dynamic_model* as_dynamic() override { return this; }
+                        sim::sim_time now, util::rng& rng);
 
   // ------------------------------------------------------- partitions
   /// Install a partition: processes in `side_b` form one side, everyone
   /// else (including processes added later) the other.  Messages across
   /// the cut are dropped and `allows` reports the cut to failure
-  /// detectors.  Replaces any previous partition.
+  /// detectors.  Replaces any previous partition; an empty side heals.
   void partition(const std::vector<sim::process_id>& side_b);
-  /// Remove the partition; all links work again.
-  void heal();
-  bool partitioned() const { return !group_.empty(); }
+  void heal() { side_b_.clear(); }
+  bool partitioned() const { return !side_b_.empty(); }
 
   /// Reachability under the current partition (always true when none is
   /// active).  This is what makes a partitioned peer look dead to the
   /// overlay's failure detector.
   bool allows(sim::process_id from, sim::process_id to) const {
-    return group_.empty() || group_of(from) == group_of(to);
+    return side_b_.empty() || on_side_b(from) == on_side_b(to);
   }
 
   // ------------------------------------------------------ degradation
   /// Ramp every link's latency multiplier from 1 to `latency_factor`
-  /// and stacked loss from 0 to `extra_loss` over `ramp` virtual time
+  /// and its loss from 0 to `extra_loss` over `ramp` virtual time
   /// starting at `start`, then hold until cleared.
   void degrade(sim::sim_time start, sim::sim_time ramp,
                double latency_factor, double extra_loss);
   void clear_degradation() { degrade_active_ = false; }
-  bool degraded() const { return degrade_active_; }
-
-  const link_model& base() const { return *base_; }
 
  private:
-  std::uint32_t group_of(sim::process_id id) const {
-    return id < group_.size() ? group_[id] : 0;
+  bool on_side_b(sim::process_id id) const {
+    return id < side_b_.size() && side_b_[id];
   }
   /// Ramp progress in [0, 1] at time `now`.
   double degrade_level(sim::sim_time now) const;
 
-  dynamic_model_config config_;
-  std::unique_ptr<link_model> base_;
+  model_config config_;
+  model_counters counters_;
 
-  std::vector<std::uint32_t> group_;  // empty: no partition active
+  std::vector<bool> side_b_;  // empty: no partition active
 
   bool degrade_active_ = false;
   sim::sim_time degrade_start_ = 0.0;
@@ -199,9 +120,6 @@ class dynamic_model final : public link_model {
   double degrade_latency_factor_ = 1.0;
   double degrade_extra_loss_ = 0.0;
 };
-
-/// Build the model a config describes (validates first).
-std::unique_ptr<link_model> make_model(const model_config& config);
 
 }  // namespace drt::net
 

@@ -6,37 +6,20 @@
 namespace drt::sim {
 
 namespace {
-/// The model a config describes: the explicit one when set, else a
-/// uniform model from the legacy shorthand fields.  net::make_model
-/// validates (the shorthand path re-checks the legacy invariants the
-/// old constructor asserted inline).
-net::model_config resolve_model(const simulator_config& config) {
-  if (config.model.has_value()) return *config.model;
-  net::uniform_model_config u;
-  u.min_delay = config.min_delay;
-  u.max_delay = config.max_delay;
-  u.loss = config.message_loss;
-  return u;
-}
-
-/// Calendar-queue bucket width: ~1/8 of the model's mean link delay, so
-/// a typical in-flight message population spreads over tens of buckets.
+/// Calendar-queue bucket width: ~1/8 of the mean link delay, so a
+/// typical in-flight message population spreads over tens of buckets.
 /// Clamped away from zero for degenerate (zero-delay) configurations,
 /// where the queue gracefully decays to one sorted bucket.
-double bucket_width_for(const net::link_model& model) {
-  sim_time lo = 0.0;
-  sim_time hi = 0.0;
-  model.delay_bounds(lo, hi);
-  return std::max(0.5 * (lo + hi) / 8.0, 1e-6);
+double bucket_width_for(const net::model_config& link) {
+  return std::max(0.5 * (link.min_delay + link.max_delay) / 8.0, 1e-6);
 }
 }  // namespace
 
 simulator::simulator(simulator_config config)
     : config_(config),
-      net_(net::make_model(resolve_model(config))),
-      dynamic_(net_->as_dynamic()),
+      net_(config.link),
       rng_(config.seed),
-      queue_(bucket_width_for(*net_)) {}
+      queue_(bucket_width_for(config.link)) {}
 
 simulator::~simulator() = default;
 
@@ -47,42 +30,24 @@ process_id simulator::add_process(std::unique_ptr<process> p) {
   p->sim_ = this;
   processes_.push_back(std::move(p));
   live_.add();
-  net_->on_process_added(id, rng_);
   processes_.back()->on_start();
   return id;
 }
 
 bool simulator::partition(const std::vector<process_id>& side_b) {
-  if (dynamic_ == nullptr) return false;
-  dynamic_->partition(side_b);
+  for (const auto p : side_b) {
+    if (p >= processes_.size()) return false;
+  }
+  net_.partition(side_b);
   // Sever in-flight traffic too: a partition cuts links, and packets on
   // a cut link are lost, not delayed until the heal.
   const auto purged = queue_.erase_if([this](const pending_event& ev) {
     return ev.what == pending_event::kind::message &&
-           !dynamic_->allows(ev.from, ev.to);
+           !net_.allows(ev.from, ev.to);
   });
   metrics_.messages_partitioned += purged;
   DRT_ENSURE(pending_work_ >= purged);
   pending_work_ -= purged;
-  return true;
-}
-
-bool simulator::heal_partition() {
-  if (dynamic_ == nullptr) return false;
-  dynamic_->heal();
-  return true;
-}
-
-bool simulator::degrade_links(double latency_factor, double extra_loss,
-                              sim_time ramp) {
-  if (dynamic_ == nullptr) return false;
-  dynamic_->degrade(now_, ramp, latency_factor, extra_loss);
-  return true;
-}
-
-bool simulator::clear_degradation() {
-  if (dynamic_ == nullptr) return false;
-  dynamic_->clear_degradation();
   return true;
 }
 
@@ -123,11 +88,7 @@ void simulator::post_message(process_id from, process_id to,
                              std::uint64_t type, envelope msg) {
   DRT_EXPECT(to < processes_.size());
   ++metrics_.messages_sent;
-  if (link_filter_ && !link_filter_(from, to)) {
-    ++metrics_.messages_partitioned;
-    return;
-  }
-  const net::link_decision d = net_->on_send(from, to, now_, rng_);
+  const net::link_decision d = net_.on_send(from, to, now_, rng_);
   if (!d.deliver) {
     ++(d.partitioned ? metrics_.messages_partitioned
                      : metrics_.messages_dropped);

@@ -23,9 +23,9 @@
 // rank/select (live_index), so membership queries never scan processes.
 //
 // Message fate (latency, loss, partition cuts, duplication) is decided
-// by a pluggable net::link_model consulted on the send path (DESIGN.md
-// §7).  The default uniform model reproduces the legacy hard-coded
-// uniform-delay/iid-loss behavior bit-for-bit.
+// by the simulator's net::model on the send path (DESIGN.md §7).  At
+// default knobs it is the paper's transport: one uniform delay range and
+// iid loss on every link.
 #ifndef DRT_SIM_SIMULATOR_H
 #define DRT_SIM_SIMULATOR_H
 
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -194,15 +193,8 @@ class live_index {
 
 struct simulator_config {
   std::uint64_t seed = 1;
-  /// Legacy shorthand for the default transport: when `model` is unset,
-  /// the simulator runs a net::uniform_model built from these three
-  /// fields (identical behavior to the original hard-coded send path).
-  sim_time min_delay = 0.5;      ///< per-message latency lower bound
-  sim_time max_delay = 1.5;      ///< per-message latency upper bound
-  double message_loss = 0.0;     ///< iid drop probability per message
-  /// Explicit network model; overrides the shorthand fields when set.
-  /// Validated (net::validate) at simulator construction.
-  std::optional<net::model_config> model;
+  /// The transport; checked at simulator construction.
+  net::model_config link{};
 };
 
 /// Counters the experiment harnesses read.
@@ -210,7 +202,7 @@ struct sim_metrics {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
   std::uint64_t messages_dropped = 0;     ///< random loss (any model)
-  std::uint64_t messages_partitioned = 0; ///< blocked by filter or partition
+  std::uint64_t messages_partitioned = 0; ///< cut by the active partition
   std::uint64_t messages_duplicated = 0;  ///< extra copies the network grew
   std::uint64_t messages_to_dead = 0;     ///< purged at crash or sent to dead
   std::uint64_t timers_fired = 0;
@@ -265,9 +257,9 @@ class simulator {
   std::size_t process_count() const { return processes_.size(); }
 
   // ----------------------------------------------------------- messaging
-  /// Send message `type` with payload `body` (may be omitted).  The
-  /// configured net::link_model decides the fate: delivery delay, random
-  /// loss, partition cuts, duplication.  Payloads up to
+  /// Send message `type` with payload `body` (may be omitted).  The net
+  /// model decides the fate: delivery delay, random loss, partition
+  /// cuts, duplication.  Payloads up to
   /// envelope::kMaxPooledPayload travel in slab-recycled pool blocks —
   /// allocation-free once the simulation reaches a steady state.
   template <typename Payload>
@@ -290,41 +282,30 @@ class simulator {
   /// The payload pool backing pooled sends (slab/footprint accounting).
   const payload_pool& pool() const { return pool_; }
 
-  /// Install a link filter: messages with allow(from, to) == false are
-  /// dropped at send time (counted as partitioned).  Pass nullptr to
-  /// heal.  A test hook for arbitrary link predicates; declarative
-  /// partitions should use partition()/heal_partition() on a dynamic
-  /// net model instead (those also inform the reachability oracle).
-  using link_filter = std::function<bool(process_id from, process_id to)>;
-  void set_link_filter(link_filter allow) { link_filter_ = std::move(allow); }
-
   // ------------------------------------------------------ network model
-  const net::link_model& net_model() const { return *net_; }
-  net::link_model& net_model() { return *net_; }
-  /// The dynamic fault layer, or nullptr when the configured model has
-  /// none (partition/degrade calls then return false).
-  net::dynamic_model* dynamic_net() { return dynamic_; }
-  const net::dynamic_model* dynamic_net() const { return dynamic_; }
+  const net::model& net_model() const { return net_; }
 
   /// Partition the network: `side_b` on one side, everyone else on the
   /// other.  Cross-cut messages already in flight are purged (a cut
   /// severs links, not just future sends) and counted as partitioned;
-  /// subsequent cross-cut sends are dropped the same way.  Returns false
-  /// (and does nothing) when the model has no dynamic layer.
+  /// subsequent cross-cut sends are dropped the same way.  Returns false,
+  /// installing and purging nothing, when any id names no process.
   bool partition(const std::vector<process_id>& side_b);
-  /// Remove the active partition.  False when the model is not dynamic.
-  bool heal_partition();
-  /// Ramp all links to `latency_factor` x latency and `extra_loss`
-  /// stacked loss over `ramp` virtual time starting now, then hold.
-  bool degrade_links(double latency_factor, double extra_loss,
-                     sim_time ramp);
-  bool clear_degradation();
+  /// Remove the active partition (if any).
+  void heal_partition() { net_.heal(); }
+  /// Ramp all links to `latency_factor` x latency and `extra_loss` loss
+  /// over `ramp` virtual time starting now, then hold.
+  void degrade_links(double latency_factor, double extra_loss,
+                     sim_time ramp) {
+    net_.degrade(now_, ramp, latency_factor, extra_loss);
+  }
+  void clear_degradation() { net_.clear_degradation(); }
 
   /// Reachability under the active partition (true when none): the
   /// failure-detector oracle overlay protocols consult.  A partitioned
   /// peer is indistinguishable from a crashed one.
   bool reachable(process_id from, process_id to) const {
-    return dynamic_ == nullptr || dynamic_->allows(from, to);
+    return net_.allows(from, to);
   }
 
   /// Trace hook: invoked at every message *delivery* (after the latency,
@@ -383,14 +364,12 @@ class simulator {
   bool pop_and_execute();
 
   simulator_config config_;
-  std::unique_ptr<net::link_model> net_;
-  net::dynamic_model* dynamic_ = nullptr;  ///< net_'s fault layer, if any
+  net::model net_;
   util::rng rng_;
   sim_time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::size_t pending_work_ = 0;
   sim_metrics metrics_;
-  link_filter link_filter_;
   trace_hook trace_;
   std::vector<std::unique_ptr<process>> processes_;
   live_index live_;  ///< the one record of which processes are alive

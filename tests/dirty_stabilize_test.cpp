@@ -84,7 +84,7 @@ TEST(DirtyStabilize, FullModeKeepsPrePrGoldenDigests) {
             kGoldenFlashCrowd);
 
   auto lossy = bc;
-  lossy.net.message_loss = 0.05;
+  lossy.net.link.loss = 0.05;
   EXPECT_EQ(run_mode(engine::canned::massacre_then_heal(60, 1.0 / 3, 0.5, 7),
                      kFullStride, lossy)
                 .digest(),

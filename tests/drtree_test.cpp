@@ -543,7 +543,7 @@ INSTANTIATE_TEST_SUITE_P(Policies, ElectionTest,
 
 TEST(DrTree, JoinsSucceedUnderMessageLoss) {
   auto bc = small_config(107);
-  bc.net.message_loss = 0.15;
+  bc.net.link.loss = 0.15;
   drtree_backend be(bc);
   scenario_runner runner(be, workload_of(107));
   runner.populate(30);
@@ -552,15 +552,6 @@ TEST(DrTree, JoinsSucceedUnderMessageLoss) {
   const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();
   EXPECT_EQ(r.reachable, 30u);
-}
-
-TEST(DrTree, OracleRootModeWorks) {
-  drtree_backend be(small_config(109));
-  scenario_runner runner(be, workload_of(109));
-  be.overlay().oracle = oracle_mode::root;
-  runner.populate(30);
-  ASSERT_GE(runner.converge(80), 0);
-  EXPECT_TRUE(be.legal());
 }
 
 TEST(DrTree, FpReorganizationKeepsLegality) {
@@ -674,11 +665,8 @@ TEST(DrTreePartition, SplitBrainHealsAfterPartitionLifts) {
 
   // Partition the network between the fragment and the rest: probes
   // cannot cross, so two legal-but-separate trees persist.
-  be.overlay().sim().set_link_filter(
-      [fragment](sim::process_id from, sim::process_id to) {
-        return fragment.count(static_cast<peer_id>(from)) ==
-               fragment.count(static_cast<peer_id>(to));
-      });
+  ASSERT_TRUE(be.overlay().partition(
+      std::vector<peer_id>(fragment.begin(), fragment.end())));
   for (int round = 0; round < 10; ++round) {
     be.overlay().advance(be.overlay().config().stabilize_period);
     be.overlay().settle();
@@ -687,7 +675,7 @@ TEST(DrTreePartition, SplitBrainHealsAfterPartitionLifts) {
       << "fragments merged across a partition?";
 
   // Heal the partition: the root probes merge the fragments back.
-  be.overlay().sim().set_link_filter(nullptr);
+  be.overlay().heal_partition();
   ASSERT_GE(runner.converge(150), 0);
   const auto r = checker(be.overlay()).check();
   EXPECT_TRUE(r.legal()) << r.violations.front();

@@ -214,9 +214,7 @@ void expect_wide_ids_never_name_a_peer(backend& be,
 }
 
 TEST(DrtreeBackend, WideIdsNeverNameAPeer) {
-  // A dynamic net model, so both backends offer partition().
   auto bc = small_config(5);
-  bc.net.model = net::dynamic_model_config{};
   drtree_backend dr(bc);
   expect_wide_ids_never_name_a_peer(dr, dr.overlay());
   broker_backend br(bc);

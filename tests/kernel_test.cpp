@@ -127,7 +127,7 @@ scenario_digest run_scenario_through_kernel(std::uint64_t seed) {
   dcfg.workspace = geo::make_rect2(0, 0, 100, 100);
   sim::simulator_config scfg;
   scfg.seed = seed;
-  scfg.message_loss = 0.02;
+  scfg.link.loss = 0.02;
   overlay::dr_overlay o(dcfg, scfg);
 
   sim::kernel_config kc;
@@ -241,7 +241,8 @@ std::vector<engine::scenario> partition_free_canned() {
 
 // Digests of the plain one-shard adapter (engine::drtree_backend before
 // it merged with the kernel-backed class), default config; split-brain
-// through configured_for for its dynamic net model.
+// was captured through configured_for, when the scenario still declared
+// a net model to get partitions.
 constexpr std::uint64_t kGoldenFlashCrowd = 352965846673587452ull;
 constexpr std::uint64_t kGoldenRollingChurn = 11489289594584239690ull;
 constexpr std::uint64_t kGoldenMassacre = 5423917371855858818ull;
@@ -261,6 +262,15 @@ TEST(ShardedBackend, OneShardKeepsPlainBackendGoldenDigests) {
   engine::drtree_backend be(engine::configured_for(split), 1);
   EXPECT_TRUE(be.can(engine::cap_partition));
   EXPECT_EQ(digest_of(be, split), kGoldenSplitBrain);
+}
+
+TEST(ShardedBackend, DefaultBackendRunsSplitBrainAtItsGolden) {
+  // No configured_for: every one-shard backend owns a net model that can
+  // partition, so the partition and heal rows run instead of skipping.
+  engine::drtree_backend be({}, 1);
+  EXPECT_TRUE(be.can(engine::cap_partition));
+  EXPECT_EQ(digest_of(be, engine::canned::split_brain_heal()),
+            kGoldenSplitBrain);
 }
 
 TEST(ShardedBackend, FixedShardCountIsDeterministic) {

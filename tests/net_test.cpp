@@ -1,15 +1,15 @@
-// The network-model subsystem (DESIGN.md §7).
+// The network model (DESIGN.md §7).
 //
 // Four contracts pinned here:
-//  1. The default uniform model is a strict no-op refactor of the old
-//     hard-coded delay/loss fields — golden recorder digests captured on
-//     the pre-subsystem code must reproduce bit-for-bit, with the legacy
-//     shorthand fields and with an explicit uniform_model_config alike.
-//  2. Every model is deterministic: same scenario + seed + net config ⇒
-//     bit-identical metrics_recorder digest.
-//  3. The cluster and dynamic models actually shape traffic: intra beats
-//     inter latency, partitions cut (and purge) cross-side traffic,
-//     duplication re-delivers, degradation stretches delays.
+//  1. At default knobs the model is the paper's transport and a strict
+//     no-op refactor of the old hard-coded delay/loss fields — golden
+//     recorder digests captured on the pre-subsystem code must
+//     reproduce bit-for-bit.
+//  2. Every config is deterministic: same scenario + seed + net config
+//     ⇒ bit-identical metrics_recorder digest.
+//  3. The knobs and runtime faults actually shape traffic: partitions
+//     cut (and purge) cross-side traffic, duplication re-delivers,
+//     degradation stretches delays and drops.
 //  4. The stabilizer's behavior under partition is measured, not
 //     assumed: a partition produces genuine split-brain (both sides
 //     internally stable, two roots, globally illegitimate), and after
@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -26,7 +27,6 @@
 #include "engine/backends.h"
 #include "engine/runner.h"
 #include "engine/scenario.h"
-#include "net/config.h"
 #include "net/model.h"
 #include "sim/simulator.h"
 
@@ -43,48 +43,27 @@ using engine::scenario_runner;
 using NetConfigDeathTest = ::testing::Test;
 
 TEST(NetConfigDeathTest, RejectsInvalidConfigs) {
-  net::uniform_model_config bad_delay;
+  net::model_config bad_delay;
   bad_delay.min_delay = 2.0;
   bad_delay.max_delay = 1.0;
-  EXPECT_DEATH(net::validate(net::model_config{bad_delay}), "");
+  EXPECT_DEATH(net::model{bad_delay}, "");
 
-  net::uniform_model_config bad_loss;
+  net::model_config bad_loss;
   bad_loss.loss = 1.5;
-  EXPECT_DEATH(net::validate(net::model_config{bad_loss}), "");
+  EXPECT_DEATH(net::model{bad_loss}, "");
 
-  net::cluster_model_config bad_matrix;  // 2 clusters, 3-cell matrix
-  bad_matrix.min_matrix = {0.1, 0.2, 0.3};
-  bad_matrix.max_matrix = {1.0, 1.0, 1.0};
-  EXPECT_DEATH(net::validate(net::model_config{bad_matrix}), "");
-
-  net::cluster_model_config negative_cell;
-  negative_cell.min_matrix = {-0.1, 0.2, 0.2, 0.1};
-  negative_cell.max_matrix = {1.0, 1.0, 1.0, 1.0};
-  EXPECT_DEATH(net::validate(net::model_config{negative_cell}), "");
-
-  net::cluster_model_config inverted_cell;
-  inverted_cell.min_matrix = {0.5, 0.2, 0.2, 0.5};
-  inverted_cell.max_matrix = {0.1, 1.0, 1.0, 1.0};
-  EXPECT_DEATH(net::validate(net::model_config{inverted_cell}), "");
-
-  net::dynamic_model_config bad_dup;
+  net::model_config bad_dup;
   bad_dup.duplicate = 2.0;
-  EXPECT_DEATH(net::validate(net::model_config{bad_dup}), "");
+  EXPECT_DEATH(net::model{bad_dup}, "");
 
-  // The simulator validates at construction (the satellite contract:
-  // fail loudly instead of silently misbehaving).
+  // The simulator checks at construction: a bad config fails loudly
+  // instead of silently misbehaving.
   sim::simulator_config scfg;
-  scfg.model = net::model_config{bad_delay};
+  scfg.link = bad_delay;
   EXPECT_DEATH(sim::simulator{scfg}, "");
 }
 
-TEST(NetConfig, NamesAreStable) {
-  EXPECT_STREQ(net::model_name(net::uniform_model_config{}), "uniform");
-  EXPECT_STREQ(net::model_name(net::cluster_model_config{}), "cluster");
-  EXPECT_STREQ(net::model_name(net::dynamic_model_config{}), "dynamic");
-}
-
-// ------------------------------------------------- uniform no-op golden
+// ------------------------------------------- default-model no-op golden
 
 metrics_recorder run_drtree(const engine::scenario& sc,
                             overlay_backend_config bc) {
@@ -94,7 +73,7 @@ metrics_recorder run_drtree(const engine::scenario& sc,
 }
 
 // Golden digests captured on the pre-subsystem code (hard-coded
-// delay/loss fields), pinning "default uniform_model is a strict no-op".
+// delay/loss fields), pinning "the default model is a strict no-op".
 constexpr std::uint64_t kGoldenRollingChurn = 2727552842464279799ull;
 constexpr std::uint64_t kGoldenFlashCrowd = 2725230533165199554ull;
 constexpr std::uint64_t kGoldenMassacreLossy = 12904214689126478679ull;
@@ -109,7 +88,7 @@ TEST(UniformModel, MatchesPrePrGoldenDigests) {
             kGoldenFlashCrowd);
 
   overlay_backend_config lossy = bc;
-  lossy.net.message_loss = 0.05;
+  lossy.net.link.loss = 0.05;
   EXPECT_EQ(
       run_drtree(engine::canned::massacre_then_heal(60, 1.0 / 3, 0.5, 7),
                  lossy)
@@ -117,25 +96,7 @@ TEST(UniformModel, MatchesPrePrGoldenDigests) {
       kGoldenMassacreLossy);
 }
 
-TEST(UniformModel, ExplicitConfigEqualsLegacyShorthand) {
-  // The same transport expressed via simulator_config's legacy fields
-  // and via an explicit uniform_model_config must be bit-identical.
-  overlay_backend_config shorthand;
-  shorthand.net.seed = 41;
-  shorthand.net.message_loss = 0.05;
-
-  net::uniform_model_config u;
-  u.loss = 0.05;
-  overlay_backend_config explicit_model;
-  explicit_model.net.seed = 41;
-  explicit_model.net.model = net::model_config{u};
-
-  const auto sc = engine::canned::massacre_then_heal(60, 1.0 / 3, 0.5, 7);
-  EXPECT_EQ(run_drtree(sc, shorthand).digest(), kGoldenMassacreLossy);
-  EXPECT_EQ(run_drtree(sc, explicit_model).digest(), kGoldenMassacreLossy);
-}
-
-// --------------------------------------------- per-model determinism
+// -------------------------------------------- per-config determinism
 
 engine::scenario churny(std::uint64_t seed,
                         const net::model_config& model) {
@@ -150,140 +111,55 @@ engine::scenario churny(std::uint64_t seed,
       .build();
 }
 
+/// Lossy links that also duplicate and reorder.
+net::model_config duplicating_reordering() {
+  net::model_config m;
+  m.loss = 0.01;
+  m.duplicate = 0.05;
+  m.reorder = 0.05;
+  return m;
+}
+
 TEST(NetDeterminism, SameScenarioSeedAndModelAreBitIdentical) {
-  net::cluster_model_config cl;
-  cl.clusters = 3;
-  cl.jitter = 0.2;
-  cl.loss = 0.01;
-
-  net::dynamic_model_config dyn;
-  dyn.base = cl;
-  dyn.extra_loss = 0.01;
-  dyn.duplicate = 0.05;
-  dyn.reorder = 0.05;
-
-  const net::model_config models[] = {net::uniform_model_config{}, cl, dyn};
-  for (const auto& m : models) {
+  const net::model_config models[] = {net::model_config{},
+                                      duplicating_reordering()};
+  for (std::size_t i = 0; i < std::size(models); ++i) {
     overlay_backend_config bc;
     bc.net.seed = 77;
-    const auto sc = churny(9, m);
+    const auto sc = churny(9, models[i]);
     const auto a = run_drtree(sc, bc);
     const auto b = run_drtree(sc, bc);
-    EXPECT_EQ(a.digest(), b.digest()) << net::model_name(m);
+    EXPECT_EQ(a.digest(), b.digest()) << "model " << i;
     // And the model shapes the run: a different seed diverges.
-    EXPECT_NE(run_drtree(churny(10, m), bc).digest(), a.digest())
-        << net::model_name(m);
+    EXPECT_NE(run_drtree(churny(10, models[i]), bc).digest(), a.digest())
+        << "model " << i;
   }
 }
 
 TEST(NetDeterminism, DifferentModelsDiverge) {
   overlay_backend_config bc;
   bc.net.seed = 77;
-  net::cluster_model_config cl;  // defaults: 2 clusters, slow inter
-  EXPECT_NE(run_drtree(churny(9, net::uniform_model_config{}), bc).digest(),
-            run_drtree(churny(9, net::model_config{cl}), bc).digest());
+  EXPECT_NE(run_drtree(churny(9, net::model_config{}), bc).digest(),
+            run_drtree(churny(9, duplicating_reordering()), bc).digest());
 }
 
-// ----------------------------------------------------- cluster shaping
+// ------------------------------------------------------ runtime faults
 
 struct sink_process : sim::process {
   void on_message(sim::process_id, std::uint64_t,
                   const sim::envelope&) override {}
 };
 
-TEST(ClusterModel, IntraClusterBeatsInterClusterLatency) {
-  // Default shape: 2 clusters, intra [0.2, 0.6], inter [2, 6] — the
-  // ranges are disjoint, so every same-cluster delivery must beat every
-  // cross-cluster one.  Round-robin assignment puts even ids in cluster
-  // 0 and odd ids in cluster 1.
-  net::cluster_model_config cl;
-  sim::simulator_config scfg;
-  scfg.model = net::model_config{cl};
-
-  double intra_worst = 0.0;
-  double inter_best = 1e9;
-  for (int i = 0; i < 64; ++i) {
-    scfg.seed = 5 + static_cast<std::uint64_t>(i);
-    sim::simulator s(scfg);
-    for (int p = 0; p < 4; ++p) {
-      s.add_process(std::make_unique<sink_process>());
-    }
-    double at = -1.0;
-    s.set_trace([&at](const sim::simulator::trace_event& e) { at = e.at; });
-    if (i % 2 == 0) {
-      s.send(0, 2, 1);  // intra: both cluster 0
-    } else {
-      s.send(0, 1, 1);  // inter: cluster 0 -> 1
-    }
-    s.run_steps(1);
-    ASSERT_GE(at, 0.0);
-    if (i % 2 == 0) {
-      intra_worst = std::max(intra_worst, at);
-    } else {
-      inter_best = std::min(inter_best, at);
-    }
-  }
-  EXPECT_LT(intra_worst, inter_best);
-}
-
-TEST(ClusterModel, PerLinkJitterIsDeterministicAndBounded) {
-  net::cluster_model_config cl;
-  cl.jitter = 0.25;
-  sim::simulator_config scfg;
-  scfg.seed = 19;
-  scfg.model = net::model_config{cl};
-
-  auto trace_of = [&] {
-    sim::simulator s(scfg);
-    for (int p = 0; p < 6; ++p) {
-      s.add_process(std::make_unique<sink_process>());
-    }
-    std::vector<double> ats;
-    s.set_trace([&ats](const sim::simulator::trace_event& e) {
-      ats.push_back(e.at);
-    });
-    for (int i = 0; i < 30; ++i) {
-      s.send(static_cast<sim::process_id>(i % 6),
-             static_cast<sim::process_id>((i + 2) % 6), 1);
-    }
-    s.run_steps(64);
-    return ats;
-  };
-  const auto a = trace_of();
-  const auto b = trace_of();
-  EXPECT_EQ(a, b);  // jitter is hash-derived, not an extra RNG stream
-  // Jittered delays stay within the advertised bounds.
-  for (const auto at : a) {
-    EXPECT_GE(at, 0.2 * (1.0 - cl.jitter));
-    EXPECT_LE(at, 6.0 * (1.0 + cl.jitter));
-  }
-}
-
-TEST(ClusterModel, CountsIntraAndInterSends) {
-  net::cluster_model_config cl;
-  sim::simulator_config scfg;
-  scfg.model = net::model_config{cl};
-  sim::simulator s(scfg);
-  for (int p = 0; p < 4; ++p) s.add_process(std::make_unique<sink_process>());
-  s.send(0, 2, 1);  // intra
-  s.send(0, 2, 1);  // intra
-  s.send(1, 2, 1);  // inter
-  EXPECT_EQ(s.net_model().counters().intra_cluster, 2u);
-  EXPECT_EQ(s.net_model().counters().inter_cluster, 1u);
-}
-
-// ------------------------------------------------------ dynamic faults
-
-sim::simulator_config dynamic_sim_config(std::uint64_t seed,
-                                         net::dynamic_model_config dyn = {}) {
+sim::simulator_config sim_config(std::uint64_t seed,
+                                 net::model_config link = {}) {
   sim::simulator_config scfg;
   scfg.seed = seed;
-  scfg.model = net::model_config{dyn};
+  scfg.link = link;
   return scfg;
 }
 
 TEST(DynamicModel, PartitionCutsPurgesAndHeals) {
-  sim::simulator s(dynamic_sim_config(3));
+  sim::simulator s(sim_config(3));
   for (int p = 0; p < 4; ++p) s.add_process(std::make_unique<sink_process>());
 
   // In-flight cross-cut traffic is purged when the partition lands.
@@ -303,27 +179,17 @@ TEST(DynamicModel, PartitionCutsPurgesAndHeals) {
   EXPECT_EQ(s.metrics().messages_delivered, 1u);
   EXPECT_EQ(s.net_model().counters().partitioned, 1u);  // send-path cut
 
-  ASSERT_TRUE(s.heal_partition());
+  s.heal_partition();
   EXPECT_TRUE(s.reachable(0, 2));
   s.send(0, 2, 1);
   s.run_steps(10);
   EXPECT_EQ(s.metrics().messages_delivered, 2u);
 }
 
-TEST(DynamicModel, StaticModelRefusesRuntimeFaults) {
-  sim::simulator s{sim::simulator_config{}};
-  s.add_process(std::make_unique<sink_process>());
-  EXPECT_EQ(s.dynamic_net(), nullptr);
-  EXPECT_FALSE(s.partition({0}));
-  EXPECT_FALSE(s.heal_partition());
-  EXPECT_FALSE(s.degrade_links(2.0, 0.0, 0.0));
-  EXPECT_TRUE(s.reachable(0, 0));
-}
-
 TEST(DynamicModel, DuplicationDeliversTwiceWithIntactPayload) {
-  net::dynamic_model_config dyn;
-  dyn.duplicate = 1.0;  // every message grows a copy
-  sim::simulator s(dynamic_sim_config(3, dyn));
+  net::model_config link;
+  link.duplicate = 1.0;  // every message grows a copy
+  sim::simulator s(sim_config(3, link));
   struct counting : sim::process {
     int hits = 0;
     std::vector<int> values;
@@ -356,12 +222,12 @@ TEST(DynamicModel, DuplicationDeliversTwiceWithIntactPayload) {
 // overruns the guard, so the late copies of its first events get through
 // again — which pins the FIFO eviction order, not just the hit path.
 engine::scenario duplicate_heavy() {
-  net::dynamic_model_config dyn;
-  dyn.duplicate = 0.35;
-  dyn.reorder = 0.1;
+  net::model_config link;
+  link.duplicate = 0.35;
+  link.reorder = 0.1;
   return engine::scenario::make("duplicate_heavy")
       .seed(5)
-      .net(dyn)
+      .net(link)
       .populate(40)
       .converge()
       .corruption_burst(0.15)
@@ -411,11 +277,11 @@ TEST(DynamicModel, DuplicateSuppressionMatchesGoldenDigests) {
 TEST(DynamicModel, DegradationStretchesDelaysAndStacksLoss) {
   // Base delays in [0.5, 1.5]; a held 4x degradation must push every
   // delivery past the undegraded maximum.
-  sim::simulator degraded(dynamic_sim_config(11));
+  sim::simulator degraded(sim_config(11));
   for (int p = 0; p < 2; ++p) {
     degraded.add_process(std::make_unique<sink_process>());
   }
-  ASSERT_TRUE(degraded.degrade_links(4.0, 0.0, 0.0));  // instant, held
+  degraded.degrade_links(4.0, 0.0, 0.0);  // instant, held
   double worst = 0.0;
   double best = 1e9;
   degraded.set_trace([&](const sim::simulator::trace_event& e) {
@@ -428,17 +294,17 @@ TEST(DynamicModel, DegradationStretchesDelaysAndStacksLoss) {
   EXPECT_LE(worst, 6.0);
   EXPECT_GT(degraded.net_model().counters().degraded, 0u);
 
-  // Degradation-stacked loss: extra_loss = 1 drops everything.
-  sim::simulator lossy(dynamic_sim_config(11));
+  // Degradation loss: extra_loss = 1 drops everything.
+  sim::simulator lossy(sim_config(11));
   for (int p = 0; p < 2; ++p) {
     lossy.add_process(std::make_unique<sink_process>());
   }
-  ASSERT_TRUE(lossy.degrade_links(1.0, 1.0, 0.0));
+  lossy.degrade_links(1.0, 1.0, 0.0);
   for (int i = 0; i < 8; ++i) lossy.send(0, 1, 1);
   lossy.run_steps(32);
   EXPECT_EQ(lossy.metrics().messages_delivered, 0u);
   EXPECT_EQ(lossy.metrics().messages_dropped, 8u);
-  EXPECT_TRUE(lossy.clear_degradation());
+  lossy.clear_degradation();
   lossy.send(0, 1, 1);
   lossy.run_steps(8);
   EXPECT_EQ(lossy.metrics().messages_delivered, 1u);
@@ -452,7 +318,6 @@ TEST(PartitionHeal, SplitBrainFormsAndHealsWithZeroFalseNegatives) {
   overlay::dr_config dcfg;
   sim::simulator_config scfg;
   scfg.seed = 7;
-  scfg.model = net::model_config{net::dynamic_model_config{}};
   overlay::dr_overlay o(dcfg, scfg);
 
   util::rng boxes(99);
@@ -495,7 +360,7 @@ TEST(PartitionHeal, SplitBrainFormsAndHealsWithZeroFalseNegatives) {
   EXPECT_GT(fn_during, 0u);
 
   // Heal: the two trees merge back (root probes) into one legal overlay.
-  ASSERT_TRUE(o.heal_partition());
+  o.heal_partition();
   EXPECT_FALSE(o.partitioned());
   int rounds = -1;
   for (int r = 0; r < 100; ++r) {
@@ -555,8 +420,8 @@ TEST(PartitionHeal, CannedScenarioRecoversOnDrtreeAndBroker) {
     return rec.digest();
   };
 
-  drtree_backend dr(engine::configured_for(sc, bc));
-  engine::broker_backend br(engine::configured_for(sc, bc));
+  drtree_backend dr(bc);
+  engine::broker_backend br(bc);
   // The two overlay adapters drive the identical protocol stack; a
   // partition timeline is churn-free, so their digests must agree.
   EXPECT_EQ(check(dr), check(br));
@@ -565,29 +430,9 @@ TEST(PartitionHeal, CannedScenarioRecoversOnDrtreeAndBroker) {
 TEST(PartitionHeal, PhasesSkipOnBackendsWithoutTheCapability) {
   const auto sc = engine::canned::split_brain_heal(16, 0.5, 2, 7);
 
-  // Static uniform model: the overlay adapter has no dynamic layer, so
-  // partition/heal record skipped and the run completes legally.
-  drtree_backend be{overlay_backend_config{}};
-  EXPECT_FALSE(be.can(engine::cap_partition));
-  scenario_runner runner(be);
-  const auto rec = runner.run(sc);
-  bool saw_skipped_partition = false;
-  for (const auto& m : rec.phases()) {
-    if (m.phase == "partition") {
-      EXPECT_TRUE(m.skipped);
-      saw_skipped_partition = true;
-    }
-    if (m.phase == "heal") {
-      EXPECT_TRUE(m.skipped);
-    }
-  }
-  EXPECT_TRUE(saw_skipped_partition);
-  const auto* after = rec.last("publish_sweep");
-  EXPECT_EQ(after->false_negatives, 0u);  // never partitioned, never torn
-
-  // Three shards on the scenario's own dynamic model: partition and heal
-  // act on one simulator's net model, so a forest has neither.
-  drtree_backend forest(engine::configured_for(sc), 3);
+  // Three shards: partition and heal act on one simulator's net model,
+  // so a forest has neither.
+  drtree_backend forest({}, 3);
   EXPECT_FALSE(forest.can(engine::cap_partition));
   EXPECT_FALSE(forest.can(engine::cap_degrade));
   scenario_runner forest_runner(forest);

@@ -86,7 +86,7 @@ scenario_digest run_scenario(std::uint64_t seed) {
   dcfg.workspace = geo::make_rect2(0, 0, 100, 100);
   sim::simulator_config scfg;
   scfg.seed = seed;
-  scfg.message_loss = 0.02;
+  scfg.link.loss = 0.02;
   overlay::dr_overlay o(dcfg, scfg);
 
   scenario_digest d;

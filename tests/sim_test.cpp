@@ -39,8 +39,8 @@ probe_process& probe(simulator& s, process_id id) {
 
 TEST(Simulator, DeliversMessagesWithDelayBounds) {
   simulator_config cfg;
-  cfg.min_delay = 2.0;
-  cfg.max_delay = 3.0;
+  cfg.link.min_delay = 2.0;
+  cfg.link.max_delay = 3.0;
   simulator s(cfg);
   const auto a = s.add_process(std::make_unique<probe_process>());
   const auto b = s.add_process(std::make_unique<probe_process>());
@@ -86,7 +86,7 @@ TEST(Simulator, DeterministicAcrossRuns) {
 
 TEST(Simulator, MessageLossDropsRoughlyTheConfiguredFraction) {
   simulator_config cfg;
-  cfg.message_loss = 0.5;
+  cfg.link.loss = 0.5;
   simulator s(cfg);
   const auto a = s.add_process(std::make_unique<probe_process>());
   const auto b = s.add_process(std::make_unique<probe_process>());
@@ -209,18 +209,37 @@ TEST(Simulator, LinkFilterPartitionsAndHeals) {
   simulator s;
   const auto a = s.add_process(std::make_unique<probe_process>());
   const auto b = s.add_process(std::make_unique<probe_process>());
-  s.set_link_filter([&](process_id from, process_id to) {
-    return from == to || !((from == a && to == b) || (from == b && to == a));
-  });
+  ASSERT_TRUE(s.partition({b}));
   s.send(a, b, 1);
   s.run_steps(10);
   EXPECT_TRUE(probe(s, b).received.empty());
   EXPECT_EQ(s.metrics().messages_partitioned, 1u);
 
-  s.set_link_filter(nullptr);  // heal
+  s.heal_partition();
   s.send(a, b, 2);
   s.run_steps(10);
   EXPECT_EQ(probe(s, b).received.size(), 1u);
+}
+
+TEST(Simulator, PartitionRejectsIdsThatNameNoProcess) {
+  simulator s;
+  const auto a = s.add_process(std::make_unique<probe_process>());
+  const auto b = s.add_process(std::make_unique<probe_process>());
+  const auto past_end = static_cast<process_id>(s.process_count());
+  // The last side names a real process first: nothing may be installed
+  // before the bad id is seen.
+  const std::vector<std::vector<process_id>> bad_sides = {
+      {kNoProcess}, {past_end}, {b, kNoProcess}};
+  for (const auto& side_b : bad_sides) {
+    s.send(a, b, 1);  // in flight across the would-be cut
+    EXPECT_FALSE(s.partition(side_b));
+    EXPECT_FALSE(s.net_model().partitioned());
+    EXPECT_TRUE(s.reachable(a, b));
+    EXPECT_EQ(s.pending_work(), 1u);  // nothing purged
+    s.run_steps(10);
+  }
+  EXPECT_EQ(probe(s, b).received.size(), bad_sides.size());
+  EXPECT_EQ(s.metrics().messages_partitioned, 0u);
 }
 
 TEST(Simulator, SendToSelfWorks) {
@@ -557,8 +576,8 @@ TEST(Simulator, LiveIndexMatchesScan) {
 // reuse the same slabs instead of carving new ones.
 TEST(Simulator, PayloadPoolRecyclesAcrossCrashPurges) {
   simulator_config cfg;
-  cfg.min_delay = 5.0;  // keep the storm in flight until the crash
-  cfg.max_delay = 6.0;
+  cfg.link.min_delay = 5.0;  // keep the storm in flight until the crash
+  cfg.link.max_delay = 6.0;
   simulator s(cfg);
   const auto a = s.add_process(std::make_unique<probe_process>());
   const auto b = s.add_process(std::make_unique<probe_process>());

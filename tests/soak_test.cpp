@@ -26,7 +26,7 @@ namespace {
 overlay_backend_config net_config(std::uint64_t seed, double loss = 0.0) {
   overlay_backend_config bc;
   bc.net.seed = seed;
-  bc.net.message_loss = loss;
+  bc.net.link.loss = loss;
   return bc;
 }
 
