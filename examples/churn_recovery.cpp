@@ -22,7 +22,7 @@ int main() {
   engine::drtree_backend backend(bc);
 
   engine::runner_config rc;
-  rc.on_converge_round = [&backend](int round, bool) {
+  rc.on_converge_round = [&backend](int round) {
     const auto report = overlay::checker(backend.overlay()).check();
     std::cout.width(5);
     std::cout << round << "  ";

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
+#include <cstdint>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "drtree/dot.h"
 #include "obs/trace.h"
@@ -17,220 +17,262 @@ using spatial::peer_id;
 
 namespace {
 
-std::string where(peer_id p, std::size_t h) {
-  std::ostringstream out;
-  out << "peer " << p << " @h" << h;
-  return out.str();
-}
+/// The Definition 3.1 rules, written once (DESIGN.md §5): one walk over
+/// the live peers that reports to one of two sinks.  Collecting
+/// (check()) records every violation with its text and offender;
+/// first-only (legal()) formats nothing and stops at the first broken
+/// rule.  Reachability from the root runs last, under exactly one root.
+class rule_walk {
+ public:
+  rule_walk(const dr_overlay& overlay, check_report& r, bool first_only)
+      : ov_(overlay), r_(r), first_only_(first_only) {}
+
+  /// Apply every rule; true iff none broke.
+  bool run() {
+    r_.live_peers = ov_.live_count();
+    if (r_.live_peers == 0) return true;
+    ov_.for_each_live([&](peer_id p) {
+      peer_rules(p);
+      return !stopped();
+    });
+    if (r_.roots != 1 && !stopped()) {
+      complain(kNoPeer, [&] {
+        std::string s = "expected exactly one root, found ";
+        s += std::to_string(r_.roots);
+        return s;
+      });
+      // The global rule heads the report, before every per-peer rule.
+      if (!first_only_) {
+        std::rotate(r_.violations.begin(), r_.violations.end() - 1,
+                    r_.violations.end());
+      }
+    }
+    if (interior_count_ > 0) {
+      r_.avg_interior_children =
+          children_sum_ / static_cast<double>(interior_count_);
+    }
+    if (r_.roots == 1 && !stopped()) reachability();
+    return !broken_;
+  }
+
+ private:
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
+  bool stopped() const { return first_only_ && broken_; }
+
+  /// Record a violation naming `who` (kNoPeer: no one); `text` runs only
+  /// when collecting.
+  template <typename Text>
+  void complain(peer_id who, Text&& text) {
+    broken_ = true;
+    if (first_only_) return;
+    r_.violations.push_back(text());
+    if (who != kNoPeer && std::find(r_.offenders.begin(), r_.offenders.end(),
+                                    who) == r_.offenders.end()) {
+      r_.offenders.push_back(who);
+    }
+  }
+
+  /// A violation at instance (p, h), or at peer p when h is kNone:
+  /// "peer p @hh" + what, then `n` and `tail` when n is given.
+  void complain_at(peer_id p, std::uint64_t h, const char* what,
+                   std::uint64_t n = kNone, const char* tail = "") {
+    complain(p, [&] {
+      std::string s = "peer ";
+      s += std::to_string(p);
+      if (h != kNone) {
+        s += " @h";
+        s += std::to_string(h);
+      }
+      s += what;
+      if (n != kNone) {
+        s += std::to_string(n);
+        s += tail;
+      }
+      return s;
+    });
+  }
+
+  void peer_rules(peer_id p) {
+    const auto& peer = ov_.peer(p);
+    if (peer.is_root()) {
+      root_ = p;
+      // A second root already decides the verdict.
+      if (++r_.roots == 2 && first_only_) {
+        broken_ = true;
+        return;
+      }
+    }
+    const auto top = peer.top();
+    r_.instances += peer.instance_count();
+
+    // Heights must be exactly 0..top (the peer is present at every level
+    // of its subtree).
+    if (peer.instance_count() != top + 1) {
+      complain_at(p, kNone, " has non-contiguous instance heights");
+    }
+
+    std::size_t peer_links = 0;
+    for (std::size_t h = 0; h <= top && !stopped(); ++h) {
+      const auto* ins = peer.find_inst(h);
+      if (ins == nullptr) continue;
+      peer_links += ins->children.size() + 1;
+      if (h == 0) {
+        if (ins->mbr != peer.filter()) {
+          complain_at(p, h, ": leaf MBR differs from filter");
+        }
+        if (!ins->children.empty()) {
+          complain_at(p, h, ": leaf instance has children");
+        }
+      } else {
+        interior_rules(p, peer, h, *ins);
+      }
+      parent_rule(p, h, top, *ins);
+    }
+    r_.memory_links += peer_links;
+    r_.max_peer_links = std::max(r_.max_peer_links, peer_links);
+  }
+
+  void interior_rules(peer_id p, const dr_peer& peer, std::size_t h,
+                      const instance& ins) {
+    const auto& cfg = ov_.config();
+    const auto n = ins.children.size();
+    ++interior_count_;
+    children_sum_ += static_cast<double>(n);
+    r_.max_interior_children = std::max(r_.max_interior_children, n);
+
+    // Degree bounds (Definition 3.1 bullet 1).  A two-peer system cannot
+    // avoid a 2-child root below m; the root is exempt from m.
+    if (n > cfg.max_children) {
+      complain_at(p, h, ": more than M children (", n, ")");
+    }
+    if (peer.is_root() && h == peer.top()) {
+      if (n < 2) complain_at(p, h, ": root with fewer than 2 children");
+    } else if (n < cfg.min_children) {
+      complain_at(p, h, ": fewer than m children (", n, ")");
+    }
+
+    // underloaded flag correctness (Fig. 12).
+    if (ins.underloaded != (n < cfg.min_children)) {
+      complain_at(p, h, ": underloaded flag incorrect");
+    }
+
+    // Self-child invariant (§3: "recursively its own child").
+    if (!ins.has_child(p)) {
+      complain_at(p, h, ": missing own lower instance in children");
+    }
+
+    // Children coherence, MBR exactness (bullets 2 and 4) and cover
+    // optimality (bullet 3: no child covers better than the peer's own
+    // lower instance), looking each child's instance up once.
+    const bool cover = cfg.election == election_policy::largest_mbr;
+    double own_area = -1.0;
+    if (cover) {
+      if (const auto* own = peer.find_inst(h - 1)) {
+        own_area = own->mbr.clamped(cfg.workspace).area();
+      }
+    }
+    auto expected = spatial::box::empty();
+    peer_id better = kNoPeer;  // the first child that covers better
+    for (const auto q : ins.children) {
+      if (!ov_.alive(q)) {
+        complain_at(p, h, ": dead child ", q);
+        continue;
+      }
+      const auto* qi = ov_.peer(q).find_inst(h - 1);
+      if (qi == nullptr) {
+        complain_at(p, h, ": child ", q, " lacks an instance at h-1");
+        continue;
+      }
+      if (qi->parent != p) {
+        complain_at(p, h, ": child ", q, " points to a different parent");
+      }
+      expected = join(expected, qi->mbr);
+      if (cover && better == kNoPeer && q != p &&
+          qi->mbr.clamped(cfg.workspace).area() > own_area) {
+        better = q;
+      }
+    }
+    if (ins.mbr != expected) {
+      complain_at(p, h, ": MBR is not the union of children MBRs");
+    }
+    if (better != kNoPeer) {
+      complain_at(p, h, ": child ", better, " offers a better cover");
+    }
+  }
+
+  // Parent coherence (bullet 2); root uniqueness is the global count.
+  void parent_rule(peer_id p, std::size_t h, std::size_t top,
+                   const instance& ins) {
+    if (h < top) {
+      if (ins.parent != p) {
+        complain_at(p, h, ": non-top instance not own-parented");
+      }
+    } else if (ins.parent == p) {
+      // Root instance.
+    } else if (ins.parent == kNoPeer || !ov_.alive(ins.parent)) {
+      complain_at(p, h, ": parent missing or dead");
+    } else {
+      const auto* pi = ov_.peer(ins.parent).find_inst(h + 1);
+      if (pi == nullptr || !pi->has_child(p)) {
+        complain_at(p, h, ": not registered at parent ", ins.parent);
+      }
+    }
+  }
+
+  // Reachability from the root: every subscriber must be in the tree.
+  // Flat arrays indexed by peer id; an id at or above process_count()
+  // names no peer and is skipped.
+  void reachability() {
+    const auto ids = ov_.sim().process_count();
+    std::vector<std::uint8_t> seen(ids, 0);
+    std::vector<std::pair<peer_id, std::size_t>> stack;  // (peer, height)
+    stack.reserve(ids);
+    r_.height = ov_.peer(root_).top();
+    stack.emplace_back(root_, r_.height);
+    seen[root_] = 1;
+    while (!stack.empty()) {
+      const auto [p, h] = stack.back();
+      stack.pop_back();
+      if (h == 0) continue;
+      const auto* ins = ov_.alive(p) ? ov_.peer(p).find_inst(h) : nullptr;
+      if (ins == nullptr) continue;
+      for (const auto q : ins->children) {
+        if (q >= ids) continue;
+        if (ov_.alive(q)) stack.emplace_back(q, h - 1);
+        seen[q] = 1;
+      }
+    }
+    std::size_t reached = 0;
+    ov_.for_each_live([&](peer_id p) {
+      if (seen[p] != 0) {
+        ++reached;
+      } else {
+        complain_at(p, kNone, " unreachable from root");
+      }
+      return !stopped();
+    });
+    r_.reachable = reached;
+  }
+
+  const dr_overlay& ov_;
+  check_report& r_;
+  const bool first_only_;
+  bool broken_ = false;
+  peer_id root_ = kNoPeer;
+  double children_sum_ = 0.0;
+  std::size_t interior_count_ = 0;
+};
 
 }  // namespace
 
 check_report checker::check(bool check_containment,
                             bool dump_on_violation) const {
   check_report r;
-  r.live_peers = overlay_.live_count();
-  if (r.live_peers == 0) return r;
-
-  auto complain = [&](const std::string& text,
-                      peer_id who = kNoPeer) {
-    r.violations.push_back(text);
-    if (who != kNoPeer && std::find(r.offenders.begin(), r.offenders.end(),
-                                    who) == r.offenders.end()) {
-      r.offenders.push_back(who);
-    }
-  };
-
-  const auto m = overlay_.config().min_children;
-  const auto big_m = overlay_.config().max_children;
-  const bool check_cover_rule =
-      overlay_.config().election == election_policy::largest_mbr;
-
-  double children_sum = 0.0;
-  std::size_t interior_count = 0;
-
-  peer_id root = kNoPeer;
-  overlay_.for_each_live([&](peer_id p) {
-    const auto& peer = overlay_.peer(p);
-    if (peer.is_root()) {
-      ++r.roots;
-      root = p;
-    }
-  });
-  if (r.roots != 1) {
-    std::ostringstream out;
-    out << "expected exactly one root, found " << r.roots;
-    complain(out.str());
-  }
-
-  overlay_.for_each_live([&](peer_id p) {
-    const auto& peer = overlay_.peer(p);
-    const auto heights = peer.instance_heights();
-    r.instances += heights.size();
-
-    // Heights must be exactly 0..top (the peer is present at every level
-    // of its subtree).
-    for (std::size_t i = 0; i < heights.size(); ++i) {
-      if (heights[i] != i) {
-        complain("peer " + std::to_string(p) +
-                     " has non-contiguous instance heights",
-                 p);
-        break;
-      }
-    }
-
-    std::size_t peer_links = 0;
-    for (const auto h : heights) {
-      const auto& ins = peer.inst(h);
-      peer_links += ins.children.size() + 1;
-
-      if (h == 0) {
-        if (ins.mbr != peer.filter()) {
-          complain(where(p, h) + ": leaf MBR differs from filter", p);
-        }
-        if (!ins.children.empty()) {
-          complain(where(p, h) + ": leaf instance has children", p);
-        }
-      } else {
-        ++interior_count;
-        children_sum += static_cast<double>(ins.children.size());
-        r.max_interior_children =
-            std::max(r.max_interior_children, ins.children.size());
-
-        // Degree bounds (Definition 3.1 bullet 1).  A two-peer system
-        // cannot avoid a 2-child root below m; the root is exempt from m.
-        const bool is_root_instance = peer.is_root() && h == peer.top();
-        if (ins.children.size() > big_m) {
-          complain(where(p, h) + ": more than M children (" +
-                       std::to_string(ins.children.size()) + ")",
-                   p);
-        }
-        if (is_root_instance) {
-          if (ins.children.size() < 2) {
-            complain(where(p, h) + ": root with fewer than 2 children", p);
-          }
-        } else if (ins.children.size() < m) {
-          complain(where(p, h) + ": fewer than m children (" +
-                       std::to_string(ins.children.size()) + ")",
-                   p);
-        }
-
-        // underloaded flag correctness (Fig. 12).
-        if (ins.underloaded != (ins.children.size() < m)) {
-          complain(where(p, h) + ": underloaded flag incorrect", p);
-        }
-
-        // Self-child invariant (§3: "recursively its own child").
-        if (!ins.has_child(p)) {
-          complain(where(p, h) + ": missing own lower instance in children", p);
-        }
-
-        // Children coherence + MBR exactness (bullets 2 and 4).
-        auto expected = spatial::box::empty();
-        for (const auto q : ins.children) {
-          if (!overlay_.alive(q)) {
-            complain(where(p, h) + ": dead child " + std::to_string(q), p);
-            continue;
-          }
-          const auto* qi = overlay_.peer(q).find_inst(h - 1);
-          if (qi == nullptr) {
-            complain(where(p, h) + ": child " + std::to_string(q) +
-                         " lacks an instance at h-1",
-                     p);
-            continue;
-          }
-          if (qi->parent != p) {
-            complain(where(p, h) + ": child " + std::to_string(q) +
-                         " points to a different parent",
-                     p);
-          }
-          expected = join(expected, qi->mbr);
-        }
-        if (ins.mbr != expected) {
-          complain(where(p, h) + ": MBR is not the union of children MBRs", p);
-        }
-
-        // Cover optimality (bullet 3): no child covers better than the
-        // peer's own lower instance.
-        if (check_cover_rule) {
-          const auto* own = peer.find_inst(h - 1);
-          const double own_area =
-              own == nullptr
-                  ? -1.0
-                  : own->mbr.clamped(overlay_.config().workspace).area();
-          for (const auto q : ins.children) {
-            if (q == p || !overlay_.alive(q)) continue;
-            const auto* qi = overlay_.peer(q).find_inst(h - 1);
-            if (qi == nullptr) continue;
-            const double qa =
-                qi->mbr.clamped(overlay_.config().workspace).area();
-            if (qa > own_area) {
-              complain(where(p, h) + ": child " + std::to_string(q) +
-                           " offers a better cover",
-                       p);
-              break;
-            }
-          }
-        }
-      }
-
-      // Parent coherence (bullet 2).
-      if (h < peer.top()) {
-        if (ins.parent != p) {
-          complain(where(p, h) + ": non-top instance not own-parented", p);
-        }
-      } else if (ins.parent == p) {
-        // Root instance; uniqueness checked globally.
-      } else if (ins.parent == kNoPeer || !overlay_.alive(ins.parent)) {
-        complain(where(p, h) + ": parent missing or dead", p);
-      } else {
-        const auto* pi = overlay_.peer(ins.parent).find_inst(h + 1);
-        if (pi == nullptr || !pi->has_child(p)) {
-          complain(where(p, h) + ": not registered at parent " +
-                       std::to_string(ins.parent),
-                   p);
-        }
-      }
-    }
-    r.memory_links += peer_links;
-    r.max_peer_links = std::max(r.max_peer_links, peer_links);
-  });
-
-  if (interior_count > 0) {
-    r.avg_interior_children = children_sum / static_cast<double>(interior_count);
-  }
-
-  // Reachability from the root (every subscriber must be in the tree).
-  if (root != kNoPeer && r.roots == 1) {
-    r.height = overlay_.peer(root).top();
-    std::unordered_set<peer_id> seen;
-    std::deque<std::pair<peer_id, std::size_t>> frontier;  // (peer, height)
-    frontier.emplace_back(root, r.height);
-    seen.insert(root);
-    while (!frontier.empty()) {
-      const auto [p, h] = frontier.front();
-      frontier.pop_front();
-      if (h == 0) continue;
-      const auto* ins = overlay_.alive(p) ? overlay_.peer(p).find_inst(h)
-                                          : nullptr;
-      if (ins == nullptr) continue;
-      for (const auto q : ins->children) {
-        if (overlay_.alive(q)) frontier.emplace_back(q, h - 1);
-        seen.insert(q);
-      }
-    }
-    std::size_t reached = 0;
-    overlay_.for_each_live([&](peer_id p) {
-      if (seen.count(p)) {
-        ++reached;
-      } else {
-        complain("peer " + std::to_string(p) + " unreachable from root", p);
-      }
-    });
-    r.reachable = reached;
-  }
+  rule_walk(overlay_, r, /*first_only=*/false).run();
 
   // Properties 3.1 / 3.2 over strictly-contained pairs.
-  if (check_containment && root != kNoPeer && r.roots == 1) {
+  if (check_containment && r.roots == 1) {
     // The all-pairs scans below genuinely need a random-access snapshot;
     // build it here so the common check(false) path stays allocation-free.
     std::vector<peer_id> live;
@@ -311,6 +353,17 @@ check_report checker::check(bool check_containment,
   }
 
   return r;
+}
+
+bool checker::legal() const {
+  check_report r;
+  if (rule_walk(overlay_, r, /*first_only=*/true).run()) return true;
+  // The same record a polling check() emits; a = 1, the walk stopped at
+  // the first violation.
+  if (auto* t = overlay_.trace()) {
+    t->emit(overlay_.sim().now(), obs::trace_kind::violation, 0, 1);
+  }
+  return false;
 }
 
 std::string checker::dump(const check_report& report) const {

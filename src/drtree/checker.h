@@ -57,17 +57,24 @@ class checker {
  public:
   explicit checker(const dr_overlay& overlay) : overlay_(overlay) {}
 
-  /// Full legality check.  `check_containment` enables the O(N^2 * height)
-  /// Property 3.1/3.2 sweep (keep off for large N in hot loops).
-  /// `dump_on_violation` marks this as an assertion-level check: on the
-  /// overlay's first violating such check with tracing enabled, the
-  /// violation dump (offender instance chains + trace-ring tail) is
+  /// Full legality check: every violation, in walk order, plus the
+  /// structural statistics.  `check_containment` enables the
+  /// O(N^2 * height) Property 3.1/3.2 sweep (keep off for large N in hot
+  /// loops).  `dump_on_violation` marks this as an assertion-level check:
+  /// on the overlay's first violating such check with tracing enabled,
+  /// the violation dump (offender instance chains + trace-ring tail) is
   /// written and its path recorded in the report.  It defaults off
-  /// because convergence loops poll check() every round while the
-  /// structure is *expected* to be transiently illegal — only callers
-  /// that treat a violation as a failure should claim the dump.
+  /// because a report may be read while the structure is *expected* to
+  /// be transiently illegal — only callers that treat a violation as a
+  /// failure should claim the dump.
   check_report check(bool check_containment = false,
                      bool dump_on_violation = false) const;
+
+  /// The verdict alone: exactly check().legal(), but the same rule walk
+  /// stops at the first violated rule and formats no text.  Convergence
+  /// loops poll this every round.  With tracing on, an illegal verdict
+  /// emits one `violation` record with a = 1.
+  bool legal() const;
 
   /// Write the violation dump for `report` unconditionally (the one-shot
   /// auto-dump claim is bypassed): offender instance chains, their DOT

@@ -956,26 +956,31 @@ void dr_peer::check_children(std::size_t h) {
   if (ins == nullptr) return;
 
   // Fig. 12: discard children that are dead, lack the instance, or point
-  // to a different parent.
-  std::vector<peer_id> keep;
-  for (const auto q : ins->children) {
-    if (std::find(keep.begin(), keep.end(), q) != keep.end()) continue;
+  // to a different parent, and repeats.  Filtered in place, keeping the
+  // order: the kept prefix [0, kept) is the list so far, so a pass
+  // allocates nothing and the arena slot keeps its capacity.
+  auto& children = ins->children;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    const auto q = children[i];
+    const auto kept_end = children.begin() + static_cast<std::ptrdiff_t>(kept);
+    if (std::find(children.begin(), kept_end, q) != kept_end) continue;
     if (q == pid()) {
-      if (find_inst(h - 1) != nullptr) keep.push_back(q);
-      continue;
+      if (find_inst(h - 1) == nullptr) continue;
+    } else {
+      if (!sees(q)) continue;
+      const auto* qi = overlay_.peer(q).find_inst(h - 1);
+      if (qi == nullptr) continue;
+      if (qi->parent != pid()) continue;  // "simply discards the child"
     }
-    if (!sees(q)) continue;
-    const auto* qi = overlay_.peer(q).find_inst(h - 1);
-    if (qi == nullptr) continue;
-    if (qi->parent != pid()) continue;  // "simply discards the child"
-    keep.push_back(q);
+    children[kept++] = q;
   }
-  if (ins->children.size() != keep.size()) {
-    repairs_.children_discarded += ins->children.size() - keep.size();
+  if (kept != children.size()) {
+    repairs_.children_discarded += children.size() - kept;
     overlay_.trace_emit(obs::trace_kind::repair, pid(), kRepairChildDiscard,
                         h);
+    children.resize(kept);
   }
-  ins->children = std::move(keep);
 
   // Self-child link: an interior instance always contains this peer's own
   // next-lower instance.

@@ -95,6 +95,9 @@ class dr_peer : public sim::process {
   /// All heights with instances, ascending (may be non-contiguous only
   /// while corrupted).
   std::vector<std::size_t> instance_heights() const;
+  /// How many instances this peer owns: top() + 1 unless corruption left
+  /// a gap in the chain.
+  std::size_t instance_count() const { return levels_.size(); }
 
   const repair_stats& repairs() const { return repairs_; }
 

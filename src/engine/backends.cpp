@@ -261,7 +261,7 @@ void drtree_backend::step_round() {
 bool drtree_backend::legal() const {
   // A forest is legitimate when every shard's tree is.
   for (const auto& ov : overlays_) {
-    if (!overlay::checker(*ov).check().legal()) return false;
+    if (!overlay::checker(*ov).legal()) return false;
   }
   return true;
 }

@@ -116,9 +116,7 @@ int scenario_runner::do_converge(int max_rounds, phase_metrics* out) {
     be_.step_round();
     round_hist.record(us_since(t0));
     ++rounds_total;
-    if (config_.on_converge_round) {
-      config_.on_converge_round(round, be_.legal());
-    }
+    if (config_.on_converge_round) config_.on_converge_round(round);
   }
   if (out != nullptr) {
     out->rounds = result;

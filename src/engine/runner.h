@@ -34,8 +34,10 @@ struct runner_config {
   /// scenario's own profile (and a fresh RNG seeded from it).
   workload_profile workload{};
   /// Observer invoked after every stabilization round of a converge
-  /// phase (round-by-round demos hook this).
-  std::function<void(int round, bool legal)> on_converge_round;
+  /// phase (round-by-round demos hook this).  It gets no verdict: the
+  /// loop's next legal() poll decides, and a hook that wants one reads
+  /// the backend itself.
+  std::function<void(int round)> on_converge_round;
 };
 
 class scenario_runner {

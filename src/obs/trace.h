@@ -57,7 +57,8 @@ enum class trace_kind : std::uint16_t {
   delivery = 8,    ///< event delivered (a = event id, b = hop count)
   false_neg = 9,   ///< interested peer missed (a = event id)
   repair = 10,     ///< one repair action (a = module, b = height)
-  violation = 11,  ///< checker found the structure illegal (a = count)
+  violation = 11,  ///< checker found the structure illegal (a = count;
+                   ///< 1 from checker::legal(), which stops at the first)
   message = 12,    ///< simulator delivery, full mode only (a = type, b = from)
   service = 13,    ///< drtd service event (a = code, b = detail)
 };

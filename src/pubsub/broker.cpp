@@ -181,7 +181,7 @@ int broker::stabilize(int max_rounds) {
 }
 
 bool broker::overlay_legal() const {
-  return overlay::checker(overlay_).check().legal();
+  return overlay::checker(overlay_).legal();
 }
 
 }  // namespace drt::pubsub
