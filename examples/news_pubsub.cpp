@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/runner.h"
 #include "pubsub/broker.h"
 #include "spatial/schema.h"
 
@@ -21,7 +22,7 @@ int main() {
   // Attribute schema: quotes carry a price and a volume.
   spatial::schema quotes({"price", "volume"});
 
-  pubsub::broker_config cfg;
+  engine::overlay_backend_config cfg;
   cfg.dr.workspace = geo::make_rect2(0, 0, 1000, 20000);
   cfg.dr.min_children = 2;
   cfg.dr.max_children = 4;
@@ -59,8 +60,8 @@ int main() {
       std::cout << "  " << t.name << "  ->  " << rect.to_string() << "\n";
     }
   }
-  b.stabilize();
-  std::cout << "overlay legal: " << (b.overlay_legal() ? "yes" : "no")
+  engine::scenario_runner(b.backend()).converge(100);
+  std::cout << "overlay legal: " << (b.backend().legal() ? "yes" : "no")
             << "\n";
 
   b.set_delivery_callback([&](pubsub::client_id c, const spatial::event& e) {

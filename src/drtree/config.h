@@ -41,6 +41,14 @@ struct stabilizer_switches {
   bool check_structure = true;  // Fig. 14
 };
 
+/// Hop budget on routed messages: prevents livelock while routing over
+/// corrupted (possibly cyclic) parent pointers.  Generous — legal routes
+/// are O(log N).
+inline constexpr std::size_t kMaxRouteHops = 64;
+
+/// Flight-recorder ring capacity (records) when `dr_config::trace` is on.
+inline constexpr std::size_t kTraceCapacity = 1u << 14;
+
 struct dr_config {
   /// R-tree degree bounds: every non-root interior node keeps between
   /// min_children (m) and max_children (M) children; the paper requires
@@ -80,11 +88,6 @@ struct dr_config {
   /// subtree ever needs to rejoin through the oracle.
   bool efficient_leave = false;
 
-  /// Hop budget on routed messages: prevents livelock while routing over
-  /// corrupted (possibly cyclic) parent pointers.  Generous — legal
-  /// routes are O(log N).
-  std::size_t max_route_hops = 64;
-
   /// How many recently accepted event ids each peer remembers to drop
   /// duplicates (the dissemination loop guard, drtree/seen_set.h).  Each
   /// arrival costs O(1); storage grows with the ids a peer has actually
@@ -102,9 +105,6 @@ struct dr_config {
   /// protocol events into a bounded ring; `full` grows without bound and
   /// adds a record per simulator message delivery.
   obs::trace_mode trace = obs::trace_mode::off;
-
-  /// Ring capacity (records; rounded up to a power of two).
-  std::size_t trace_capacity = 1u << 14;
 
   /// With tracing on, automatically write a flight dump on the overlay's
   /// first false negative and on the checker's first violation report

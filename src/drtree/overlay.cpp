@@ -18,8 +18,7 @@ dr_overlay::dr_overlay(dr_config config, sim::simulator_config sim_cfg)
   DRT_EXPECT(config_.max_children >= 2 * config_.min_children);
   DRT_EXPECT(config_.sweep_stride >= 1);
   if (config_.trace != obs::trace_mode::off) {
-    trace_ = std::make_unique<obs::trace_ring>(config_.trace,
-                                               config_.trace_capacity);
+    trace_ = std::make_unique<obs::trace_ring>(config_.trace, kTraceCapacity);
     if (config_.trace == obs::trace_mode::full) {
       // Full mode additionally records every simulator delivery through
       // the existing sim trace hook; ring mode keeps protocol-level

@@ -262,7 +262,7 @@ void dr_peer::start_join(peer_id contact) {
   m.subject = pid();
   m.h = top();
   m.mbr = inst(top()).mbr;
-  m.hops_left = overlay_.config().max_route_hops;
+  m.hops_left = kMaxRouteHops;
   send_msg(contact, m);
 }
 
@@ -450,7 +450,7 @@ void dr_peer::handle_join(const dr_msg& m) {
     reversed.subject = pid();
     reversed.h = mine;
     reversed.mbr = inst(mine).mbr;
-    reversed.hops_left = overlay_.config().max_route_hops;
+    reversed.hops_left = kMaxRouteHops;
     send_msg(m.subject, reversed);
   }
 }
@@ -881,7 +881,7 @@ void dr_peer::rejoin_fragment(std::size_t h) {
   m.subject = pid();
   m.h = h;
   m.mbr = ins->mbr;
-  m.hops_left = overlay_.config().max_route_hops;
+  m.hops_left = kMaxRouteHops;
   send_msg(contact, m);
 }
 
@@ -1348,7 +1348,7 @@ void dr_peer::stabilize_pass() {
       m.subject = pid();
       m.h = top();
       m.mbr = inst(top()).mbr;
-      m.hops_left = overlay_.config().max_route_hops;
+      m.hops_left = kMaxRouteHops;
       send_msg(contact, m);
       // Accounted separately so the pass-end safety net can tell this
       // steady-state send apart from genuine repair traffic: a stable
@@ -1391,8 +1391,7 @@ void dr_peer::publish(const spatial::event* evs, std::size_t n) {
     m.kind = msg_kind::event_up;
     m.count = static_cast<std::uint32_t>(n);
     m.h = static_cast<std::uint32_t>(k + 1);
-    m.hops_left =
-        static_cast<std::uint32_t>(overlay_.config().max_route_hops);
+    m.hops_left = static_cast<std::uint32_t>(kMaxRouteHops);
     m.hop = 1;
     std::copy_n(evs, n, m.events);
     send_batch(inst(k).parent, m);
@@ -1433,8 +1432,7 @@ void dr_peer::fan_out_batch(std::size_t h, const spatial::event* evs,
     if (m.count == 0) continue;
     m.kind = msg_kind::event_down;
     m.h = static_cast<std::uint32_t>(h - 1);
-    m.hops_left =
-        static_cast<std::uint32_t>(overlay_.config().max_route_hops);
+    m.hops_left = static_cast<std::uint32_t>(kMaxRouteHops);
     m.hop = static_cast<std::uint32_t>(hop + 1);
     send_batch(q, m);
   }
@@ -1514,7 +1512,7 @@ void dr_peer::start_search(std::uint64_t query_id, const box& query) {
   m.reply_to = pid();
   m.query_id = query_id;
   m.mbr = query;
-  m.hops_left = overlay_.config().max_route_hops;
+  m.hops_left = kMaxRouteHops;
   m.hop = 0;
   if (is_root()) {
     m.h = top();

@@ -3,10 +3,11 @@
 // The paper's claims are all *dynamic* — stabilization under churn,
 // crashes, and corruption — so every system under test is driven through
 // one dynamic-operations interface: subscribe, unsubscribe, crash,
-// publish, settle.  Adapters exist for the DR-tree overlay, the broker
-// façade, and the four static baselines of §3.1/§4 (which get honest
-// incremental-rebuild semantics: every membership change rebuilds the
-// structure from the surviving subscription set).
+// publish, settle.  Adapters exist for the DR-tree overlay (which the
+// broker façade and drtd host as well), drtd over sockets, and the four
+// static baselines of §3.1/§4 (which get honest incremental-rebuild
+// semantics: every membership change rebuilds the structure from the
+// surviving subscription set).
 //
 // Not every backend can do everything — a containment tree has no notion
 // of an uncontrolled crash, a flooding mesh never needs stabilization
@@ -86,7 +87,9 @@ class backend {
 
   // -------------------------------------------------------- membership
   /// Register a filter; the subscription becomes live immediately (the
-  /// backend settles any join traffic before returning).
+  /// backend settles any join traffic before returning).  Returns kNoSub,
+  /// registering nothing, when the backend refuses the filter (the
+  /// overlay refuses a NaN bound) or cannot reach its system.
   virtual sub_id subscribe(const spatial::box& filter) = 0;
 
   /// Controlled departure.  Returns false when the id is unknown/dead or

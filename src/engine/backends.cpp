@@ -1,6 +1,7 @@
 #include "engine/backends.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "baselines/containment_tree.h"
 #include "baselines/dimension_forest.h"
@@ -13,71 +14,6 @@
 #include "util/expect.h"
 
 namespace drt::engine {
-
-namespace {
-
-/// Both overlay-backed adapters report the checker's structural view so
-/// their shape rows are directly comparable with the baselines'.
-backend_shape shape_of_overlay(const overlay::dr_overlay& ov) {
-  const auto report = overlay::checker(ov).check();
-  backend_shape s;
-  s.population = report.live_peers;
-  s.height = report.height;
-  s.max_degree = report.max_interior_children;
-  s.avg_degree = report.avg_interior_children;
-  s.routing_state = report.memory_links;
-  return s;
-}
-
-std::size_t corrupt_overlay(overlay::dr_overlay& ov, double rate,
-                            std::uint64_t seed) {
-  overlay::corruptor vandal(ov, seed);
-  return vandal.corrupt(overlay::uniform_corruption(rate));
-}
-
-/// `local` as a peer id of `ov`, or kNoPeer when `ov` never created that
-/// peer.  Never a 32-bit cast of the 64-bit id, which would read
-/// (1 << 32) + p as p.
-spatial::peer_id peer_of(const overlay::dr_overlay& ov, std::uint64_t local) {
-  return local < ov.sim().process_count()
-             ? static_cast<spatial::peer_id>(local)
-             : spatial::kNoPeer;
-}
-
-bool crash_peer(overlay::dr_overlay& ov, spatial::peer_id p) {
-  if (!ov.alive(p)) return false;
-  ov.crash(p);
-  return true;
-}
-
-bool restart_peer(overlay::dr_overlay& ov, spatial::peer_id p) {
-  if (p == spatial::kNoPeer || ov.alive(p)) return false;
-  ov.restart(p);
-  return true;
-}
-
-/// What one overlay (one simulator, one net model) can do.
-constexpr capability_mask kOverlayCapabilities =
-    cap_unsubscribe | cap_crash | cap_restart | cap_corruption |
-    cap_stabilize | cap_partition | cap_degrade;
-
-/// Installs nothing and returns false when any id names no peer of `ov`
-/// (peer_of maps it to kNoPeer, which the simulator rejects).
-bool partition_overlay(overlay::dr_overlay& ov,
-                       const std::vector<sub_id>& side_b) {
-  std::vector<spatial::peer_id> peers;
-  peers.reserve(side_b.size());
-  for (const auto s : side_b) peers.push_back(peer_of(ov, s));
-  return ov.partition(peers);
-}
-
-void degrade_overlay(overlay::dr_overlay& ov, double latency_factor,
-                     double extra_loss, double ramp_rounds) {
-  ov.degrade_links(latency_factor, extra_loss,
-                   ramp_rounds * ov.config().stabilize_period);
-}
-
-}  // namespace
 
 overlay_backend_config configured_for(const scenario& sc,
                                       overlay_backend_config base) {
@@ -113,17 +49,30 @@ drtree_backend::drtree_backend(overlay_backend_config config,
 }
 
 spatial::peer_id drtree_backend::local_of(sub_id s) const {
-  return peer_of(*overlays_[shard_of(s)], s / overlays_.size());
+  // Never a 32-bit cast of the 64-bit id, which would read (1 << 32) + p
+  // as p.
+  const auto local = s / overlays_.size();
+  return local < overlays_[shard_of(s)]->sim().process_count()
+             ? static_cast<spatial::peer_id>(local)
+             : spatial::kNoPeer;
 }
 
 capability_mask drtree_backend::capabilities() const {
-  return overlays_.size() == 1
-             ? kOverlayCapabilities
-             : kOverlayCapabilities & ~(cap_partition | cap_degrade);
+  capability_mask caps = cap_unsubscribe | cap_crash | cap_restart |
+                         cap_corruption | cap_stabilize;
+  // One simulator owns the net model partition and degrade act on.
+  if (overlays_.size() == 1) caps |= cap_partition | cap_degrade;
+  return caps;
 }
 
 bool drtree_backend::partition(const std::vector<sub_id>& side_b) {
-  return overlays_.size() == 1 && partition_overlay(*overlays_[0], side_b);
+  if (overlays_.size() != 1) return false;
+  // An id that names no peer maps to kNoPeer, which the simulator
+  // rejects: nothing is installed.
+  std::vector<spatial::peer_id> peers;
+  peers.reserve(side_b.size());
+  for (const auto s : side_b) peers.push_back(local_of(s));
+  return overlays_[0]->partition(peers);
 }
 
 bool drtree_backend::heal() {
@@ -135,11 +84,16 @@ bool drtree_backend::heal() {
 bool drtree_backend::degrade_links(double latency_factor, double extra_loss,
                                    double ramp_rounds) {
   if (overlays_.size() != 1) return false;
-  degrade_overlay(*overlays_[0], latency_factor, extra_loss, ramp_rounds);
+  auto& ov = *overlays_[0];
+  ov.degrade_links(latency_factor, extra_loss,
+                   ramp_rounds * ov.config().stabilize_period);
   return true;
 }
 
 sub_id drtree_backend::subscribe(const spatial::box& filter) {
+  for (std::size_t d = 0; d < filter.dims(); ++d) {
+    if (std::isnan(filter.lo[d]) || std::isnan(filter.hi[d])) return kNoSub;
+  }
   // Round-robin in arrival order: the new id is the number issued so far.
   sub_id s = 0;
   for (const auto& ov : overlays_) s += ov->sim().process_count();
@@ -158,17 +112,26 @@ bool drtree_backend::unsubscribe(sub_id s) {
 }
 
 bool drtree_backend::crash(sub_id s) {
-  return crash_peer(*overlays_[shard_of(s)], local_of(s));
+  auto& ov = *overlays_[shard_of(s)];
+  const auto p = local_of(s);
+  if (!ov.alive(p)) return false;
+  ov.crash(p);
+  return true;
 }
 
 bool drtree_backend::restart(sub_id s) {
-  return restart_peer(*overlays_[shard_of(s)], local_of(s));
+  auto& ov = *overlays_[shard_of(s)];
+  const auto p = local_of(s);
+  if (p == spatial::kNoPeer || ov.alive(p)) return false;
+  ov.restart(p);
+  return true;
 }
 
 std::size_t drtree_backend::corrupt(double rate, std::uint64_t seed) {
   std::size_t mutations = 0;
   for (std::size_t i = 0; i < overlays_.size(); ++i) {
-    mutations += corrupt_overlay(*overlays_[i], rate, seed + i);
+    overlay::corruptor vandal(*overlays_[i], seed + i);
+    mutations += vandal.corrupt(overlay::uniform_corruption(rate));
   }
   return mutations;
 }
@@ -267,9 +230,8 @@ bool drtree_backend::legal() const {
 }
 
 backend_shape drtree_backend::shape() const {
-  // One shard reports the checker's own mean: re-weighting it below
-  // could move it by an ulp.
-  if (overlays_.size() == 1) return shape_of_overlay(*overlays_[0]);
+  // The checker's structural view, so the rows compare directly with the
+  // baselines'.
   backend_shape s;
   double degree_sum = 0.0;
   std::size_t degree_nodes = 0;
@@ -287,8 +249,13 @@ backend_shape drtree_backend::shape() const {
             : 0;
     degree_sum += report.avg_interior_children * interior;
     degree_nodes += interior;
+    s.avg_degree = report.avg_interior_children;
   }
-  s.avg_degree = degree_nodes == 0 ? 0.0 : degree_sum / degree_nodes;
+  // One shard keeps the checker's own mean: re-weighting it could move
+  // it by an ulp.
+  if (overlays_.size() > 1) {
+    s.avg_degree = degree_nodes == 0 ? 0.0 : degree_sum / degree_nodes;
+  }
   return s;
 }
 
@@ -324,138 +291,6 @@ overlay::arena_stats drtree_backend::arena_stats() const {
     total.seen_bytes += st.seen_bytes;
   }
   return total;
-}
-
-// ------------------------------------------------------- broker_backend
-
-broker_backend::broker_backend(overlay_backend_config config) {
-  pubsub::broker_config bc;
-  bc.dr = config.dr;
-  bc.net = config.net;
-  broker_ = std::make_unique<pubsub::broker>(bc);
-}
-
-capability_mask broker_backend::capabilities() const {
-  return kOverlayCapabilities;
-}
-
-bool broker_backend::partition(const std::vector<sub_id>& side_b) {
-  return partition_overlay(broker_->raw_overlay(), side_b);
-}
-
-bool broker_backend::heal() {
-  broker_->raw_overlay().heal_partition();
-  return true;
-}
-
-bool broker_backend::degrade_links(double latency_factor, double extra_loss,
-                                   double ramp_rounds) {
-  degrade_overlay(broker_->raw_overlay(), latency_factor, extra_loss,
-                  ramp_rounds);
-  return true;
-}
-
-sub_id broker_backend::subscribe(const spatial::box& filter) {
-  const auto client = broker_->add_client();
-  const auto handle = broker_->subscribe(client, filter);
-  const auto s = static_cast<sub_id>(handle.peer);
-  handles_.emplace(s, handle);
-  return s;
-}
-
-bool broker_backend::unsubscribe(sub_id s) {
-  const auto it = handles_.find(s);
-  if (it == handles_.end()) return false;
-  // One client per subscription: retire the whole client, or clients_
-  // would accumulate forever under churn.
-  const bool ok = broker_->remove_client(it->second.client);
-  handles_.erase(it);
-  return ok;
-}
-
-bool broker_backend::crash(sub_id s) {
-  auto& ov = broker_->raw_overlay();
-  return crash_peer(ov, peer_of(ov, s));
-}
-
-bool broker_backend::restart(sub_id s) {
-  auto& ov = broker_->raw_overlay();
-  return restart_peer(ov, peer_of(ov, s));
-}
-
-std::size_t broker_backend::corrupt(double rate, std::uint64_t seed) {
-  return corrupt_overlay(broker_->raw_overlay(), rate, seed);
-}
-
-bool broker_backend::alive(sub_id s) const {
-  const auto& ov = broker_->raw_overlay();
-  return ov.alive(peer_of(ov, s));
-}
-
-std::vector<sub_id> broker_backend::active() const {
-  std::vector<sub_id> out;
-  out.reserve(broker_->raw_overlay().live_count());
-  broker_->raw_overlay().for_each_live(
-      [&out](spatial::peer_id p) { out.push_back(p); });
-  return out;
-}
-
-sub_id broker_backend::root() const {
-  const auto r = broker_->raw_overlay().current_root();
-  return r == spatial::kNoPeer ? kNoSub : static_cast<sub_id>(r);
-}
-
-delivery_report broker_backend::publish(sub_id publisher,
-                                        const spatial::pt& value) {
-  const auto it = handles_.find(publisher);
-  DRT_EXPECT(it != handles_.end());
-  const auto out = broker_->publish(it->second.client, value);
-  // One client per subscription, so client-level accounting *is*
-  // subscription-level accounting.
-  delivery_report d;
-  d.interested = out.matching_clients;
-  d.delivered = out.notified.size();
-  d.false_positives = out.client_false_positives;
-  d.false_negatives = out.client_false_negatives;
-  d.messages = out.messages;
-  d.max_hops = out.max_hops;
-  return d;
-}
-
-delivery_report broker_backend::publish_batch(sub_id publisher,
-                                              const spatial::pt* values,
-                                              std::size_t n) {
-  const auto it = handles_.find(publisher);
-  DRT_EXPECT(it != handles_.end());
-  const auto outs = broker_->publish_batch(it->second.client, values, n);
-  delivery_report d;
-  for (const auto& out : outs) {
-    d.interested += out.matching_clients;
-    d.delivered += out.notified.size();
-    d.false_positives += out.client_false_positives;
-    d.false_negatives += out.client_false_negatives;
-    d.messages += out.messages;
-    d.max_hops = std::max(d.max_hops, out.max_hops);
-  }
-  return d;
-}
-
-void broker_backend::step_round() {
-  auto& ov = broker_->raw_overlay();
-  ov.advance(ov.config().stabilize_period);
-  ov.settle();
-}
-
-backend_shape broker_backend::shape() const {
-  return shape_of_overlay(broker_->raw_overlay());
-}
-
-backend_counters broker_backend::counters() const {
-  backend_counters c;
-  c.messages = broker_->raw_overlay().sim().metrics().messages_sent;
-  c.stabilize_visited = broker_->raw_overlay().stab_stats().visited;
-  c.stabilize_skipped = broker_->raw_overlay().stab_stats().skipped;
-  return c;
 }
 
 // ----------------------------------------------------- baseline_backend

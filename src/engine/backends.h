@@ -1,14 +1,12 @@
-// Backend adapters (DESIGN.md §6): the DR-tree overlay, the broker
-// façade, and the four §3.1/§4 baselines behind the one
-// drt::engine::backend interface.
+// Backend adapters (DESIGN.md §6): the DR-tree overlay and the four
+// §3.1/§4 baselines behind the one drt::engine::backend interface.
 //
 // There is one DR-tree backend, drtree_backend; its shard count is a
-// constructor argument.  At one shard it and broker_backend drive the
-// identical protocol stack through the identical operations, so a
-// churn-free scenario produces bit-identical metrics on either — the
-// engine determinism tests rely on this.  Every one-shard overlay
-// adapter can partition and degrade: its simulator owns the net model
-// those faults act on.  Baselines get honest
+// constructor argument.  It is the one overlay host: the scenario
+// runner, drtd's rpc::service and the pubsub::broker façade each hold a
+// one-shard drtree_backend.  A one-shard drtree_backend can partition
+// and degrade: its simulator owns the net model those faults act on.
+// Baselines get honest
 // *incremental rebuild* semantics: they have no repair protocol, so every
 // membership change rebuilds the structure from the surviving
 // subscription set (counted in backend_counters::rebuilds); crashes,
@@ -17,13 +15,11 @@
 #define DRT_ENGINE_BACKENDS_H
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "baselines/baseline.h"
 #include "drtree/overlay.h"
 #include "engine/backend.h"
-#include "pubsub/broker.h"
 #include "rtree/rtree.h"
 #include "sim/kernel.h"
 
@@ -31,7 +27,8 @@ namespace drt::engine {
 
 struct scenario;
 
-/// Shared configuration for the overlay-backed adapters.
+/// Configuration of an overlay host: the protocol plus each shard's
+/// simulator (drtree_backend, and through it drtd and the broker).
 struct overlay_backend_config {
   overlay::dr_config dr{};
   sim::simulator_config net{};
@@ -64,6 +61,8 @@ class drtree_backend final : public backend {
   std::string name() const override { return "drtree"; }
   capability_mask capabilities() const override;
 
+  /// kNoSub, and nothing registered, when a bound is NaN: NaN equals no
+  /// MBR, so the peer's leaf could never pass the checker again.
   sub_id subscribe(const spatial::box& filter) override;
   bool unsubscribe(sub_id s) override;
   bool crash(sub_id s) override;
@@ -126,52 +125,6 @@ class drtree_backend final : public backend {
 /// The old name of drtree_backend, kept for perfbench/, whose sources
 /// spell it so.
 using sharded_drtree_backend = drtree_backend;
-
-/// The application façade: one broker client per engine subscription, so
-/// client-level accounting coincides with subscription-level accounting
-/// and the adapter stays metrics-compatible with drtree_backend.
-class broker_backend final : public backend {
- public:
-  explicit broker_backend(overlay_backend_config config = {});
-
-  std::string name() const override { return "broker"; }
-  capability_mask capabilities() const override;
-
-  sub_id subscribe(const spatial::box& filter) override;
-  bool unsubscribe(sub_id s) override;
-  bool crash(sub_id s) override;
-  bool restart(sub_id s) override;
-  std::size_t corrupt(double rate, std::uint64_t seed) override;
-  bool partition(const std::vector<sub_id>& side_b) override;
-  bool heal() override;
-  bool degrade_links(double latency_factor, double extra_loss,
-                     double ramp_rounds) override;
-
-  bool alive(sub_id s) const override;
-  std::vector<sub_id> active() const override;
-  std::size_t population() const override {
-    return broker_->raw_overlay().live_count();
-  }
-  sub_id root() const override;
-
-  delivery_report publish(sub_id publisher, const spatial::pt& value) override;
-  delivery_report publish_batch(sub_id publisher, const spatial::pt* values,
-                                std::size_t n) override;
-
-  void settle() override { broker_->raw_overlay().settle(); }
-  void step_round() override;
-  bool legal() const override { return broker_->overlay_legal(); }
-  backend_shape shape() const override;
-  backend_counters counters() const override;
-
-  pubsub::broker& broker() { return *broker_; }
-
- private:
-  std::unique_ptr<pubsub::broker> broker_;
-  /// sub_id == the subscription's overlay peer id; the handle map lets
-  /// unsubscribe tear down through the broker API.
-  std::unordered_map<sub_id, pubsub::subscription_handle> handles_;
-};
 
 /// Adapter for the static baselines: membership changes rebuild the
 /// structure from the surviving subscription set, publications are scored

@@ -3,9 +3,9 @@
 // A scenario is a *value*: a name, a workload profile, and an ordered
 // timeline of typed phases.  It carries no behavior — scenario_runner
 // executes it against any backend — so the same scenario drives the
-// DR-tree, the broker façade, and every baseline through identical
-// operation sequences, and two runs with the same seed are
-// bit-reproducible.  The caller builds the backend: the scenario's net
+// DR-tree (in process or through drtd's net_backend) and every baseline
+// through identical operation sequences, and two runs with the same seed
+// are bit-reproducible.  The caller builds the backend: the scenario's net
 // model reaches it through engine::configured_for, and a shard count is
 // a drtree_backend constructor argument, not part of the scenario.
 //

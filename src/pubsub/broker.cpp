@@ -2,16 +2,14 @@
 
 #include <algorithm>
 
-#include "drtree/checker.h"
 #include "util/expect.h"
 
 namespace drt::pubsub {
 
-using spatial::kNoPeer;
 using spatial::peer_id;
 
-broker::broker(broker_config config)
-    : config_(config), overlay_(config.dr, config.net) {}
+broker::broker(engine::overlay_backend_config config)
+    : backend_(config) {}
 
 client_id broker::add_client() {
   const auto id = next_client_++;
@@ -23,7 +21,10 @@ subscription_handle broker::subscribe(client_id client,
                                       const spatial::box& filter) {
   DRT_EXPECT(clients_.count(client) > 0);
   DRT_EXPECT(!filter.is_empty());
-  const auto peer = overlay_.add_peer_and_settle(filter);
+  const auto s = backend_.subscribe(filter);
+  DRT_EXPECT(s != engine::kNoSub);  // no NaN bound
+  // One shard: the sub_id is the overlay peer id.
+  const auto peer = static_cast<peer_id>(s);
   clients_[client].peers.push_back(peer);
   owner_of_[peer] = client;
   return {client, peer};
@@ -35,10 +36,7 @@ bool broker::unsubscribe(const subscription_handle& handle) {
   auto& peers = it->second.peers;
   const auto pos = std::find(peers.begin(), peers.end(), handle.peer);
   if (pos == peers.end()) return false;
-  if (overlay_.alive(handle.peer)) {
-    overlay_.controlled_leave(handle.peer);
-    overlay_.settle();
-  }
+  backend_.unsubscribe(handle.peer);  // a crashed peer is already gone
   peers.erase(pos);
   owner_of_.erase(handle.peer);
   return true;
@@ -49,10 +47,7 @@ std::size_t broker::unsubscribe_all(client_id client) {
   if (it == clients_.end()) return 0;
   std::size_t removed = 0;
   for (const auto p : it->second.peers) {
-    if (overlay_.alive(p)) {
-      overlay_.controlled_leave(p);
-      overlay_.settle();
-    }
+    backend_.unsubscribe(p);
     owner_of_.erase(p);
     ++removed;
   }
@@ -71,8 +66,9 @@ std::vector<spatial::box> broker::subscriptions_of(client_id client) const {
   std::vector<spatial::box> out;
   const auto it = clients_.find(client);
   if (it == clients_.end()) return out;
+  const auto& ov = backend_.overlay();
   for (const auto p : it->second.peers) {
-    if (overlay_.alive(p)) out.push_back(overlay_.peer(p).filter());
+    if (ov.alive(p)) out.push_back(ov.peer(p).filter());
   }
   return out;
 }
@@ -81,27 +77,18 @@ peer_id broker::entry_peer(client_id publisher) {
   DRT_EXPECT(clients_.count(publisher) > 0);
   // Inject through one of the publisher's own subscribers when it has
   // any, otherwise through any live overlay peer (a pure producer).
-  peer_id via = kNoPeer;
+  const auto& ov = backend_.overlay();
   for (const auto p : clients_[publisher].peers) {
-    if (overlay_.alive(p)) {
-      via = p;
-      break;
-    }
+    if (ov.alive(p)) return p;
   }
-  if (via == kNoPeer) {
-    overlay_.for_each_live([&](peer_id p) {
-      via = p;
-      return false;  // first live peer — same pick as the old snapshot
-    });
-    DRT_EXPECT(via != kNoPeer);
-  }
-  return via;
+  DRT_EXPECT(ov.live_count() > 0);
+  return ov.nth_live(0);  // the lowest live id
 }
 
 publish_outcome broker::publish(client_id publisher,
                                 const spatial::pt& value) {
   const auto via = entry_peer(publisher);
-  const auto r = overlay_.publish_and_drain(via, value);
+  const auto r = backend_.overlay().publish_and_drain(via, value);
   return outcome_for(r, via, value);
 }
 
@@ -111,7 +98,8 @@ std::vector<publish_outcome> broker::publish_batch(client_id publisher,
   std::vector<publish_outcome> out;
   if (n == 0) return out;
   const auto via = entry_peer(publisher);
-  const auto results = overlay_.multi_publish_and_drain(via, values, n);
+  const auto results =
+      backend_.overlay().multi_publish_and_drain(via, values, n);
   out.reserve(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     out.push_back(outcome_for(results[i], via, values[i]));
@@ -126,62 +114,38 @@ publish_outcome broker::outcome_for(const overlay::publish_result& r,
   out.messages = r.messages;
   out.max_hops = r.max_hops;
 
-  // Client-level aggregation: notified once per client, exact matching
-  // against the client's own filters.
-  std::vector<client_id> notified;
-  for (const auto p : r.receivers) {
-    const auto it = owner_of_.find(p);
-    if (it == owner_of_.end()) continue;
-    if (std::find(notified.begin(), notified.end(), it->second) ==
-        notified.end()) {
-      notified.push_back(it->second);
+  // Client-level aggregation: the owners of the receiving peers and of
+  // the live peers whose filter contains the value (the overlay's
+  // ground-truth index yields those directly), each sorted and deduped,
+  // then merged in O(receivers + matches).
+  const auto owners = [this](const auto& peers, std::vector<client_id>& to) {
+    to.clear();
+    for (const auto p : peers) {
+      const auto it = owner_of_.find(p);
+      if (it != owner_of_.end()) to.push_back(it->second);
     }
-  }
-  std::sort(notified.begin(), notified.end());
-  out.notified = notified;
+    std::sort(to.begin(), to.end());
+    to.erase(std::unique(to.begin(), to.end()), to.end());
+  };
+  owners(r.receivers, out.notified);
+  backend_.overlay().matching_live_peers(value, match_scratch_);
+  owners(match_scratch_, matched_clients_);
+  out.matching_clients = matched_clients_.size();
 
   spatial::event ev;
   ev.id = r.event_id;
   ev.publisher = via;
   ev.value = value;
-  // A client matches iff any of its live subscription peers' filters
-  // contains the value; the overlay's ground-truth index yields those
-  // peers directly instead of a scan over every client's peer list.
-  overlay_.matching_live_peers(value, match_scratch_);
-  matched_clients_.clear();
-  for (const auto p : match_scratch_) {
-    const auto it = owner_of_.find(p);
-    if (it == owner_of_.end()) continue;
-    matched_clients_.push_back(it->second);
+  std::size_t both = 0;  // notified and matching
+  auto m = matched_clients_.begin();
+  for (const auto client : out.notified) {
+    while (m != matched_clients_.end() && *m < client) ++m;
+    if (m != matched_clients_.end() && *m == client) ++both;
+    if (on_delivery_) on_delivery_(client, ev);
   }
-  std::sort(matched_clients_.begin(), matched_clients_.end());
-  matched_clients_.erase(
-      std::unique(matched_clients_.begin(), matched_clients_.end()),
-      matched_clients_.end());
-  for (const auto& [client, state] : clients_) {
-    const bool matches = std::binary_search(matched_clients_.begin(),
-                                            matched_clients_.end(), client);
-    const bool got = std::binary_search(notified.begin(), notified.end(),
-                                        client);
-    if (matches) ++out.matching_clients;
-    if (got && !matches) ++out.client_false_positives;
-    if (!got && matches) ++out.client_false_negatives;
-    if (got && on_delivery_) on_delivery_(client, ev);
-  }
+  out.client_false_positives = out.notified.size() - both;
+  out.client_false_negatives = out.matching_clients - both;
   return out;
-}
-
-int broker::stabilize(int max_rounds) {
-  for (int round = 0; round < max_rounds; ++round) {
-    if (overlay_legal()) return round;
-    overlay_.advance(config_.dr.stabilize_period);
-    overlay_.settle();
-  }
-  return overlay_legal() ? max_rounds : -1;
-}
-
-bool broker::overlay_legal() const {
-  return overlay::checker(overlay_).legal();
 }
 
 }  // namespace drt::pubsub

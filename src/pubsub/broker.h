@@ -7,6 +7,11 @@
 // and deliveries are de-duplicated and exact-matched per client, so a
 // client with several overlapping filters receives each event once.
 //
+// The broker owns a one-shard engine::drtree_backend, the overlay host
+// drtd and the scenario runner use too; at one shard a subscription's
+// sub_id is its overlay peer id.  Convergence and legality are the
+// backend's: drive backend() with a scenario_runner (DESIGN.md §6).
+//
 // This is the API a downstream application links against:
 //
 //   broker b(cfg);
@@ -14,16 +19,16 @@
 //   auto sub = b.subscribe(alice, filter_rect);
 //   b.unsubscribe(sub);                  // controlled departure
 //   auto out = b.publish(alice, point);  // who got it, exactness stats
+//   engine::scenario_runner(b.backend()).converge();  // repair rounds
 #ifndef DRT_PUBSUB_BROKER_H
 #define DRT_PUBSUB_BROKER_H
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "drtree/overlay.h"
+#include "engine/backends.h"
 #include "spatial/types.h"
 
 namespace drt::pubsub {
@@ -39,11 +44,6 @@ struct subscription_handle {
                          const subscription_handle&) = default;
 };
 
-struct broker_config {
-  overlay::dr_config dr{};
-  sim::simulator_config net{};
-};
-
 /// Outcome of one publication at client granularity.
 struct publish_outcome {
   std::uint64_t event_id = 0;
@@ -57,17 +57,17 @@ struct publish_outcome {
 
 class broker {
  public:
-  explicit broker(broker_config config = {});
+  explicit broker(engine::overlay_backend_config config = {});
 
   broker(const broker&) = delete;
   broker& operator=(const broker&) = delete;
 
   // -------------------------------------------------------------- clients
   client_id add_client();
-  std::size_t client_count() const { return clients_.size(); }
 
   /// Register a filter for `client`; the filter joins the overlay as a
-  /// logical subscriber owned by the client.
+  /// logical subscriber owned by the client.  Expects a non-empty filter
+  /// with no NaN bound (the backend rejects one).
   subscription_handle subscribe(client_id client, const spatial::box& filter);
 
   /// Controlled departure of one subscription (Fig. 9).  Returns false if
@@ -87,7 +87,8 @@ class broker {
   /// Filters currently registered by `client`.
   std::vector<spatial::box> subscriptions_of(client_id client) const;
 
-  /// Optional push interface: invoked once per (event, notified client).
+  /// Optional push interface: invoked once per (event, notified client),
+  /// in ascending client id.
   using delivery_callback =
       std::function<void(client_id, const spatial::event&)>;
   void set_delivery_callback(delivery_callback cb) { on_delivery_ = std::move(cb); }
@@ -108,13 +109,10 @@ class broker {
                                              std::size_t n);
 
   // --------------------------------------------------------------- admin
-  /// Run stabilization rounds until the overlay is legal (or the budget
-  /// runs out); returns rounds or -1.
-  int stabilize(int max_rounds = 100);
-  bool overlay_legal() const;
-
-  overlay::dr_overlay& raw_overlay() { return overlay_; }
-  const overlay::dr_overlay& raw_overlay() const { return overlay_; }
+  /// The hosted overlay: stabilization rounds, legality, faults and the
+  /// raw dr_overlay (backend().overlay()) all go through it.
+  engine::drtree_backend& backend() { return backend_; }
+  const engine::drtree_backend& backend() const { return backend_; }
 
  private:
   struct client_state {
@@ -129,8 +127,7 @@ class broker {
   publish_outcome outcome_for(const overlay::publish_result& r,
                               spatial::peer_id via, const spatial::pt& value);
 
-  broker_config config_;
-  overlay::dr_overlay overlay_;
+  engine::drtree_backend backend_;
   std::unordered_map<client_id, client_state> clients_;
   std::unordered_map<spatial::peer_id, client_id> owner_of_;
   client_id next_client_ = 1;

@@ -386,7 +386,7 @@ TEST(PartitionHeal, SplitBrainFormsAndHealsWithZeroFalseNegatives) {
   EXPECT_EQ(fn_after, 0u);
 }
 
-TEST(PartitionHeal, CannedScenarioRecoversOnDrtreeAndBroker) {
+TEST(PartitionHeal, CannedScenarioRecoversOnDrtree) {
   const auto sc = engine::canned::split_brain_heal(48, 1.0 / 3, 6, 7);
   overlay_backend_config bc;
   bc.net.seed = 53;
@@ -421,10 +421,7 @@ TEST(PartitionHeal, CannedScenarioRecoversOnDrtreeAndBroker) {
   };
 
   drtree_backend dr(bc);
-  engine::broker_backend br(bc);
-  // The two overlay adapters drive the identical protocol stack; a
-  // partition timeline is churn-free, so their digests must agree.
-  EXPECT_EQ(check(dr), check(br));
+  check(dr);
 }
 
 TEST(PartitionHeal, PhasesSkipOnBackendsWithoutTheCapability) {

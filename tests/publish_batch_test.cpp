@@ -269,7 +269,7 @@ TEST(PublishBatch, ShardedBackendDeliversBatchesExactly) {
 
 TEST(PublishBatch, BrokerBatchMatchesScalarOutcomes) {
   auto make_cfg = [] {
-    pubsub::broker_config bc;
+    engine::overlay_backend_config bc;
     bc.dr = frozen_dr();
     bc.net.seed = 55;
     return bc;

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -502,6 +503,39 @@ TEST(Service, AbruptDisconnectIsTheChurnPrimitive) {
   await_population(fx.port(), 1);
   EXPECT_TRUE(keeper.alive(kept));
   EXPECT_GE(fx.get().stats_snapshot().disconnect_unsubscribes, 2u);
+}
+
+TEST(Service, NanFilterIsRefusedAndTheOverlayStaysLegal) {
+  // A NaN bound would make the hosted overlay illegal for good (NaN
+  // equals no MBR); the daemon answers bad_request and registers nothing.
+  service_config cfg;
+  cfg.backend = small_config(15);
+  cfg.stabilize_every_ms = 5;
+  service_fixture fx(cfg);
+
+  client c(fx.port());
+  ASSERT_TRUE(c.ok());
+  for (int i = 0; i < 30; ++i) {
+    const double lo = 30.0 * i;
+    ASSERT_NE(c.subscribe(make_rect2(lo, 1000 - lo - 60, lo + 60, 1000 - lo)),
+              static_cast<std::uint64_t>(engine::kNoSub));
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(c.subscribe(make_rect2(nan, 10, 20, 20)),
+            static_cast<std::uint64_t>(engine::kNoSub));
+  EXPECT_TRUE(c.ping());  // the connection survives the refusal
+  EXPECT_EQ(c.stat().population, 30u);
+
+  const auto rounds = fx.get().stats_snapshot().stabilize_rounds;
+  for (int i = 0; i < 1500; ++i) {
+    if (fx.get().stats_snapshot().stabilize_rounds >= rounds + 20 &&
+        c.stat().legal) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_GE(fx.get().stats_snapshot().stabilize_rounds, rounds + 20);
+  EXPECT_TRUE(c.stat().legal);
 }
 
 TEST(Service, ForeignSubscriptionOperationsAreRejected) {
