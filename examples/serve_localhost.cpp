@@ -76,7 +76,7 @@ int main() {
 
   service.stop();
   daemon.join();
-  const auto& stats = service.stats();
+  const auto stats = service.stats_snapshot();
   std::printf("daemon stats: %llu conns, %llu frames, %llu pushed, "
               "%llu disconnect unsubscribes\n",
               static_cast<unsigned long long>(stats.connections_accepted),

@@ -89,7 +89,8 @@ class backend {
   /// Register a filter; the subscription becomes live immediately (the
   /// backend settles any join traffic before returning).  Returns kNoSub,
   /// registering nothing, when the backend refuses the filter (the
-  /// overlay refuses a NaN bound) or cannot reach its system.
+  /// overlay refuses a NaN bound and an empty box, any lo > hi) or cannot
+  /// reach its system.
   virtual sub_id subscribe(const spatial::box& filter) = 0;
 
   /// Controlled departure.  Returns false when the id is unknown/dead or

@@ -91,6 +91,7 @@ bool drtree_backend::degrade_links(double latency_factor, double extra_loss,
 }
 
 sub_id drtree_backend::subscribe(const spatial::box& filter) {
+  if (filter.is_empty()) return kNoSub;
   for (std::size_t d = 0; d < filter.dims(); ++d) {
     if (std::isnan(filter.lo[d]) || std::isnan(filter.hi[d])) return kNoSub;
   }

@@ -61,8 +61,11 @@ class drtree_backend final : public backend {
   std::string name() const override { return "drtree"; }
   capability_mask capabilities() const override;
 
-  /// kNoSub, and nothing registered, when a bound is NaN: NaN equals no
-  /// MBR, so the peer's leaf could never pass the checker again.
+  /// kNoSub, and nothing registered, when a bound is NaN or the box is
+  /// empty (any lo > hi, box::empty() included).  NaN equals no MBR, so
+  /// the peer's leaf could never pass the checker again.  An empty box
+  /// matches no event, and one with finite inverted bounds would still
+  /// widen every ancestor's MBR: only box::empty() is join's identity.
   sub_id subscribe(const spatial::box& filter) override;
   bool unsubscribe(sub_id s) override;
   bool crash(sub_id s) override;

@@ -25,7 +25,6 @@ const char* to_string(trace_kind k) {
     case trace_kind::repair: return "repair";
     case trace_kind::violation: return "violation";
     case trace_kind::message: return "message";
-    case trace_kind::service: return "service";
   }
   return "?";
 }

@@ -14,8 +14,8 @@
 // additionally records every simulator message delivery.
 //
 // Timestamps are the owning simulator's virtual time, so traces are as
-// deterministic as the run that produced them; drtd's service-level
-// records use the daemon's steady clock instead (rpc/service.cpp).
+// deterministic as the run that produced them.  drtd's records are its
+// hosted overlay's, so they too carry that overlay's simulated time.
 #ifndef DRT_OBS_TRACE_H
 #define DRT_OBS_TRACE_H
 
@@ -60,7 +60,6 @@ enum class trace_kind : std::uint16_t {
   violation = 11,  ///< checker found the structure illegal (a = count;
                    ///< 1 from checker::legal(), which stops at the first)
   message = 12,    ///< simulator delivery, full mode only (a = type, b = from)
-  service = 13,    ///< drtd service event (a = code, b = detail)
 };
 
 const char* to_string(trace_kind k);
@@ -68,7 +67,7 @@ const char* to_string(trace_kind k);
 /// One fixed-size binary record.  32 bytes, trivially copyable — the
 /// ring is a flat array and merge/export/dump treat streams as bytes.
 struct trace_record {
-  double ts = 0.0;          ///< sim time (or steady-clock seconds in drtd)
+  double ts = 0.0;          ///< the emitting simulator's virtual time
   std::uint16_t kind = 0;   ///< trace_kind
   std::uint16_t shard = 0;  ///< owning shard (0 when unsharded)
   std::uint32_t peer = 0;   ///< subject peer id

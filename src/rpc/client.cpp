@@ -259,31 +259,4 @@ std::vector<std::uint64_t> client::active() {
   return ids;
 }
 
-std::string client::stats_text() {
-  std::string text;
-  std::uint32_t offset = 0;
-  for (;;) {
-    stats_req_body body;
-    body.offset = offset;
-    std::vector<std::byte> payload;
-    if (!roundtrip(frame_type::stats, &body, sizeof(body),
-                   frame_type::stats_ok, payload)) {
-      break;
-    }
-    frame_view view;
-    view.type = frame_type::stats_ok;
-    view.payload = payload.data();
-    view.size = static_cast<std::uint32_t>(payload.size());
-    stats_text_body page;
-    if (!read_stats_page(view, page)) {
-      fail();
-      break;
-    }
-    text.append(page.text, page.count);
-    offset += page.count;
-    if (page.count == 0 || offset >= page.total) break;
-  }
-  return text;
-}
-
 }  // namespace drt::rpc

@@ -12,7 +12,6 @@
 #define DRT_RPC_CLIENT_H
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -61,11 +60,6 @@ class client {
   stat_body stat();
   /// The full live id list, paged transparently.
   std::vector<std::uint64_t> active();
-
-  /// The daemon's Prometheus text exposition (DESIGN.md §12), paged
-  /// transparently; "" on connection death.  The daemon snapshots the
-  /// text on the first page, so a multi-page read is self-consistent.
-  std::string stats_text();
 
   /// Event notifications received so far (in arrival order).  The caller
   /// may clear() between operations; the buffer is unbounded otherwise.

@@ -12,8 +12,8 @@
 // N is a decimal number: the port at most 65535, the others at most
 // 4294967295.  Any other value prints the usage line and exits 2.
 //
-// While serving, `GET /metrics` on the same port (plain HTTP) or a STATS
-// wire frame returns the live Prometheus exposition (DESIGN.md §12).
+// While serving, `GET /metrics` on the same port (plain HTTP) returns the
+// live Prometheus exposition (DESIGN.md §12).
 #include <charconv>
 #include <csignal>
 #include <cstdint>
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
 
   service.run();
 
-  const auto& s = service.stats();
+  const auto s = service.stats_snapshot();
   std::printf(
       "drtd exiting: %llu conns (%llu closed), %llu frames in, "
       "%llu out, %llu events pushed, %llu protocol errors, "

@@ -74,29 +74,11 @@ void event_loop::unwatch(int fd) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
-void event_loop::post(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(tasks_mutex_);
-    tasks_.push_back(std::move(fn));
-  }
-  [[maybe_unused]] const auto n = ::write(wake_fds_[1], "t", 1);
-}
-
 void event_loop::stop() {
   stop_.store(true, std::memory_order_release);
   // write(2) is async-signal-safe, so drtd's SIGINT handler may call
   // stop() directly.
   [[maybe_unused]] const auto n = ::write(wake_fds_[1], "s", 1);
-}
-
-std::size_t event_loop::drain_tasks() {
-  running_tasks_.clear();
-  {
-    std::lock_guard<std::mutex> lock(tasks_mutex_);
-    running_tasks_.swap(tasks_);
-  }
-  for (auto& fn : running_tasks_) fn();
-  return running_tasks_.size();
 }
 
 std::size_t event_loop::run_once(int max_wait_ms) {
@@ -120,7 +102,7 @@ std::size_t event_loop::run_once(int max_wait_ms) {
     it->second.fn(mask);
     ++work;
   }
-  return work + drain_tasks();
+  return work;
 }
 
 void event_loop::run() {

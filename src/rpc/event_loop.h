@@ -2,21 +2,19 @@
 // (DESIGN.md §10), on epoll, so service mode needs Linux.
 //
 // This is the async substrate the daemon runs on instead of the
-// simulator's virtual clock: fd readiness callbacks and a posted-task
-// queue.  It keeps no timers: a caller with a deadline passes the time
-// left to run_once() as its wait, as service::run does for the
-// stabilizer.  Everything runs on the thread inside run()/run_once();
-// the only cross-thread entry points are stop() and post(), which are
-// lock/atomic-protected and wake the loop through a self-pipe.
+// simulator's virtual clock: fd readiness callbacks, nothing else.  It
+// keeps no timers: a caller with a deadline passes the time left to
+// run_once() as its wait, as service::run does for the stabilizer.
+// Everything runs on the thread inside run()/run_once(); the one
+// cross-thread entry point is stop(), an atomic flag plus a self-pipe
+// write that wakes the loop.
 #ifndef DRT_RPC_EVENT_LOOP_H
 #define DRT_RPC_EVENT_LOOP_H
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <unordered_map>
-#include <vector>
 
 namespace drt::rpc {
 
@@ -45,17 +43,12 @@ class event_loop {
   void unwatch(int fd);
   std::size_t watched() const { return watches_.size(); }
 
-  // -------------------------------------------------------------- tasks
-  /// Run `fn` on the loop thread at the end of the current (or next)
-  /// iteration.  Thread-safe.
-  void post(std::function<void()> fn);
-
   // ----------------------------------------------------------- running
   /// Drive until stop().  One call at a time, from one thread.
   void run();
-  /// One wait/dispatch/tasks iteration, waiting at most `max_wait_ms`
-  /// (-1: until an fd is ready, a post() or a stop()).  Returns the
-  /// number of callbacks and tasks run.
+  /// One wait/dispatch iteration, waiting at most `max_wait_ms` (-1:
+  /// until an fd is ready or a stop()).  Returns the number of callbacks
+  /// run.
   std::size_t run_once(int max_wait_ms);
   /// Thread- and signal-safe: flags the loop and wakes it.
   void stop();
@@ -68,7 +61,6 @@ class event_loop {
   };
 
   void arm(int fd, std::uint32_t interest, int op);
-  std::size_t drain_tasks();
 
   std::unordered_map<int, watch_state> watches_;
 
@@ -76,9 +68,6 @@ class event_loop {
   int wake_fds_[2] = {-1, -1};  ///< self-pipe; [0] read, [1] write
 
   std::atomic<bool> stop_{false};
-  std::mutex tasks_mutex_;
-  std::vector<std::function<void()>> tasks_;
-  std::vector<std::function<void()>> running_tasks_;  ///< reused scratch
 };
 
 }  // namespace drt::rpc

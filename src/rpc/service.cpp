@@ -7,13 +7,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <string_view>
 
 #include "drtree/checker.h"
@@ -33,6 +31,14 @@ void set_nonblocking(int fd) {
 void set_nodelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/// The loop thread's one way to count: a release store, which the
+/// acquire loads in stats_snapshot() pair with.  The loop is the only
+/// writer, so its own plain read of `count` races with nothing.
+void bump(std::uint64_t& count) {
+  std::atomic_ref<std::uint64_t>(count).store(count + 1,
+                                              std::memory_order_release);
 }
 
 }  // namespace
@@ -70,7 +76,6 @@ service::~service() {
 void service::run() {
   loop_.watch(listen_fd_, event_loop::kReadable,
               [this](std::uint32_t) { on_accept(); });
-  serving_.store(true, std::memory_order_release);
 
   // The stabilizer's next tick is due one period after the last one
   // ended, so a round that overruns its period delays the next tick
@@ -81,7 +86,7 @@ void service::run() {
   std::uint64_t ticks = 0;
   while (!loop_.stopped()) {
     if (period.count() == 0) {
-      loop_.run_once(-1);  // until I/O, a post() or stop()
+      loop_.run_once(-1);  // until I/O or stop()
       continue;
     }
     auto now = clock::now();
@@ -94,10 +99,10 @@ void service::run() {
       const auto& ov = be_.overlay();
       ++ticks;
       if (ov.dirty_pending() == 0 && ticks % ov.config().sweep_stride != 0) {
-        ++stats_.stabilize_skipped;
+        bump(stats_.stabilize_skipped);
       } else {
         be_.step_round();
-        ++stats_.stabilize_rounds;
+        bump(stats_.stabilize_rounds);
       }
       now = clock::now();
       next_tick = now + period;
@@ -107,7 +112,6 @@ void service::run() {
     loop_.run_once(static_cast<int>(std::min<std::int64_t>(
         left.count(), std::numeric_limits<int>::max())));
   }
-  serving_.store(false, std::memory_order_release);
 
   // Shutdown: drop connections without churning the overlay — the
   // daemon is going away, a storm of controlled leaves helps nobody.
@@ -115,7 +119,7 @@ void service::run() {
     (void)conn;
     loop_.unwatch(fd);
     ::close(fd);
-    ++stats_.connections_closed;
+    bump(stats_.connections_closed);
   }
   conns_.clear();
   owners_.clear();
@@ -133,7 +137,7 @@ void service::on_accept() {
     set_nodelay(fd);
     auto& conn = conns_[fd];
     conn.fd = fd;
-    ++stats_.connections_accepted;
+    bump(stats_.connections_accepted);
     loop_.watch(fd, event_loop::kReadable,
                 [this, fd](std::uint32_t events) { on_conn_event(fd, events); });
   }
@@ -201,11 +205,11 @@ bool service::drain_frames(connection& conn) {
     if (status != decode_status::ok) {
       // Desynchronized or foreign stream — there is no resync point in
       // a length-prefixed protocol, so the connection is over.
-      ++stats_.protocol_errors;
+      bump(stats_.protocol_errors);
       conn.dead = true;
       break;
     }
-    ++stats_.frames_in;
+    bump(stats_.frames_in);
     handle_frame(conn, frame);
     off += consumed;
   }
@@ -252,16 +256,7 @@ void service::handle_frame(connection& conn, const frame_view& frame) {
     case frame_type::active:
       handle_active(conn, frame);
       return;
-    case frame_type::stats:
-      handle_stats(conn, frame);
-      return;
-    case frame_type::overlay_msg:
-    case frame_type::overlay_batch:
-      // Reserved peer-wire channel: framed fine, not served by a hosted
-      // overlay (peers are in-process here, not remote).
-      send_error(conn, frame.seq, wire_errc::unsupported);
-      return;
-    default:
+    default:  // replies, pushes, retired and unknown types alike
       send_error(conn, frame.seq, wire_errc::unsupported);
       return;
   }
@@ -390,28 +385,6 @@ void service::handle_active(connection& conn, const frame_view& frame) {
              active_ok_body::bytes_for(n));
 }
 
-void service::handle_stats(connection& conn, const frame_view& frame) {
-  stats_req_body body;
-  if (!frame.read(body)) {
-    send_error(conn, frame.seq, wire_errc::bad_request);
-    return;
-  }
-  if (body.offset == 0 || conn.stats_cache.empty()) {
-    conn.stats_cache = build_exposition();
-  }
-  stats_text_body reply;
-  reply.total = conn.stats_cache.size();
-  reply.offset = body.offset;
-  const std::size_t start =
-      std::min<std::size_t>(body.offset, conn.stats_cache.size());
-  const std::size_t n =
-      std::min(stats_text_body::kMaxBytes, conn.stats_cache.size() - start);
-  std::memcpy(reply.text, conn.stats_cache.data() + start, n);
-  reply.count = static_cast<std::uint32_t>(n);
-  send_bytes(conn, frame_type::stats_ok, frame.seq, &reply,
-             stats_text_body::bytes_for(n));
-}
-
 std::string service::build_exposition() {
   obs::registry reg;
   reg.counter("drtd_connections_accepted_total") = stats_.connections_accepted;
@@ -449,7 +422,7 @@ void service::handle_http(connection& conn) {
   const auto end = req.find("\r\n\r\n");
   if (end == std::string_view::npos) {
     if (conn.rbuf.size() > kMaxHttpRequest) {
-      ++stats_.protocol_errors;
+      bump(stats_.protocol_errors);
       conn.dead = true;
     }
     return;  // headers still arriving
@@ -484,62 +457,22 @@ void service::handle_http(connection& conn) {
   flush(conn);
 }
 
-void service::run_on_loop(std::function<void()> fn) {
-  if (!serving_.load(std::memory_order_acquire)) {
-    fn();  // loop idle: the calling thread owns the state
-    return;
-  }
-  struct waiter {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    bool abandoned = false;
+service::counters service::stats_snapshot() const {
+  // atomic_ref takes a non-const referent; a load writes nothing.
+  const auto load = [](const std::uint64_t& count) {
+    return std::atomic_ref<std::uint64_t>(const_cast<std::uint64_t&>(count))
+        .load(std::memory_order_acquire);
   };
-  auto w = std::make_shared<waiter>();
-  loop_.post([w, fn = std::move(fn)] {
-    {
-      std::lock_guard<std::mutex> lk(w->m);
-      if (w->abandoned) return;  // caller gave up; fn's captures are gone
-    }
-    fn();
-    std::lock_guard<std::mutex> lk(w->m);
-    w->done = true;
-    w->cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lk(w->m);
-  while (!w->done) {
-    if (w->cv.wait_for(lk, std::chrono::milliseconds(50)) ==
-            std::cv_status::timeout &&
-        !serving_.load(std::memory_order_acquire)) {
-      // The loop exited without draining the task.  Abandon it (the flag
-      // keeps a late drain from touching fn's dead captures) and return
-      // without running fn — callers detect the skip and read the
-      // now-idle state directly.
-      w->abandoned = true;
-      return;
-    }
-  }
-}
-
-service::counters service::stats_snapshot() {
-  counters out{};
-  bool filled = false;
-  run_on_loop([this, &out, &filled] {
-    out = stats_;
-    filled = true;
-  });
-  if (!filled) out = stats_;  // abandoned-task fallback: loop is idle now
-  return out;
-}
-
-std::string service::metrics_text() {
-  std::string out;
-  bool filled = false;
-  run_on_loop([this, &out, &filled] {
-    out = build_exposition();
-    filled = true;
-  });
-  if (!filled) out = build_exposition();
+  counters out;
+  out.connections_accepted = load(stats_.connections_accepted);
+  out.connections_closed = load(stats_.connections_closed);
+  out.frames_in = load(stats_.frames_in);
+  out.frames_out = load(stats_.frames_out);
+  out.events_pushed = load(stats_.events_pushed);
+  out.protocol_errors = load(stats_.protocol_errors);
+  out.disconnect_unsubscribes = load(stats_.disconnect_unsubscribes);
+  out.stabilize_rounds = load(stats_.stabilize_rounds);
+  out.stabilize_skipped = load(stats_.stabilize_skipped);
   return out;
 }
 
@@ -558,7 +491,7 @@ void service::push_deliveries(const overlay::publish_result& result,
     push.ev.value = value;
     push.max_hops = static_cast<std::uint32_t>(result.max_hops);
     send_bytes(cit->second, frame_type::event_push, 0, &push, sizeof(push));
-    ++stats_.events_pushed;
+    bump(stats_.events_pushed);
   }
 }
 
@@ -569,12 +502,12 @@ void service::send_bytes(connection& conn, frame_type type,
   scratch_.clear();
   put_frame_bytes(scratch_, type, seq, body, body_bytes);
   conn.wbuf.insert(conn.wbuf.end(), scratch_.begin(), scratch_.end());
-  ++stats_.frames_out;
+  bump(stats_.frames_out);
   flush(conn);
   // Checked per frame, on whichever connection it lands: a publish's
   // pushes fill its subscribers' buffers, not the publisher's.
   if (!conn.dead && conn.wbuf.size() > config_.max_write_buffer) {
-    ++stats_.protocol_errors;  // dead-slow consumer: reap() closes it
+    bump(stats_.protocol_errors);  // dead-slow consumer: reap() closes it
     conn.dead = true;
   }
 }
@@ -628,13 +561,13 @@ void service::close_connection(int fd) {
   // overlay through the controlled-departure path, join traffic settles
   // before the next frame from anyone is processed.
   for (const auto sub : it->second.subs) {
-    if (be_.unsubscribe(sub)) ++stats_.disconnect_unsubscribes;
+    if (be_.unsubscribe(sub)) bump(stats_.disconnect_unsubscribes);
     owners_.erase(sub);
   }
   loop_.unwatch(fd);
   ::close(fd);
   conns_.erase(it);
-  ++stats_.connections_closed;
+  bump(stats_.connections_closed);
 }
 
 }  // namespace drt::rpc

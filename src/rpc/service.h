@@ -21,12 +21,13 @@
 // digests bit-identical on a single-client timeline (tests/rpc_test.cpp).
 // Wire ids are the backend's sub_ids, so an id the backend never issued
 // (say (1 << 32) + s) is never alive.
+//
+// Threads: the daemon's state belongs to the thread inside run(); other
+// threads call only stop() and stats_snapshot().
 #ifndef DRT_RPC_SERVICE_H
 #define DRT_RPC_SERVICE_H
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,6 +71,7 @@ class service {
   /// Thread- and signal-safe shutdown request.
   void stop() { loop_.stop(); }
 
+  /// Counts since construction; the loop thread is their only writer.
   struct counters {
     std::uint64_t connections_accepted = 0;
     std::uint64_t connections_closed = 0;
@@ -83,26 +85,15 @@ class service {
     /// dirty backlog was empty (0 at sweep_stride 1; see service.cpp).
     std::uint64_t stabilize_skipped = 0;
   };
-  /// Direct counter access — loop-thread data, so only read it before
-  /// run() starts or after it returned.  The old "never while serving"
-  /// restriction is lifted by stats_snapshot(), which is safe from any
-  /// thread at any time.
-  const counters& stats() const { return stats_; }
+  /// The counters, each read with an acquire load: safe from any thread,
+  /// serving or not, and never waits for the loop.  No field goes
+  /// backwards between one thread's reads, but fields read mid-request
+  /// may straddle it.  The full exposition, overlay gauges included, is
+  /// the `GET /metrics` answer on the service port (DESIGN.md §12).
+  counters stats_snapshot() const;
 
-  /// Thread-safe counter snapshot (DESIGN.md §12): while the daemon is
-  /// serving, the read is marshalled onto the loop thread via post() and
-  /// this call blocks until it executes; when the loop is idle the
-  /// counters are read directly.  Callable from any thread at any time.
-  counters stats_snapshot();
-
-  /// Thread-safe Prometheus text exposition of the daemon's live state:
-  /// service counters, hosted-overlay shape, and flight-recorder totals.
-  /// Same marshalling discipline as stats_snapshot().  This is exactly
-  /// the body an HTTP `GET /metrics` on the service port returns.
-  std::string metrics_text();
-
-  /// The hosted one-shard overlay backend; same thread-ownership rule as
-  /// stats().
+  /// The hosted one-shard overlay backend: loop-thread state, so touch it
+  /// only before run() starts or after it returned.
   engine::drtree_backend& backend() { return be_; }
 
  private:
@@ -119,9 +110,6 @@ class service {
     bool http = false;
     /// Close once wbuf fully drains (HTTP/1.0 response semantics).
     bool close_when_drained = false;
-    /// The exposition snapshot a paged stats read walks; regenerated on
-    /// every offset-0 request so a multi-frame read stays consistent.
-    std::string stats_cache;
   };
 
   void on_accept();
@@ -144,7 +132,6 @@ class service {
                          std::size_t n);
   void handle_stat(connection& conn, const frame_view& frame);
   void handle_active(connection& conn, const frame_view& frame);
-  void handle_stats(connection& conn, const frame_view& frame);
 
   /// Serve a sniffed HTTP connection from its read buffer; responds to
   /// `GET /metrics` with the Prometheus exposition and closes.
@@ -152,10 +139,6 @@ class service {
 
   /// The Prometheus text exposition; loop-thread only (reads the overlay).
   std::string build_exposition();
-
-  /// Run `fn` where it is safe to touch loop-thread state: posted to the
-  /// loop (blocking until done) while serving, called directly otherwise.
-  void run_on_loop(std::function<void()> fn);
 
   /// Fan the delivered event out to the connections owning the
   /// receiving subscriptions.
@@ -183,8 +166,7 @@ class service {
   std::unordered_map<int, connection> conns_;
   /// Subscription owner index: sub id -> owning connection fd.
   std::unordered_map<engine::sub_id, int> owners_;
-  counters stats_;
-  std::atomic<bool> serving_{false};  ///< run() is driving loop_
+  counters stats_;  ///< written only through bump() (service.cpp)
   std::vector<std::byte> scratch_;  ///< frame-encode scratch
   std::vector<int> scratch_fds_;    ///< reap() collection scratch
 };

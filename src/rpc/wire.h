@@ -3,9 +3,10 @@
 // Every frame is a fixed 16-byte header followed by a trivially-copyable
 // payload struct, memcpy'd verbatim — the same discipline the simulator's
 // payload pool enforces on protocol messages (sim/message.h), extended to
-// the socket: the overlay's own `dr_msg` / `dr_batch_msg` ride the wire
-// unchanged under the `overlay_msg` / `overlay_batch` frame types, and the
-// client-facing RPCs use small request/reply structs defined here.
+// the socket.  The client-facing RPCs use small request/reply structs
+// defined here; `publish_batch` carries the overlay's own `dr_batch_msg`
+// envelope, size-prefixed.  Metrics are not a frame: the daemon serves
+// them over plain-HTTP `GET /metrics` on the same port (DESIGN.md §12).
 //
 // The transport is localhost-only for now, so fields travel in host byte
 // order; the versioned header is what lets a future cross-machine format
@@ -57,21 +58,15 @@ enum class frame_type : std::uint16_t {
   stat_ok = 21,         ///< stat_body
   active = 22,          ///< active_req_body -> active_ok (paged)
   active_ok = 23,       ///< active_ok_body prefix
-  stats = 24,           ///< stats_req_body -> stats_ok (paged)
-  stats_ok = 25,        ///< stats_text_body prefix
 
   // Unsolicited server->client notification (seq = 0).
   event_push = 30,  ///< event_push_body
 
-  // The overlay's own protocol messages, framed verbatim — the reserved
-  // peer-to-peer channel a future multi-daemon deployment routes over.
-  // The codec round-trips them today (the fuzz tests pin that); `drtd`
-  // answers them with wire_errc::unsupported.
-  overlay_msg = 40,    ///< overlay::dr_msg
-  overlay_batch = 41,  ///< overlay::dr_batch_msg prefix
-
   error = 50,  ///< error_body, seq echoes the failing request
 };
+// Retired numbers, never to be reused: 24-25 (paged metrics text) and
+// 40-41 (a peer-to-peer channel no daemon served).  drtd answers them as
+// it answers any unknown type, with wire_errc::unsupported.
 
 // ------------------------------------------------------------------ header
 
@@ -156,31 +151,6 @@ struct active_ok_body {
   }
 };
 
-/// Request one page of the daemon's Prometheus text exposition
-/// (DESIGN.md §12).  `offset == 0` regenerates the snapshot server-side;
-/// later offsets page through that same snapshot so a multi-frame read is
-/// internally consistent.
-struct stats_req_body {
-  std::uint32_t offset = 0;
-  std::uint32_t reserved = 0;
-};
-
-/// One page of exposition text, size-prefixed like active_ok_body so
-/// small pages ride small frames.  `total` is the full snapshot length in
-/// bytes; the client keeps paging until offset + count == total.
-struct stats_text_body {
-  static constexpr std::size_t kMaxBytes = 4000;
-
-  std::uint64_t total = 0;
-  std::uint32_t offset = 0;
-  std::uint32_t count = 0;
-  char text[kMaxBytes];
-
-  static constexpr std::size_t bytes_for(std::size_t n) {
-    return offsetof(stats_text_body, text) + n;
-  }
-};
-
 /// Push notification: subscription `sub` (owned by this connection)
 /// received `ev`.  `max_hops` is the event's worst delivery-path length
 /// across all receivers (per-receiver hops are not tracked end to end).
@@ -211,17 +181,12 @@ static_assert(std::is_trivially_copyable_v<report_body>);
 static_assert(std::is_trivially_copyable_v<stat_body>);
 static_assert(std::is_trivially_copyable_v<active_req_body>);
 static_assert(std::is_trivially_copyable_v<active_ok_body>);
-static_assert(std::is_trivially_copyable_v<stats_req_body>);
-static_assert(std::is_trivially_copyable_v<stats_text_body>);
-static_assert(stats_text_body::bytes_for(stats_text_body::kMaxBytes) <=
-              kMaxPayloadBytes);
 static_assert(std::is_trivially_copyable_v<event_push_body>);
 static_assert(std::is_trivially_copyable_v<error_body>);
 static_assert(active_ok_body::bytes_for(active_ok_body::kMaxIds) <=
               kMaxPayloadBytes);
 static_assert(overlay::dr_batch_msg::bytes_for(
                   overlay::dr_batch_msg::kMaxEvents) <= kMaxPayloadBytes);
-static_assert(sizeof(overlay::dr_msg) <= kMaxPayloadBytes);
 
 // ----------------------------------------------------------------- encode
 
@@ -353,18 +318,6 @@ inline bool read_active_page(const frame_view& f, active_ok_body& out) {
   std::memcpy(&out, f.payload, f.size);
   return out.count <= active_ok_body::kMaxIds &&
          f.size == active_ok_body::bytes_for(out.count);
-}
-
-/// Same validated prefix extraction for stats_text_body pages.
-inline bool read_stats_page(const frame_view& f, stats_text_body& out) {
-  if (f.size < stats_text_body::bytes_for(0) ||
-      f.size > sizeof(stats_text_body)) {
-    return false;
-  }
-  out = stats_text_body{};
-  std::memcpy(&out, f.payload, f.size);
-  return out.count <= stats_text_body::kMaxBytes &&
-         f.size == stats_text_body::bytes_for(out.count);
 }
 
 }  // namespace drt::rpc

@@ -216,17 +216,27 @@ TEST(DrtreeBackend, WideIdsNeverNameAPeer) {
 TEST(DrtreeBackend, NanBoundIsRefusedAndRegistersNothing) {
   // NaN equals no MBR, so a NaN leaf would fail the checker's "leaf MBR
   // equals filter" rule on every poll and the overlay could never become
-  // legal again.  The backend refuses the filter instead.
+  // legal again.  An empty box (any lo > hi) matches no event, and with
+  // finite bounds it would still widen every ancestor's MBR.  The backend
+  // refuses both instead.
   drtree_backend be(small_config(37));
   scenario_runner runner(be);
   runner.populate(40);
   ASSERT_GE(runner.converge(300), 0);
   const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<spatial::box> refused;
   for (int bound = 0; bound < 4; ++bound) {
     auto f = geo::make_rect2(10, 10, 20, 20);
     (bound < 2 ? f.lo : f.hi)[bound % 2] = nan;
-    EXPECT_EQ(be.subscribe(f), kNoSub) << bound;
-    EXPECT_EQ(be.population(), 40u) << bound;
+    refused.push_back(f);
+  }
+  refused.push_back(geo::make_rect2(20, 10, 10, 20));          // x inverted
+  refused.push_back(geo::make_rect2(10, 20, 20, 10));          // y inverted
+  refused.push_back(geo::make_rect2(2000, 2000, 1500, 1500));  // both
+  refused.push_back(spatial::box::empty());
+  for (std::size_t i = 0; i < refused.size(); ++i) {
+    EXPECT_EQ(be.subscribe(refused[i]), kNoSub) << i;
+    EXPECT_EQ(be.population(), 40u) << i;
   }
   EXPECT_EQ(runner.converge(300), 0);
   // Nothing was registered, so the next id is the 41st.

@@ -13,14 +13,18 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -125,32 +129,6 @@ TEST(WireCodec, RoundTripsEveryRpcBody) {
   }
 }
 
-TEST(WireCodec, FuzzRoundTripsRandomizedOverlayMessages) {
-  util::rng rng(0x5eedu);
-  for (int iter = 0; iter < 500; ++iter) {
-    overlay::dr_msg in{};
-    in.kind = static_cast<overlay::msg_kind>(rng.uniform_int(0, 11));
-    in.subject = static_cast<spatial::peer_id>(rng.next_u64());
-    in.h = static_cast<std::size_t>(rng.uniform_int(0, 1 << 20));
-    in.mbr = make_rect2(rng.uniform_real(-1e6, 1e6),
-                        rng.uniform_real(-1e6, 1e6),
-                        rng.uniform_real(-1e6, 1e6),
-                        rng.uniform_real(-1e6, 1e6));
-    in.hops_left = static_cast<std::size_t>(rng.uniform_int(0, 4096));
-    in.descending = rng.chance(0.5);
-    in.hop = static_cast<std::size_t>(rng.uniform_int(0, 4096));
-    in.query_id = rng.next_u64();
-    in.reply_to = static_cast<spatial::peer_id>(rng.next_u64());
-
-    std::vector<std::byte> buf;
-    put_frame(buf, frame_type::overlay_msg,
-              static_cast<std::uint32_t>(rng.next_u64()), in);
-    overlay::dr_msg out{};
-    decode_one(buf, out);
-    ASSERT_EQ(std::memcmp(&in, &out, sizeof(in)), 0) << "iter " << iter;
-  }
-}
-
 TEST(WireCodec, FuzzRoundTripsPrefixEncodedBatchesAtEveryCount) {
   util::rng rng(0xba7c4u);
   for (std::size_t count = 0; count <= overlay::dr_batch_msg::kMaxEvents;
@@ -172,7 +150,7 @@ TEST(WireCodec, FuzzRoundTripsPrefixEncodedBatchesAtEveryCount) {
     // Size-prefixed: a k-event batch travels as bytes_for(k) bytes.
     const std::size_t wire = overlay::dr_batch_msg::bytes_for(count);
     std::vector<std::byte> buf;
-    put_frame(buf, frame_type::overlay_batch, 1, in, wire);
+    put_frame(buf, frame_type::publish_batch, 1, in, wire);
     EXPECT_EQ(buf.size(), sizeof(frame_header) + wire);
 
     frame_view f;
@@ -236,7 +214,7 @@ TEST(WireCodec, RejectsBatchCountSizeMismatch) {
   overlay::dr_batch_msg b{};
   b.count = 6;  // lies: only 5 events' worth of bytes on the wire
   std::vector<std::byte> buf;
-  put_frame(buf, frame_type::overlay_batch, 1, b,
+  put_frame(buf, frame_type::publish_batch, 1, b,
             overlay::dr_batch_msg::bytes_for(5));
   frame_view f;
   std::size_t consumed = 0;
@@ -247,7 +225,7 @@ TEST(WireCodec, RejectsBatchCountSizeMismatch) {
 
   // A frame too short to even hold the batch header is rejected outright.
   std::vector<std::byte> tiny;
-  put_frame_bytes(tiny, frame_type::overlay_batch, 1, &b, 4);
+  put_frame_bytes(tiny, frame_type::publish_batch, 1, &b, 4);
   ASSERT_EQ(try_decode(tiny.data(), tiny.size(), f, consumed),
             decode_status::ok);
   EXPECT_FALSE(read_batch(f, out));
@@ -298,25 +276,12 @@ TEST(WireCodecDeathTest, OversizedPayloadIsAnEncoderContractViolation) {
   std::vector<std::byte> buf;
   const std::vector<std::byte> big(kMaxPayloadBytes + 1);
   EXPECT_DEATH(
-      put_frame_bytes(buf, frame_type::overlay_msg, 1, big.data(), big.size()),
+      put_frame_bytes(buf, frame_type::publish_batch, 1, big.data(),
+                      big.size()),
       "");
 }
 
 // ============================================================ event loop
-
-TEST(EventLoop, PostRunsOnTheLoopThread) {
-  event_loop loop;
-  std::thread::id loop_thread;
-  std::thread poster([&] {
-    loop.post([&] {
-      loop_thread = std::this_thread::get_id();
-      loop.stop();
-    });
-  });
-  loop.run();
-  poster.join();
-  EXPECT_EQ(loop_thread, std::this_thread::get_id());
-}
 
 TEST(EventLoop, StopFromAnotherThreadWakesABlockedLoop) {
   event_loop loop;
@@ -420,6 +385,67 @@ void await_population(std::uint16_t port, std::uint64_t want) {
   EXPECT_EQ(monitor.stat().population, want);
 }
 
+/// A bare TCP connection to the daemon, for bytes rpc::client never
+/// sends; -1 on failure.  Reads time out after 10 s rather than hang.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Send one plain-HTTP request on a fresh connection and read the answer
+/// to EOF: the daemon closes after one response.
+std::string http_get(std::uint16_t port, const char* request) {
+  const int fd = connect_raw(port);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return {};
+  EXPECT_GT(::send(fd, request, std::strlen(request), 0), 0);
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    const auto n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return response;
+}
+
+/// The body of the daemon's `GET /metrics` answer: its exposition text.
+std::string scrape_metrics(std::uint16_t port) {
+  const auto response = http_get(port, "GET /metrics HTTP/1.0\r\n\r\n");
+  const auto body_at = response.find("\r\n\r\n");
+  if (body_at == std::string::npos) return {};
+  return response.substr(body_at + 4);
+}
+
+/// Block until one whole frame has arrived on `fd`; `out` borrows `buf`.
+/// False on EOF, timeout, a bad header, or bytes past that one frame.
+bool read_frame(int fd, std::vector<std::byte>& buf, frame_view& out) {
+  buf.clear();
+  for (;;) {
+    std::size_t consumed = 0;
+    const auto status = try_decode(buf.data(), buf.size(), out, consumed);
+    if (status == decode_status::ok) return consumed == buf.size();
+    if (status != decode_status::need_more) return false;
+    std::byte chunk[512];
+    const auto n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    buf.insert(buf.end(), chunk, chunk + n);
+  }
+}
+
 TEST(Service, SubscribePublishUnsubscribeRoundTrip) {
   service_config cfg;
   cfg.backend = small_config(5);
@@ -507,7 +533,9 @@ TEST(Service, AbruptDisconnectIsTheChurnPrimitive) {
 
 TEST(Service, NanFilterIsRefusedAndTheOverlayStaysLegal) {
   // A NaN bound would make the hosted overlay illegal for good (NaN
-  // equals no MBR); the daemon answers bad_request and registers nothing.
+  // equals no MBR), and an empty box (any lo > hi) matches no event while
+  // its finite bounds would widen every ancestor's MBR.  The daemon
+  // answers both with bad_request and registers nothing.
   service_config cfg;
   cfg.backend = small_config(15);
   cfg.stabilize_every_ms = 5;
@@ -521,9 +549,18 @@ TEST(Service, NanFilterIsRefusedAndTheOverlayStaysLegal) {
               static_cast<std::uint64_t>(engine::kNoSub));
   }
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(c.subscribe(make_rect2(nan, 10, 20, 20)),
-            static_cast<std::uint64_t>(engine::kNoSub));
-  EXPECT_TRUE(c.ping());  // the connection survives the refusal
+  const spatial::box refused[] = {
+      make_rect2(nan, 10, 20, 20),
+      make_rect2(20, 10, 10, 20),          // x inverted
+      make_rect2(10, 20, 20, 10),          // y inverted
+      make_rect2(2000, 2000, 1500, 1500),  // both
+      spatial::box::empty()};
+  for (std::size_t i = 0; i < std::size(refused); ++i) {
+    EXPECT_EQ(c.subscribe(refused[i]),
+              static_cast<std::uint64_t>(engine::kNoSub))
+        << i;
+    EXPECT_TRUE(c.ping()) << i;  // the connection survives the refusal
+  }
   EXPECT_EQ(c.stat().population, 30u);
 
   const auto rounds = fx.get().stats_snapshot().stabilize_rounds;
@@ -569,14 +606,8 @@ TEST(Service, GarbageBytesCloseTheConnection) {
   cfg.backend = small_config(9);
   service_fixture fx(cfg);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_raw(fx.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(fx.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   // Not a wire frame and not an HTTP request (GET is sniffed and served
   // since the observability PR — see HttpGetMetricsServesPrometheus).
   const char garbage[] = "SSH-2.0-OpenSSH_9.6\r\nnot a drt frame at all";
@@ -710,9 +741,9 @@ TEST(Service, WallClockStabilizerRunsRounds) {
 
 TEST(Service, LiveStatsMidChurn) {
   // The observability contract (DESIGN.md §12): a serving daemon answers
-  // STATS while clients churn, the text is Prometheus-parseable, counters
-  // are monotonic across reads, and the overlay gauges reflect the
-  // population actually subscribed.
+  // GET /metrics while clients churn, the text is Prometheus-parseable,
+  // counters are monotonic across reads, and the overlay gauges reflect
+  // the population actually subscribed.
   service_config cfg;
   cfg.backend = small_config(31);
   cfg.backend.dr.trace = obs::trace_mode::ring;
@@ -728,7 +759,7 @@ TEST(Service, LiveStatsMidChurn) {
   }
 
   // First read lands mid-churn: ephemeral clients join and vanish while
-  // the daemon pages the exposition back.
+  // the daemon answers the scrape.
   std::thread churn([port = fx.port()] {
     for (int round = 0; round < 6; ++round) {
       client ephemeral(port);
@@ -738,7 +769,7 @@ TEST(Service, LiveStatsMidChurn) {
       // Destructor = abrupt disconnect, the churn primitive.
     }
   });
-  const auto first_text = owner.stats_text();
+  const auto first_text = scrape_metrics(fx.port());
   churn.join();
   ASSERT_FALSE(first_text.empty());
   const auto first = obs::parse_exposition(first_text);
@@ -749,7 +780,7 @@ TEST(Service, LiveStatsMidChurn) {
   // After the churn drains, the gauges settle on the surviving owner
   // subscriptions and the tree has real height.
   await_population(fx.port(), 12);
-  const auto second = obs::parse_exposition(owner.stats_text());
+  const auto second = obs::parse_exposition(scrape_metrics(fx.port()));
   EXPECT_DOUBLE_EQ(second.at("drtd_overlay_population"), 12.0);
   EXPECT_GE(second.at("drtd_overlay_height"), 1.0);
   EXPECT_GT(second.at("drtd_trace_records_total"), 0.0);
@@ -763,25 +794,72 @@ TEST(Service, LiveStatsMidChurn) {
 }
 
 TEST(Service, StatsSnapshotIsSafeFromAnyThreadWhileServing) {
+  // Two threads that are neither the loop nor wire clients read the
+  // counters while sessions subscribe, publish and leave.  Each read is
+  // a set of atomic loads of counts only the loop stores, so between one
+  // thread's successive reads no field moves backwards (and under TSan
+  // the loads race with nothing).
   service_config cfg;
   cfg.backend = small_config(32);
+  cfg.stabilize_every_ms = 5;
   service_fixture fx(cfg);
 
-  client c(fx.port());
-  ASSERT_TRUE(c.ok());
-  ASSERT_NE(c.subscribe(make_rect2(0, 0, 100, 100)),
-            static_cast<std::uint64_t>(engine::kNoSub));
+  const auto fields = [](const service::counters& c) {
+    return std::array<std::uint64_t, 9>{
+        c.connections_accepted, c.connections_closed, c.frames_in,
+        c.frames_out, c.events_pushed, c.protocol_errors,
+        c.disconnect_unsubscribes, c.stabilize_rounds, c.stabilize_skipped};
+  };
+  std::atomic<bool> done{false};
+  std::atomic<int> backwards{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      auto last = fields(fx.get().stats_snapshot());
+      while (!done.load(std::memory_order_acquire)) {
+        const auto now = fields(fx.get().stats_snapshot());
+        for (std::size_t f = 0; f < now.size(); ++f) {
+          if (now[f] < last[f]) ++backwards;
+        }
+        last = now;
+        ++reads;
+      }
+    });
+  }
 
-  // This thread is neither the loop thread nor a wire client: the
-  // snapshot marshals through the event loop and comes back consistent.
-  const auto snap = fx.get().stats_snapshot();
-  EXPECT_GE(snap.connections_accepted, 1u);
-  EXPECT_GT(snap.frames_in, 0u);
+  // Each session publishes into its own filter, then half unsubscribe
+  // and half vanish, the disconnect-churn path.
+  constexpr int kSessions = 20;
+  constexpr int kPublishes = 5;
+  const auto churn = [&] {
+    for (int session = 0; session < kSessions; ++session) {
+      client c(fx.port());
+      ASSERT_TRUE(c.ok());
+      const double lo = 40.0 * session;
+      const auto s = c.subscribe(make_rect2(lo, lo, lo + 100, lo + 100));
+      ASSERT_NE(s, static_cast<std::uint64_t>(engine::kNoSub));
+      for (int i = 0; i < kPublishes; ++i) {
+        EXPECT_EQ(c.publish(s, spatial::pt{{lo + 50, lo + 50}}).ok, 1u);
+      }
+      if (session % 2 == 0) {
+        EXPECT_TRUE(c.unsubscribe(s));
+      }
+    }
+    await_population(fx.port(), 0);
+  };
+  churn();
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
 
-  const auto text = fx.get().metrics_text();
-  const auto parsed = obs::parse_exposition(text);
-  ASSERT_NE(parsed.count("drtd_overlay_population"), 0u);
-  EXPECT_DOUBLE_EQ(parsed.at("drtd_overlay_population"), 1.0);
+  EXPECT_EQ(backwards.load(), 0);
+  EXPECT_GT(reads.load(), 0);
+  const auto last = fx.get().stats_snapshot();
+  EXPECT_GE(last.connections_accepted, static_cast<std::uint64_t>(kSessions));
+  EXPECT_GE(last.events_pushed,
+            static_cast<std::uint64_t>(kSessions * kPublishes));
+  EXPECT_EQ(last.disconnect_unsubscribes,
+            static_cast<std::uint64_t>(kSessions / 2));
 }
 
 TEST(Service, HttpGetMetricsServesPrometheus) {
@@ -794,29 +872,8 @@ TEST(Service, HttpGetMetricsServesPrometheus) {
   ASSERT_NE(c.subscribe(make_rect2(0, 0, 200, 200)),
             static_cast<std::uint64_t>(engine::kNoSub));
 
-  auto http_get = [&](const char* request) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(fx.port());
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-    EXPECT_GT(::send(fd, request, std::strlen(request), 0), 0);
-    std::string response;
-    char buf[4096];
-    for (;;) {
-      const auto n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) break;  // daemon closes after one response
-      response.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    return response;
-  };
-
-  const auto ok = http_get("GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n");
+  const auto ok =
+      http_get(fx.port(), "GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n");
   EXPECT_EQ(ok.compare(0, 15, "HTTP/1.0 200 OK"), 0) << ok;
   EXPECT_NE(ok.find("Content-Type: text/plain; version=0.0.4"),
             std::string::npos);
@@ -826,11 +883,52 @@ TEST(Service, HttpGetMetricsServesPrometheus) {
   ASSERT_NE(parsed.count("drtd_connections_accepted_total"), 0u);
   EXPECT_DOUBLE_EQ(parsed.at("drtd_overlay_population"), 1.0);
 
-  const auto missing = http_get("GET /nope HTTP/1.0\r\n\r\n");
+  const auto missing = http_get(fx.port(), "GET /nope HTTP/1.0\r\n\r\n");
   EXPECT_EQ(missing.compare(0, 12, "HTTP/1.0 404"), 0) << missing;
 
   // The wire protocol still works on the same port after HTTP traffic.
   EXPECT_TRUE(c.ping());
+}
+
+TEST(Service, RetiredAndUnknownFrameTypesAreUnsupported) {
+  // The retired metrics-page request (24) with its old 8-byte body, the
+  // retired peer-wire frame (40) with a dr_msg-sized body, and a type no
+  // version defined (999) each get one error frame carrying `unsupported`
+  // and the request's seq, and the connection keeps serving.
+  service_config cfg;
+  cfg.backend = small_config(34);
+  service_fixture fx(cfg);
+  const int fd = connect_raw(fx.port());
+  ASSERT_GE(fd, 0);
+
+  const std::byte zeros[sizeof(overlay::dr_msg)] = {};
+  std::vector<std::byte> out, in;
+  frame_view reply;
+  std::uint32_t seq = 100;
+  for (const auto& [type, bytes] :
+       {std::pair<std::uint16_t, std::size_t>{24, 8},
+        {40, sizeof(overlay::dr_msg)}, {999, 0}}) {
+    out.clear();
+    put_frame_bytes(out, static_cast<frame_type>(type), ++seq, zeros, bytes);
+    ASSERT_EQ(::send(fd, out.data(), out.size(), 0),
+              static_cast<ssize_t>(out.size()));
+    ASSERT_TRUE(read_frame(fd, in, reply)) << type;
+    EXPECT_EQ(reply.type, frame_type::error) << type;
+    EXPECT_EQ(reply.seq, seq) << type;
+    error_body err;
+    ASSERT_TRUE(reply.read(err)) << type;
+    EXPECT_EQ(err.code, static_cast<std::uint32_t>(wire_errc::unsupported))
+        << type;
+  }
+
+  out.clear();
+  put_frame(out, frame_type::ping, ++seq);
+  ASSERT_EQ(::send(fd, out.data(), out.size(), 0),
+            static_cast<ssize_t>(out.size()));
+  ASSERT_TRUE(read_frame(fd, in, reply));
+  EXPECT_EQ(reply.type, frame_type::pong);
+  EXPECT_EQ(reply.seq, seq);
+  ::close(fd);
 }
 
 // ============================================================ net backend
