@@ -215,37 +215,48 @@ peer_id dr_overlay::contact_node(peer_id asking) const {
 void dr_overlay::record_delivery(std::uint64_t event_id, peer_id p,
                                  std::size_t hop) {
   trace_emit(obs::trace_kind::delivery, p, event_id, hop);
-  deliveries_[event_id].insert(p);
-  auto& worst = delivery_hops_[event_id];
-  worst = std::max(worst, hop);
+  auto& a = arrivals_[event_id];
+  a.peers.push_back(p);
+  a.worst_hop = std::max(a.worst_hop, hop);
 }
 
-std::vector<publish_result> dr_overlay::multi_publish_and_drain(
-    peer_id publisher, const spatial::pt* values, std::size_t n,
-    std::uint64_t max_steps) {
-  std::vector<publish_result> out;
-  if (n == 0) return out;
-  const auto first_id = next_event_id(n);
-  const auto msgs_before = sim_.metrics().messages_sent;
-  multi_publish_begin(publisher, first_id, values, n);
-  sim_.run_steps(max_steps);
-  const auto msgs_after = sim_.metrics().messages_sent;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // The first result carries the shared total; `msgs_after` as the
-    // baseline zeroes the rest.
-    out.push_back(publish_finish(first_id + i, values[i],
-                                 i == 0 ? msgs_before : msgs_after));
+void dr_overlay::record_search_hit(std::uint64_t query_id, peer_id p,
+                                   std::size_t hop) {
+  auto& a = arrivals_[query_id];
+  a.peers.push_back(p);
+  a.worst_hop = std::max(a.worst_hop, hop);
+}
+
+dr_overlay::arrival dr_overlay::take_arrival(std::uint64_t id) {
+  arrival a;
+  const auto it = arrivals_.find(id);
+  if (it == arrivals_.end()) return a;
+  a = std::move(it->second);
+  arrivals_.erase(it);
+  std::sort(a.peers.begin(), a.peers.end());
+  a.peers.erase(std::unique(a.peers.begin(), a.peers.end()), a.peers.end());
+  return a;
+}
+
+namespace {
+
+/// Call `miss` for each of the ascending `matches` that the ascending
+/// `reached` lacks, in order; returns how many there were.
+template <typename Fn>
+std::size_t for_each_missed(const std::vector<peer_id>& matches,
+                            const std::vector<peer_id>& reached, Fn&& miss) {
+  std::size_t missed = 0;
+  auto r = reached.begin();
+  for (const auto p : matches) {
+    while (r != reached.end() && *r < p) ++r;
+    if (r != reached.end() && *r == p) continue;
+    miss(p);
+    ++missed;
   }
-  return out;
+  return missed;
 }
 
-publish_result dr_overlay::publish_and_drain(peer_id publisher,
-                                             const spatial::pt& value,
-                                             std::uint64_t max_steps) {
-  return std::move(
-      multi_publish_and_drain(publisher, &value, 1, max_steps).front());
-}
+}  // namespace
 
 void dr_overlay::multi_publish_begin(peer_id publisher,
                                      std::uint64_t first_event_id,
@@ -308,43 +319,34 @@ void dr_overlay::publish_from(peer_id origin, std::uint64_t first_event_id,
 publish_result dr_overlay::publish_finish(std::uint64_t event_id,
                                           const spatial::pt& value,
                                           std::uint64_t messages_before) {
-  spatial::event ev;
-  ev.id = event_id;
-  ev.value = value;
-
+  auto reached = take_arrival(event_id);
   publish_result r;
-  r.event_id = ev.id;
+  r.event_id = event_id;
   r.messages = sim_.metrics().messages_sent - messages_before;
-  r.max_hops = delivery_hops_[ev.id];
-  const auto& delivered = deliveries_[ev.id];
+  r.max_hops = reached.worst_hop;
   // Runs once per published event.  Ground truth comes from the filter
   // index (O(log N + matches)) instead of a scan over every live peer;
   // receivers are exactly the recorded deliveries (peers only record
   // while alive, and nothing dies inside this drain).
-  r.receivers.reserve(delivered.size());
-  for (const auto p : delivered) {
-    if (alive(p)) r.receivers.push_back(p);
-  }
-  std::sort(r.receivers.begin(), r.receivers.end());
+  r.receivers = std::move(reached.peers);
+  std::erase_if(r.receivers, [this](peer_id p) { return !alive(p); });
   r.delivered = r.receivers.size();
   for (const auto p : r.receivers) {
     if (!peer(p).filter().contains(value)) ++r.false_positives;
   }
   matching_live_peers(value, match_scratch_);
   r.interested = match_scratch_.size();
-  for (const auto p : match_scratch_) {
-    if (delivered.count(p) == 0) {
-      ++r.false_negatives;
-      trace_emit(obs::trace_kind::false_neg, p, ev.id);
-    }
-  }
+  r.false_negatives =
+      for_each_missed(match_scratch_, r.receivers, [&](peer_id p) {
+        trace_emit(obs::trace_kind::false_neg, p, event_id);
+      });
   if (r.false_negatives > 0 && trace_ != nullptr && config_.trace_dump &&
       !fn_dumped_) {
     // First false negative this overlay ever observed: freeze the flight
     // recorder into a dump so the drop is attributable after the fact.
     fn_dumped_ = true;
     std::ostringstream ctx;
-    ctx << "event " << ev.id << " missed " << r.false_negatives << " of "
+    ctx << "event " << event_id << " missed " << r.false_negatives << " of "
         << r.interested << " interested peers (delivered " << r.delivered
         << ", messages " << r.messages << ")";
     const auto path = obs::write_flight_dump(
@@ -354,8 +356,6 @@ publish_result dr_overlay::publish_finish(std::uint64_t event_id,
                    path.c_str());
     }
   }
-  deliveries_.erase(ev.id);
-  delivery_hops_.erase(ev.id);
   return r;
 }
 
@@ -411,13 +411,6 @@ void dr_overlay::mark_all_live() {
   for_each_live([this](peer_id id) { mark_dirty(id, 0); });
 }
 
-void dr_overlay::record_search_hit(std::uint64_t query_id, peer_id p,
-                                   std::size_t hop) {
-  search_hits_[query_id].insert(p);
-  auto& worst = search_hops_[query_id];
-  worst = std::max(worst, hop);
-}
-
 dr_overlay::search_result dr_overlay::search_and_drain(
     peer_id origin, const spatial::box& query, std::uint64_t max_steps) {
   DRT_EXPECT(alive(origin));
@@ -426,22 +419,17 @@ dr_overlay::search_result dr_overlay::search_and_drain(
   peer(origin).start_search(query_id, query);
   sim_.run_steps(max_steps);
 
+  auto reached = take_arrival(query_id);
   search_result r;
   r.messages = sim_.metrics().messages_sent - msgs_before;
-  r.max_hops = search_hops_[query_id];
-  const auto& hits = search_hits_[query_id];
-  r.hits.assign(hits.begin(), hits.end());
-  std::sort(r.hits.begin(), r.hits.end());
+  r.max_hops = reached.worst_hop;
+  r.hits = std::move(reached.peers);
   // Ground truth via the filter index instead of a live-population scan.
   for (const auto p : r.hits) {
     if (alive(p) && !peer(p).filter().intersects(query)) ++r.false_positives;
   }
   intersecting_live_peers(query, match_scratch_);
-  for (const auto p : match_scratch_) {
-    if (hits.count(p) == 0) ++r.false_negatives;
-  }
-  search_hits_.erase(query_id);
-  search_hops_.erase(query_id);
+  r.false_negatives = for_each_missed(match_scratch_, r.hits, [](peer_id) {});
   return r;
 }
 

@@ -134,28 +134,14 @@ class dr_overlay {
   // One path (DESIGN.md §9): every publication travels in dr_batch_msg
   // envelopes of up to dr_batch_msg::kMaxEvents events, and the
   // single-event entry points are its n = 1 calls.
-
-  /// Publish all `values` from one publisher and drain; returns per-event
-  /// accuracy and cost accounting against brute-force ground truth.  Each
-  /// event is delivered exactly as when published alone on a quiescent
-  /// tree; `messages` reports the shared total on the FIRST result (0 on
-  /// the rest) — splitting a shared envelope's cost per event would be
-  /// arbitrary.
-  std::vector<publish_result> multi_publish_and_drain(
-      spatial::peer_id publisher, const spatial::pt* values, std::size_t n,
-      std::uint64_t max_steps = 1000000);
-  /// Publish one value from `publisher` and drain.
-  publish_result publish_and_drain(spatial::peer_id publisher,
-                                   const spatial::pt& value,
-                                   std::uint64_t max_steps = 1000000);
-
-  // Split publication path for callers that own the drive loop
-  // (engine::drtree_backend publishes in the origin shard, injects into
-  // the others, drains them all at kernel barriers, then collects
-  // per-shard accounting).  multi_publish_and_drain == begin + run_steps
-  // + finish.  Events take the caller-allocated ids first_event_id,
-  // first_event_id + 1, ... (see next_event_id), paired with values[0],
-  // values[1], ...; no draining.
+  //
+  // The overlay only starts publications and scores them; the caller
+  // owns the drive loop.  engine::drtree_backend::publish_batch, the one
+  // publish-and-drain, publishes in the origin shard, injects into the
+  // others, drains them all at kernel barriers, then collects per-shard
+  // accounting with publish_finish.  Events take the caller-allocated
+  // ids first_event_id, first_event_id + 1, ... (see next_event_id),
+  // paired with values[0], values[1], ...; no draining.
   void multi_publish_begin(spatial::peer_id publisher,
                            std::uint64_t first_event_id,
                            const spatial::pt* values, std::size_t n);
@@ -171,9 +157,16 @@ class dr_overlay {
   void inject_publish(std::uint64_t event_id, const spatial::pt& value);
   /// Accuracy/cost accounting for `event_id` after the caller drained;
   /// `messages_before` is sim().metrics().messages_sent at begin time.
+  /// Consumes the event's arrival record.
   publish_result publish_finish(std::uint64_t event_id,
                                 const spatial::pt& value,
                                 std::uint64_t messages_before);
+  /// The ground truth the last publish_finish scored against: the live
+  /// peers whose filter contains its value, ascending.  Valid until the
+  /// next publish_finish or search_and_drain.
+  const std::vector<spatial::peer_id>& finish_matches() const {
+    return match_scratch_;
+  }
 
   /// Record that `p` received event `id` after `hop` messages (called by
   /// peers).
@@ -303,6 +296,12 @@ class dr_overlay {
   void advance(sim::sim_time dt) { sim_.run_until(sim_.now() + dt); }
 
  private:
+  /// Who an event or range search reached so far, and its longest path.
+  struct arrival {
+    std::vector<spatial::peer_id> peers;  ///< arrival order, repeats kept
+    std::size_t worst_hop = 0;
+  };
+
   /// Dirty-mark every neighbor of `p` (parent above each instance, every
   /// child below) before a silent departure purges its links.
   void mark_neighbors_of(spatial::peer_id p);
@@ -317,6 +316,9 @@ class dr_overlay {
   /// dr_batch_msg::kMaxEvents.
   void publish_from(spatial::peer_id origin, std::uint64_t first_event_id,
                     const spatial::pt* values, std::size_t n);
+  /// Remove `id`'s arrival record and return it with its peers sorted
+  /// and deduplicated (empty when nothing arrived).
+  arrival take_arrival(std::uint64_t id);
 
   dr_config config_;
   /// Declared before sim_: the simulator owns the dr_peer processes,
@@ -330,12 +332,9 @@ class dr_overlay {
   std::unordered_set<spatial::peer_id> departed_;
   mutable std::vector<spatial::peer_id> match_scratch_;
   std::uint64_t next_event_id_ = 1;
-  std::unordered_map<std::uint64_t, std::unordered_set<spatial::peer_id>>
-      deliveries_;
-  std::unordered_map<std::uint64_t, std::size_t> delivery_hops_;
-  std::unordered_map<std::uint64_t, std::unordered_set<spatial::peer_id>>
-      search_hits_;
-  std::unordered_map<std::uint64_t, std::size_t> search_hops_;
+  /// By event or query id: publishes and searches draw their ids from
+  /// next_event_id_, so the two never share an entry.
+  std::unordered_map<std::uint64_t, arrival> arrivals_;
 
   // Dirty-set state.
   std::vector<std::uint64_t> dirty_bits_;  ///< one bit per arena slot

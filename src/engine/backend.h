@@ -17,7 +17,6 @@
 #ifndef DRT_ENGINE_BACKEND_H
 #define DRT_ENGINE_BACKEND_H
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -143,30 +142,19 @@ class backend {
   virtual sub_id root() const { return kNoSub; }
 
   // ----------------------------------------------------- dissemination
-  /// Publish from `publisher` (must be alive) and drain the network.
-  virtual delivery_report publish(sub_id publisher,
-                                  const spatial::pt& value) = 0;
-
-  /// Publish `n` events from one publisher as a batch and drain once,
-  /// returning ONE aggregated report (per-event sums; messages = total
-  /// network cost of the whole batch).  Backends with a native batch path
-  /// (the DR-tree's shared event envelopes) override this; the default
-  /// is the semantic baseline — n single publishes — so every backend
-  /// accepts batch scenarios and the comparison stays honest.
+  /// Publish `n` events from one publisher (must be alive) as a batch and
+  /// drain once, returning ONE aggregated report (per-event sums;
+  /// messages = total network cost of the whole batch).  The DR-tree
+  /// shares event envelopes; a baseline publishes the events one by one,
+  /// so every backend accepts batch scenarios and the comparison stays
+  /// honest.
   virtual delivery_report publish_batch(sub_id publisher,
                                         const spatial::pt* values,
-                                        std::size_t n) {
-    delivery_report total;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto r = publish(publisher, values[i]);
-      total.interested += r.interested;
-      total.delivered += r.delivered;
-      total.false_positives += r.false_positives;
-      total.false_negatives += r.false_negatives;
-      total.messages += r.messages;
-      total.max_hops = std::max(total.max_hops, r.max_hops);
-    }
-    return total;
+                                        std::size_t n) = 0;
+
+  /// Publish one event and drain: the batch of one.
+  delivery_report publish(sub_id publisher, const spatial::pt& value) {
+    return publish_batch(publisher, &value, 1);
   }
 
   // --------------------------------------------------------- execution
@@ -187,15 +175,8 @@ class backend {
   // ----------------------------------------------------- observability
   /// The backend's flight-recorder ring (DESIGN.md §12), or nullptr when
   /// tracing is off / the backend has none.  Sharded backends return the
-  /// first shard's ring; use dump_flight for a merged view.
+  /// first shard's ring; each shard's own is its overlay's trace().
   virtual const obs::trace_ring* trace() const { return nullptr; }
-
-  /// Write a flight-recorder dump (merged across shards) and return its
-  /// path; "" when tracing is off or the backend does not support dumps.
-  virtual std::string dump_flight(const std::string& reason) {
-    (void)reason;
-    return {};
-  }
 };
 
 }  // namespace drt::engine

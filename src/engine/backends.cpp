@@ -166,14 +166,10 @@ sub_id drtree_backend::root() const {
   return r == spatial::kNoPeer ? kNoSub : global_of(0, r);
 }
 
-delivery_report drtree_backend::publish(sub_id publisher,
-                                        const spatial::pt& value) {
-  return publish_batch(publisher, &value, 1);
-}
-
 delivery_report drtree_backend::publish_batch(sub_id publisher,
                                               const spatial::pt* values,
-                                              std::size_t n) {
+                                              std::size_t n,
+                                              const publish_visitor& visit) {
   if (n == 0) return {};
   const auto origin = shard_of(publisher);
   // Shard 0's counter numbers every event, so backend publishes and
@@ -199,18 +195,20 @@ delivery_report drtree_backend::publish_batch(sub_id publisher,
 
   delivery_report rep;
   for (std::size_t i = 0; i < overlays_.size(); ++i) {
-    const auto after = overlays_[i]->sim().metrics().messages_sent;
+    auto& ov = *overlays_[i];
+    const auto after = ov.sim().metrics().messages_sent;
     for (std::size_t e = 0; e < n; ++e) {
       // The shard's first event carries its whole message delta; `after`
       // as the baseline zeroes the rest.
-      const auto r = overlays_[i]->publish_finish(
-          first_id + e, values[e], e == 0 ? before[i] : after);
+      const auto r = ov.publish_finish(first_id + e, values[e],
+                                       e == 0 ? before[i] : after);
       rep.interested += r.interested;
       rep.delivered += r.delivered;
       rep.false_positives += r.false_positives;
       rep.false_negatives += r.false_negatives;
       rep.messages += r.messages;
       rep.max_hops = std::max(rep.max_hops, r.max_hops);
+      if (visit) visit(i, e, r, ov.finish_matches());
     }
   }
   rep.messages += overlays_.size() - 1;  // the cross-shard injections
@@ -271,16 +269,6 @@ backend_counters drtree_backend::counters() const {
   return c;
 }
 
-std::string drtree_backend::dump_flight(const std::string& reason) {
-  std::vector<const obs::trace_ring*> rings;
-  for (const auto& ov : overlays_) {
-    if (ov->trace() != nullptr) rings.push_back(ov->trace());
-  }
-  if (rings.empty()) return {};
-  const auto merged = obs::merge_traces(rings);
-  return obs::write_flight_dump(reason, merged, merged.size(), {});
-}
-
 overlay::arena_stats drtree_backend::arena_stats() const {
   overlay::arena_stats total;
   for (const auto& ov : overlays_) {
@@ -337,22 +325,24 @@ bool baseline_backend::unsubscribe(sub_id s) {
 
 bool baseline_backend::alive(sub_id s) const { return index_of(s) != npos; }
 
-delivery_report baseline_backend::publish(sub_id publisher,
-                                          const spatial::pt& value) {
+delivery_report baseline_backend::publish_batch(sub_id publisher,
+                                                const spatial::pt* values,
+                                                std::size_t n) {
   const auto idx = index_of(publisher);
   DRT_EXPECT(idx != npos);
-  const auto diss = impl_->publish(idx, value);
-  messages_ += diss.messages;
-
-  delivery_report d;
-  d.messages = diss.messages;
-  d.max_hops = diss.max_hops;
-  const auto s = scorer_.score(value, diss.receivers);
-  d.interested = s.interested;
-  d.delivered = s.delivered;
-  d.false_positives = s.false_positives;
-  d.false_negatives = s.false_negatives;
-  return d;
+  delivery_report total;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto diss = impl_->publish(idx, values[i]);
+    messages_ += diss.messages;
+    const auto s = scorer_.score(values[i], diss.receivers);
+    total.interested += s.interested;
+    total.delivered += s.delivered;
+    total.false_positives += s.false_positives;
+    total.false_negatives += s.false_negatives;
+    total.messages += diss.messages;
+    total.max_hops = std::max(total.max_hops, diss.max_hops);
+  }
+  return total;
 }
 
 backend_shape baseline_backend::shape() const {

@@ -14,6 +14,7 @@
 #ifndef DRT_ENGINE_BACKENDS_H
 #define DRT_ENGINE_BACKENDS_H
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -84,9 +85,27 @@ class drtree_backend final : public backend {
   std::size_t population() const override;
   sub_id root() const override;
 
-  delivery_report publish(sub_id publisher, const spatial::pt& value) override;
   delivery_report publish_batch(sub_id publisher, const spatial::pt* values,
-                                std::size_t n) override;
+                                std::size_t n) override {
+    return publish_batch(publisher, values, n, {});
+  }
+
+  /// What publish_batch hands its caller per event and shard, right after
+  /// that event's publish_finish: the shard, the event's index into
+  /// `values`, the shard's accounting (receivers are the shard's local
+  /// peer ids, so sub ids at one shard) and the shard's live peers whose
+  /// filter contains the event, ascending and valid only during the call.
+  using publish_visitor = std::function<void(
+      std::size_t shard, std::size_t index,
+      const overlay::publish_result& result,
+      const std::vector<spatial::peer_id>& matches)>;
+
+  /// The one publish-and-drain (DESIGN.md §9): publish in the origin
+  /// shard, inject into every other shard's root, settle at kernel
+  /// barriers, then score every event on every shard (shard by shard,
+  /// each in event order), calling `visit` after each when it is set.
+  delivery_report publish_batch(sub_id publisher, const spatial::pt* values,
+                                std::size_t n, const publish_visitor& visit);
 
   void settle() override { kernel_.settle(); }
   void step_round() override;
@@ -97,7 +116,6 @@ class drtree_backend final : public backend {
   const obs::trace_ring* trace() const override {
     return overlays_[0]->trace();
   }
-  std::string dump_flight(const std::string& reason) override;
 
   std::size_t shards() const { return overlays_.size(); }
   overlay::dr_overlay& overlay(std::size_t shard = 0) {
@@ -146,7 +164,9 @@ class baseline_backend final : public backend {
   std::vector<sub_id> active() const override { return ids_; }
   std::size_t population() const override { return ids_.size(); }
 
-  delivery_report publish(sub_id publisher, const spatial::pt& value) override;
+  /// The events one by one, each scored alone.
+  delivery_report publish_batch(sub_id publisher, const spatial::pt* values,
+                                std::size_t n) override;
 
   backend_shape shape() const override;
   backend_counters counters() const override {

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -27,28 +26,6 @@ const char* to_string(trace_kind k) {
     case trace_kind::message: return "message";
   }
   return "?";
-}
-
-std::vector<trace_record> merge_traces(
-    const std::vector<const trace_ring*>& rings) {
-  std::vector<trace_record> out;
-  std::size_t total = 0;
-  for (const auto* r : rings) {
-    if (r != nullptr) total += r->size();
-  }
-  out.reserve(total);
-  for (const auto* r : rings) {
-    if (r == nullptr) continue;
-    const auto snap = r->snapshot();
-    out.insert(out.end(), snap.begin(), snap.end());
-  }
-  // Stable: equal timestamps keep (input ring, emit) order, so merging is
-  // a pure function of the per-shard streams.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const trace_record& x, const trace_record& y) {
-                     return x.ts < y.ts;
-                   });
-  return out;
 }
 
 std::string to_chrome_trace(const std::vector<trace_record>& records,

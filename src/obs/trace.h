@@ -168,13 +168,6 @@ class trace_ring {
   std::vector<trace_record> buf_;
 };
 
-/// Merge per-shard streams into one timeline: stable-sorted by timestamp,
-/// so records at equal times keep (shard, emit) order and the merged
-/// stream is a pure function of the input streams — the property the
-/// 1-vs-N-shard determinism tests pin.
-std::vector<trace_record> merge_traces(
-    const std::vector<const trace_ring*>& rings);
-
 /// Chrome trace-event JSON ("traceEvents" array format, loadable in
 /// Perfetto / chrome://tracing).  pid = shard, tid = peer; stabilize
 /// passes become B/E duration events, everything else instants.

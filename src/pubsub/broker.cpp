@@ -87,9 +87,7 @@ peer_id broker::entry_peer(client_id publisher) {
 
 publish_outcome broker::publish(client_id publisher,
                                 const spatial::pt& value) {
-  const auto via = entry_peer(publisher);
-  const auto r = backend_.overlay().publish_and_drain(via, value);
-  return outcome_for(r, via, value);
+  return std::move(publish_batch(publisher, &value, 1).front());
 }
 
 std::vector<publish_outcome> broker::publish_batch(client_id publisher,
@@ -98,16 +96,18 @@ std::vector<publish_outcome> broker::publish_batch(client_id publisher,
   std::vector<publish_outcome> out;
   if (n == 0) return out;
   const auto via = entry_peer(publisher);
-  const auto results =
-      backend_.overlay().multi_publish_and_drain(via, values, n);
-  out.reserve(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    out.push_back(outcome_for(results[i], via, values[i]));
-  }
+  out.reserve(n);
+  backend_.publish_batch(
+      via, values, n,
+      [&](std::size_t, std::size_t i, const overlay::publish_result& r,
+          const std::vector<peer_id>& matches) {
+        out.push_back(outcome_for(r, matches, via, values[i]));
+      });
   return out;
 }
 
 publish_outcome broker::outcome_for(const overlay::publish_result& r,
+                                    const std::vector<peer_id>& matches,
                                     peer_id via, const spatial::pt& value) {
   publish_outcome out;
   out.event_id = r.event_id;
@@ -115,9 +115,9 @@ publish_outcome broker::outcome_for(const overlay::publish_result& r,
   out.max_hops = r.max_hops;
 
   // Client-level aggregation: the owners of the receiving peers and of
-  // the live peers whose filter contains the value (the overlay's
-  // ground-truth index yields those directly), each sorted and deduped,
-  // then merged in O(receivers + matches).
+  // the live peers whose filter contains the value (the ground truth
+  // publish_finish just queried), each sorted and deduped, then merged
+  // in O(receivers + matches).
   const auto owners = [this](const auto& peers, std::vector<client_id>& to) {
     to.clear();
     for (const auto p : peers) {
@@ -128,8 +128,7 @@ publish_outcome broker::outcome_for(const overlay::publish_result& r,
     to.erase(std::unique(to.begin(), to.end()), to.end());
   };
   owners(r.receivers, out.notified);
-  backend_.overlay().matching_live_peers(value, match_scratch_);
-  owners(match_scratch_, matched_clients_);
+  owners(matches, matched_clients_);
   out.matching_clients = matched_clients_.size();
 
   spatial::event ev;

@@ -9,8 +9,11 @@
 //
 // The broker owns a one-shard engine::drtree_backend, the overlay host
 // drtd and the scenario runner use too; at one shard a subscription's
-// sub_id is its overlay peer id.  Convergence and legality are the
-// backend's: drive backend() with a scenario_runner (DESIGN.md §6).
+// sub_id is its overlay peer id.  A publish is one call of the backend's
+// publish_batch, whose per-event visitor hands over the receivers and
+// ground-truth matches each client-level outcome is built from.
+// Convergence and legality are the backend's: drive backend() with a
+// scenario_runner (DESIGN.md §6).
 //
 // This is the API a downstream application links against:
 //
@@ -122,9 +125,10 @@ class broker {
   /// The overlay peer a publication from `publisher` enters through: one
   /// of its own live subscribers when it has any, else any live peer.
   spatial::peer_id entry_peer(client_id publisher);
-  /// Client-level aggregation of one drained overlay publication (the
-  /// shared back half of publish and publish_batch).
+  /// Client-level aggregation of one scored event: `r` and `matches` as
+  /// drtree_backend::publish_batch hands them to its visitor.
   publish_outcome outcome_for(const overlay::publish_result& r,
+                              const std::vector<spatial::peer_id>& matches,
                               spatial::peer_id via, const spatial::pt& value);
 
   engine::drtree_backend backend_;
@@ -132,10 +136,8 @@ class broker {
   std::unordered_map<spatial::peer_id, client_id> owner_of_;
   client_id next_client_ = 1;
   delivery_callback on_delivery_;
-  // publish() scratch: exact matching goes through the overlay's filter
-  // index; these buffers make the per-event client aggregation
+  // outcome_for() scratch: keeps the per-event client aggregation
   // allocation-free once warm.
-  std::vector<spatial::peer_id> match_scratch_;
   std::vector<client_id> matched_clients_;
 };
 

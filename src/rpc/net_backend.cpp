@@ -13,16 +13,10 @@ net_backend::net_backend(const rpc::service_config& config)
   DRT_ENSURE(client_.connect(port_));
 }
 
-net_backend::net_backend(std::uint16_t port) : port_(port) {
-  DRT_ENSURE(client_.connect(port_));
-}
-
 net_backend::~net_backend() {
   client_.close();
-  if (service_ != nullptr) {
-    service_->stop();
-    if (service_thread_.joinable()) service_thread_.join();
-  }
+  service_->stop();
+  service_thread_.join();
 }
 
 sub_id net_backend::subscribe(const spatial::box& filter) {
@@ -61,12 +55,6 @@ delivery_report to_report(const rpc::report_body& r) {
 }
 
 }  // namespace
-
-delivery_report net_backend::publish(sub_id publisher,
-                                     const spatial::pt& value) {
-  client_.events().clear();
-  return to_report(client_.publish(publisher, value));
-}
 
 delivery_report net_backend::publish_batch(sub_id publisher,
                                            const spatial::pt* values,

@@ -1,8 +1,8 @@
 // engine::net_backend (DESIGN.md §10): the real-transport adapter — the
 // engine's backend interface served over localhost sockets by a drtd
-// daemon, either spawned in-process on its own thread or attached to by
-// port.  Every existing scenario, metrics schema, and bench-JSON emitter
-// runs unchanged against it.
+// daemon it spawns in-process on its own thread.  Every existing
+// scenario, metrics schema, and bench-JSON emitter runs unchanged
+// against it.
 //
 // The capability mask is honest, per DESIGN.md §6: connection close is
 // the only churn primitive a socket transport has, so the mask is
@@ -29,8 +29,6 @@ class net_backend final : public backend {
   /// to an ephemeral port (unless the config pins one), and is stopped
   /// and joined by the destructor.
   explicit net_backend(const rpc::service_config& config);
-  /// Attach to an already-running daemon on 127.0.0.1:port.
-  explicit net_backend(std::uint16_t port);
   ~net_backend() override;
 
   std::string name() const override { return "net"; }
@@ -44,7 +42,8 @@ class net_backend final : public backend {
   std::size_t population() const override;
   sub_id root() const override;
 
-  delivery_report publish(sub_id publisher, const spatial::pt& value) override;
+  /// One publish_batch frame per envelope of up to
+  /// dr_batch_msg::kMaxEvents events (rpc::client::publish_batch).
   delivery_report publish_batch(sub_id publisher, const spatial::pt* values,
                                 std::size_t n) override;
 
@@ -62,7 +61,7 @@ class net_backend final : public backend {
   /// True while the connection (and so the daemon) is healthy.
   bool connected() const { return client_.ok(); }
   rpc::client& raw_client() { return client_; }
-  /// The spawned service, nullptr when attached by port.
+  /// The spawned service.
   rpc::service* spawned_service() { return service_.get(); }
   std::uint16_t port() const { return port_; }
 

@@ -83,7 +83,6 @@ void service::run() {
   using clock = std::chrono::steady_clock;
   const std::chrono::milliseconds period(config_.stabilize_every_ms);
   auto next_tick = clock::now() + period;
-  std::uint64_t ticks = 0;
   while (!loop_.stopped()) {
     if (period.count() == 0) {
       loop_.run_once(-1);  // until I/O or stop()
@@ -91,19 +90,11 @@ void service::run() {
     }
     auto now = clock::now();
     if (now >= next_tick) {
-      // Backlog-aware cadence: a period with no marked instances runs no
-      // round — except every sweep_stride-th tick, which runs
-      // unconditionally so silent corruption is still found within K
-      // wall-clock periods (the same bound the virtual-time scheduler
-      // gives).  At stride 1 every tick is such a tick.
-      const auto& ov = be_.overlay();
-      ++ticks;
-      if (ov.dirty_pending() == 0 && ticks % ov.config().sweep_stride != 0) {
-        bump(stats_.stabilize_skipped);
-      } else {
-        be_.step_round();
-        bump(stats_.stabilize_rounds);
-      }
+      // Every tick is one round of virtual time; which peers pass in it
+      // is the overlay's tick chain's call (at sweep_stride K a clean
+      // peer waits for its background tick, at most K rounds away).
+      be_.step_round();
+      bump(stats_.stabilize_rounds);
       now = clock::now();
       next_tick = now + period;
     }
@@ -334,18 +325,18 @@ void service::publish_and_reply(connection& conn, std::uint32_t seq,
                sizeof(reply));  // ok = 0
     return;
   }
-  const auto results = be_.overlay().multi_publish_and_drain(
-      static_cast<spatial::peer_id>(publisher), values, n);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    push_deliveries(results[i], publisher, values[i]);
-    reply.interested += results[i].interested;
-    reply.delivered += results[i].delivered;
-    reply.false_positives += results[i].false_positives;
-    reply.false_negatives += results[i].false_negatives;
-    reply.messages += results[i].messages;
-    reply.max_hops = std::max(
-        reply.max_hops, static_cast<std::uint32_t>(results[i].max_hops));
-  }
+  const auto rep = be_.publish_batch(
+      publisher, values, n,
+      [&](std::size_t, std::size_t i, const overlay::publish_result& r,
+          const std::vector<spatial::peer_id>&) {
+        push_deliveries(r, publisher, values[i]);
+      });
+  reply.interested = rep.interested;
+  reply.delivered = rep.delivered;
+  reply.false_positives = rep.false_positives;
+  reply.false_negatives = rep.false_negatives;
+  reply.messages = rep.messages;
+  reply.max_hops = static_cast<std::uint32_t>(rep.max_hops);
   reply.ok = 1;
   send_bytes(conn, frame_type::publish_report, seq, &reply, sizeof(reply));
 }
@@ -396,7 +387,6 @@ std::string service::build_exposition() {
   reg.counter("drtd_disconnect_unsubscribes_total") =
       stats_.disconnect_unsubscribes;
   reg.counter("drtd_stabilize_rounds_total") = stats_.stabilize_rounds;
-  reg.counter("drtd_stabilize_skipped_total") = stats_.stabilize_skipped;
   reg.counter("drtd_overlay_messages_total") = be_.counters().messages;
   if (const auto* t = be_.trace()) {
     reg.counter("drtd_trace_records_total") = t->emitted();
@@ -472,7 +462,6 @@ service::counters service::stats_snapshot() const {
   out.protocol_errors = load(stats_.protocol_errors);
   out.disconnect_unsubscribes = load(stats_.disconnect_unsubscribes);
   out.stabilize_rounds = load(stats_.stabilize_rounds);
-  out.stabilize_skipped = load(stats_.stabilize_skipped);
   return out;
 }
 

@@ -3,8 +3,10 @@
 // listener, serving the wire protocol of
 // rpc/wire.h to many concurrent client connections on a single-threaded
 // epoll loop (rpc/event_loop.h).  The wall-clock stabilizer is the
-// daemon's only deadline: run() keeps it and hands the time left to the
-// loop as its wait.
+// daemon's only deadline: run() keeps it, runs one overlay round per
+// tick, and hands the time left to the loop as its wait.  Both publish
+// frames are one drtree_backend::publish_batch call, the host's one
+// publish-and-drain.
 //
 // Ownership and churn: every subscription is owned by the connection
 // that created it.  A connection closing — gracefully or by vanishing
@@ -44,7 +46,8 @@ struct service_config {
   /// Configuration of the hosted overlay (workspace, degrees, net).
   engine::overlay_backend_config backend{};
   /// Wall-clock stabilizer cadence: every period the daemon runs one
-  /// overlay stabilization round (run() keeps the deadline).  0 disables
+  /// overlay stabilization round (run() keeps the deadline), and the
+  /// overlay's tick chain decides which peers pass in it.  0 disables
   /// it — required for digest-parity runs, where only client operations
   /// may generate overlay traffic.
   std::uint32_t stabilize_every_ms = 0;
@@ -81,9 +84,6 @@ class service {
     std::uint64_t protocol_errors = 0;
     std::uint64_t disconnect_unsubscribes = 0;
     std::uint64_t stabilize_rounds = 0;
-    /// Wall-clock stabilizer ticks skipped because the hosted overlay's
-    /// dirty backlog was empty (0 at sweep_stride 1; see service.cpp).
-    std::uint64_t stabilize_skipped = 0;
   };
   /// The counters, each read with an acquire load: safe from any thread,
   /// serving or not, and never waits for the loop.  No field goes
@@ -124,9 +124,10 @@ class service {
   void handle_publish(connection& conn, const frame_view& frame);
   void handle_publish_batch(connection& conn, const frame_view& frame);
   /// The drain-and-reply both publish frames share: publish `values` from
-  /// `publisher` as one batch, push each delivery to its subscriber and
-  /// answer `seq` with the summed report (ok = 0 unless `publisher` is a
-  /// live subscription owned by `conn`).
+  /// `publisher` as one backend batch, push each event's deliveries to
+  /// their subscribers as the backend scores it, and answer `seq` with the
+  /// batch's report (ok = 0 unless `publisher` is a live subscription
+  /// owned by `conn`).
   void publish_and_reply(connection& conn, std::uint32_t seq,
                          std::uint64_t publisher, const spatial::pt* values,
                          std::size_t n);

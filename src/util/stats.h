@@ -1,10 +1,8 @@
-// Streaming and batch statistics used by the experiment harnesses.
+// Streaming statistics used by the experiment harnesses.
 #ifndef DRT_UTIL_STATS_H
 #define DRT_UTIL_STATS_H
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 namespace drt::util {
 
@@ -28,49 +26,6 @@ class accumulator {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Batch sample set with percentile queries (keeps all samples).
-class sample_set {
- public:
-  void add(double x);
-  std::size_t count() const { return samples_.size(); }
-  double mean() const;
-  double min() const;
-  double max() const;
-  /// p in [0, 100]; linear interpolation between order statistics.
-  double percentile(double p) const;
-  double median() const { return percentile(50.0); }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
-  void sort_if_needed() const;
-};
-
-/// Fixed-width histogram over [lo, hi) with `buckets` bins plus under/over.
-class histogram {
- public:
-  histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-  /// Compact one-line rendering ("[0,1):12 [1,2):3 ...") for logs.
-  std::string to_string() const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
 };
 
 }  // namespace drt::util

@@ -188,27 +188,4 @@ pt make_event_point(event_family family, util::rng& rng,
   return {};
 }
 
-std::vector<churn_op> poisson_churn(double join_rate, double leave_rate,
-                                    double horizon, util::rng& rng) {
-  DRT_EXPECT(horizon > 0.0);
-  std::vector<churn_op> ops;
-  if (join_rate > 0.0) {
-    double t = rng.exponential(join_rate);
-    while (t < horizon) {
-      ops.push_back({t, true});
-      t += rng.exponential(join_rate);
-    }
-  }
-  if (leave_rate > 0.0) {
-    double t = rng.exponential(leave_rate);
-    while (t < horizon) {
-      ops.push_back({t, false});
-      t += rng.exponential(leave_rate);
-    }
-  }
-  std::sort(ops.begin(), ops.end(),
-            [](const churn_op& a, const churn_op& b) { return a.at < b.at; });
-  return ops;
-}
-
 }  // namespace drt::workload

@@ -80,17 +80,6 @@ spatial::pt make_event_point(event_family family, util::rng& rng,
                              const std::vector<spatial::box>& subs = {},
                              double hotspot_spread = 0.05);
 
-/// Poisson churn schedule (Lemma 3.7 model: "arrivals and departures
-/// modeled by a Poisson distribution").
-struct churn_op {
-  double at = 0.0;   ///< virtual time of the operation
-  bool join = false; ///< true: a peer joins; false: a peer departs
-};
-
-/// Generate operations over [0, horizon) with the given rates.
-std::vector<churn_op> poisson_churn(double join_rate, double leave_rate,
-                                    double horizon, util::rng& rng);
-
 }  // namespace drt::workload
 
 #endif  // DRT_WORKLOAD_WORKLOAD_H

@@ -209,7 +209,7 @@ TEST(DrTree, EventFromSampleWalkthrough) {
   ASSERT_GE(runner.converge(80), 0);
   const auto a = spatial::sample_events()[0];
   const auto publisher = ids[1];  // S2
-  const auto r = be.overlay().publish_and_drain(publisher, a.value);
+  const auto r = be.publish(publisher, a.value);
   EXPECT_EQ(r.false_negatives, 0u);
   EXPECT_EQ(r.interested, 5u);  // S2, S3, S4, S5, S6 contain `a`
   EXPECT_GE(r.delivered, r.interested);

@@ -260,8 +260,12 @@ TEST(DrtreeBackend, BackendAndOverlayPublishesShareEventIds) {
   const auto first = be.publish(subs[0], v);
   EXPECT_EQ(first.interested, 6u);
   EXPECT_EQ(first.false_negatives, 0u);
-  const auto second = be.overlay(0).publish_and_drain(
-      static_cast<spatial::peer_id>(subs[1]), v);
+  auto& ov = be.overlay(0);
+  const auto id = ov.next_event_id();
+  const auto before = ov.sim().metrics().messages_sent;
+  ov.publish_begin(static_cast<spatial::peer_id>(subs[1]), id, v);
+  be.settle();
+  const auto second = ov.publish_finish(id, v, before);
   EXPECT_EQ(second.interested, 6u);
   EXPECT_EQ(second.delivered, 6u);
   EXPECT_EQ(second.false_negatives, 0u);

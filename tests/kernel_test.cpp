@@ -118,7 +118,8 @@ struct scenario_digest {
 };
 
 /// The sim_determinism_test workload verbatim, except every settle() and
-/// advance() goes through a one-shard kernel.  The golden constants below
+/// advance() goes through a one-shard kernel, publishes included (the
+/// split path: publish_begin, kernel settle, publish_finish).  The golden constants below
 /// are the ones that suite pins for the plain simulator — if the kernel's
 /// single-shard path fired one extra flush pass or shifted one window
 /// edge, these hashes would move.
@@ -163,7 +164,11 @@ scenario_digest run_scenario_through_kernel(std::uint64_t seed) {
       const auto pub = live[geo_rng.index(live.size())];
       const spatial::pt value{
           {geo_rng.uniform_real(0, 100), geo_rng.uniform_real(0, 100)}};
-      o.publish_and_drain(pub, value);
+      const auto id = o.next_event_id();
+      const auto before = o.sim().metrics().messages_sent;
+      o.publish_begin(pub, id, value);
+      k.settle();
+      o.publish_finish(id, value, before);
     }
   };
 

@@ -313,12 +313,14 @@ TEST(DynamicModel, DegradationStretchesDelaysAndStacksLoss) {
 // --------------------------------- stabilizer under partition (measured)
 
 TEST(PartitionHeal, SplitBrainFormsAndHealsWithZeroFalseNegatives) {
-  // Direct overlay drive: converge, cut a third off, let both sides
-  // stabilize, measure the split-brain, heal, measure recovery.
+  // Direct overlay drive (publishes through its one-shard host):
+  // converge, cut a third off, let both sides stabilize, measure the
+  // split-brain, heal, measure recovery.
   overlay::dr_config dcfg;
   sim::simulator_config scfg;
   scfg.seed = 7;
-  overlay::dr_overlay o(dcfg, scfg);
+  engine::drtree_backend be({dcfg, scfg});
+  auto& o = be.overlay();
 
   util::rng boxes(99);
   auto random_box = [&] {
@@ -352,9 +354,9 @@ TEST(PartitionHeal, SplitBrainFormsAndHealsWithZeroFalseNegatives) {
   EXPECT_FALSE(overlay::checker(o).check().legal());
   std::size_t fn_during = 0;
   for (int i = 0; i < 10; ++i) {
-    const auto r = o.publish_and_drain(
-        minority[static_cast<std::size_t>(i) % minority.size()],
-        {{100.0 * i, 50.0 * i}});
+    const auto r =
+        be.publish(minority[static_cast<std::size_t>(i) % minority.size()],
+                   {{100.0 * i, 50.0 * i}});
     fn_during += r.false_negatives;
   }
   EXPECT_GT(fn_during, 0u);
@@ -378,8 +380,8 @@ TEST(PartitionHeal, SplitBrainFormsAndHealsWithZeroFalseNegatives) {
   // again once the transport assumption does.
   std::size_t fn_after = 0;
   for (int i = 0; i < 10; ++i) {
-    const auto r = o.publish_and_drain(live[static_cast<std::size_t>(i)],
-                                       {{100.0 * i, 50.0 * i}});
+    const auto r = be.publish(live[static_cast<std::size_t>(i)],
+                              {{100.0 * i, 50.0 * i}});
     EXPECT_GT(r.delivered, 0u);
     fn_after += r.false_negatives;
   }

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "baselines/flooding.h"
@@ -65,17 +67,41 @@ std::vector<pt> gen_events(std::uint64_t seed, std::size_t n,
   return out;
 }
 
+/// Publish `n` events as one batch on a one-shard backend and keep each
+/// event's overlay accounting.
+std::vector<publish_result> publish_each(engine::drtree_backend& be,
+                                         peer_id publisher, const pt* values,
+                                         std::size_t n) {
+  std::vector<publish_result> out;
+  be.publish_batch(publisher, values, n,
+                   [&](std::size_t, std::size_t, const publish_result& r,
+                       const std::vector<peer_id>&) { out.push_back(r); });
+  return out;
+}
+
 struct twin_overlays {
-  dr_overlay scalar;
-  dr_overlay batched;
+  engine::drtree_backend scalar_host;
+  engine::drtree_backend batched_host;
+  dr_overlay& scalar = scalar_host.overlay();
+  dr_overlay& batched = batched_host.overlay();
 
   twin_overlays(const dr_config& dr, std::uint64_t net_seed)
-      : scalar(dr, seeded(net_seed)), batched(dr, seeded(net_seed)) {}
+      : scalar_host({dr, seeded(net_seed)}),
+        batched_host({dr, seeded(net_seed)}) {}
 
   static sim::simulator_config seeded(std::uint64_t seed) {
     sim::simulator_config net;
     net.seed = seed;
     return net;
+  }
+
+  publish_result publish_scalar(peer_id publisher, const pt& v) {
+    return std::move(publish_each(scalar_host, publisher, &v, 1).front());
+  }
+  std::vector<publish_result> publish_batched(peer_id publisher,
+                                              const std::vector<pt>& values) {
+    return publish_each(batched_host, publisher, values.data(),
+                        values.size());
   }
 
   peer_id populate(const std::vector<spatial::box>& filters) {
@@ -96,11 +122,9 @@ void expect_equivalent(twin_overlays& tw, peer_id publisher,
   std::vector<publish_result> scalar;
   scalar.reserve(values.size());
   for (const auto& v : values) {
-    scalar.push_back(tw.scalar.publish_and_drain(publisher, v));
+    scalar.push_back(tw.publish_scalar(publisher, v));
   }
-  const auto batched =
-      tw.batched.multi_publish_and_drain(publisher, values.data(),
-                                         values.size());
+  const auto batched = tw.publish_batched(publisher, values);
   ASSERT_EQ(batched.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     SCOPED_TRACE("event " + std::to_string(i));
@@ -152,8 +176,8 @@ TEST(PublishBatch, EquivalenceMidChurnWithCrashes) {
 }
 
 TEST(PublishBatch, ChunksBeyondEnvelopeCapacity) {
-  // More events than one dr_batch_msg holds: multi_publish_and_drain must
-  // chunk transparently and still deliver every event exactly once.
+  // More events than one dr_batch_msg holds: the batch must chunk
+  // transparently and still deliver every event exactly once.
   twin_overlays tw(frozen_dr(), 5);
   const auto filters = gen_filters(42, 32);
   const auto publisher = tw.populate(filters);
@@ -170,10 +194,9 @@ TEST(PublishBatch, BatchedCostsFewerMessages) {
 
   std::uint64_t scalar_messages = 0;
   for (const auto& v : values) {
-    scalar_messages += tw.scalar.publish_and_drain(publisher, v).messages;
+    scalar_messages += tw.publish_scalar(publisher, v).messages;
   }
-  const auto batched = tw.batched.multi_publish_and_drain(
-      publisher, values.data(), values.size());
+  const auto batched = tw.publish_batched(publisher, values);
   std::uint64_t batched_messages = 0;
   for (const auto& r : batched) batched_messages += r.messages;
 
@@ -185,7 +208,8 @@ TEST(PublishBatch, EnvelopesTravelAsEventKindsOnly) {
   // Batched and single publishes ride one envelope whose wire kinds are
   // event_up / event_down at every event count — the kind values the
   // golden delivery digests hash.
-  dr_overlay ov(frozen_dr(), twin_overlays::seeded(61));
+  engine::drtree_backend host({frozen_dr(), twin_overlays::seeded(61)});
+  auto& ov = host.overlay();
   const auto filters = gen_filters(62, 48);
   for (const auto& f : filters) ov.add_peer_and_settle(f);
   peer_id publisher = spatial::kNoPeer;
@@ -208,8 +232,9 @@ TEST(PublishBatch, EnvelopesTravelAsEventKindsOnly) {
   });
   const auto values = gen_events(63, 16, filters);
   const auto batched =
-      ov.multi_publish_and_drain(publisher, values.data(), values.size());
-  const auto single = ov.publish_and_drain(publisher, values.front());
+      publish_each(host, publisher, values.data(), values.size());
+  const auto single =
+      std::move(publish_each(host, publisher, values.data(), 1).front());
   ov.sim().set_trace(nullptr);
 
   EXPECT_GT(up, 0u);
@@ -265,6 +290,69 @@ TEST(PublishBatch, ShardedBackendDeliversBatchesExactly) {
   EXPECT_EQ(rep.false_negatives, 0u);
   EXPECT_GE(rep.delivered, rep.interested - rep.false_negatives);
   EXPECT_GT(rep.messages, 0u);
+}
+
+TEST(PublishBatch, VisitorSeesEachEventOnEachShardInOrder) {
+  // drtree_backend::publish_batch's per-event visitor: once per event
+  // and shard, in event order, right after publish_finish, with the
+  // shard's sorted live receivers and ground-truth matches; its per-event
+  // counts add up to the returned report.  Batch sizes cover one event,
+  // a part of one envelope and more than one envelope.
+  static_assert(dr_batch_msg::kMaxEvents < 70);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    engine::overlay_backend_config cfg;
+    cfg.dr = frozen_dr();
+    cfg.net.seed = 71;
+    engine::drtree_backend be(cfg, shards);
+    const auto filters = gen_filters(72, 36);
+    std::vector<engine::sub_id> ids;
+    for (const auto& f : filters) ids.push_back(be.subscribe(f));
+    for (const std::size_t n : {std::size_t{1}, std::size_t{5},
+                                std::size_t{70}}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " n=" + std::to_string(n));
+      const auto values = gen_events(73 + n, n, filters);
+      std::vector<std::size_t> next(shards, 0);  // next index per shard
+      std::vector<std::uint64_t> first_id(shards, 0);
+      std::vector<peer_id> want;
+      engine::delivery_report sum;
+      const auto rep = be.publish_batch(
+          ids[n % ids.size()], values.data(), n,
+          [&](std::size_t shard, std::size_t i, const publish_result& r,
+              const std::vector<peer_id>& matches) {
+            ASSERT_LT(shard, shards);
+            EXPECT_EQ(i, next[shard]++);
+            if (i == 0) first_id[shard] = r.event_id;
+            EXPECT_EQ(r.event_id, first_id[shard] + i);
+            EXPECT_TRUE(std::adjacent_find(r.receivers.begin(),
+                                           r.receivers.end(),
+                                           std::greater_equal<>()) ==
+                        r.receivers.end())
+                << "receivers must ascend strictly";
+            for (const auto p : r.receivers) {
+              EXPECT_TRUE(be.overlay(shard).alive(p)) << p;
+            }
+            EXPECT_EQ(r.delivered, r.receivers.size());
+            be.overlay(shard).matching_live_peers(values[i], want);
+            EXPECT_EQ(matches, want);
+            EXPECT_EQ(r.interested, matches.size());
+            sum.interested += r.interested;
+            sum.delivered += r.delivered;
+            sum.false_positives += r.false_positives;
+            sum.false_negatives += r.false_negatives;
+            sum.messages += r.messages;
+            sum.max_hops = std::max(sum.max_hops, r.max_hops);
+          });
+      for (std::size_t s = 0; s < shards; ++s) EXPECT_EQ(next[s], n) << s;
+      EXPECT_EQ(first_id, std::vector<std::uint64_t>(shards, first_id[0]));
+      EXPECT_EQ(rep.interested, sum.interested);
+      EXPECT_EQ(rep.delivered, sum.delivered);
+      EXPECT_EQ(rep.false_positives, sum.false_positives);
+      EXPECT_EQ(rep.false_negatives, sum.false_negatives);
+      EXPECT_EQ(rep.messages, sum.messages + (shards - 1));
+      EXPECT_EQ(rep.max_hops, sum.max_hops);
+    }
+  }
 }
 
 TEST(PublishBatch, BrokerBatchMatchesScalarOutcomes) {

@@ -362,9 +362,12 @@ class service_fixture {
   explicit service_fixture(service_config config = {})
       : service_(std::move(config)),
         thread_([this] { service_.run(); }) {}
-  ~service_fixture() {
+  ~service_fixture() { stop(); }
+  /// Stop the daemon and join its thread; after this the hosted backend
+  /// may be read from the test thread.
+  void stop() {
     service_.stop();
-    thread_.join();
+    if (thread_.joinable()) thread_.join();
   }
   service& get() { return service_; }
   std::uint16_t port() const { return service_.port(); }
@@ -702,9 +705,11 @@ TEST(Service, ManyConcurrentClients) {
 }
 
 TEST(Service, WallClockStabilizerRunsRounds) {
-  // Polls the counters until `done` holds (same budget for every case);
-  // the structure must stay legal under background stabilization.
-  auto serve = [](std::size_t stride, auto done) {
+  // Serves eight subscriptions until 3 * stride rounds ran (same budget
+  // for every case), then stops the daemon; the structure must stay
+  // legal under background stabilization.  Returns the daemon's counters
+  // and the hosted overlay's stabilize scheduling stats.
+  auto serve = [](std::size_t stride) {
     service_config cfg;
     cfg.backend = small_config(12);
     cfg.backend.dr.sweep_stride = stride;
@@ -713,28 +718,112 @@ TEST(Service, WallClockStabilizerRunsRounds) {
 
     client c(fx.port());
     EXPECT_TRUE(c.ok());
-    EXPECT_NE(c.subscribe(make_rect2(0, 0, 10, 10)),
-              static_cast<std::uint64_t>(engine::kNoSub));
-    for (int i = 0; i < 200 && !done(fx.get().stats_snapshot()); ++i) {
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_NE(c.subscribe(make_rect2(i * 100, i * 100, i * 100 + 80,
+                                       i * 100 + 80)),
+                static_cast<std::uint64_t>(engine::kNoSub));
+    }
+    for (int i = 0;
+         i < 1000 && fx.get().stats_snapshot().stabilize_rounds < 3 * stride;
+         ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     EXPECT_TRUE(c.stat().legal);
-    return fx.get().stats_snapshot();
+    fx.stop();
+    EXPECT_TRUE(fx.get().backend().legal());
+    return std::pair{fx.get().stats_snapshot(),
+                     fx.get().backend().overlay().stab_stats()};
   };
 
-  // The default stride is the paper's schedule: a round every tick.
-  const auto every = serve(
-      engine::overlay_backend_config{}.dr.sweep_stride,
-      [](const service::counters& st) { return st.stabilize_rounds >= 3; });
+  // The default stride is the paper's schedule: every peer passes every
+  // round.
+  const auto [every, every_stab] =
+      serve(engine::overlay_backend_config{}.dr.sweep_stride);
   EXPECT_GE(every.stabilize_rounds, 3u);
-  EXPECT_EQ(every.stabilize_skipped, 0u);
+  EXPECT_EQ(every_stab.skipped, 0u);
 
-  // At stride 16 the idle overlay's backlog drains, and the ticks between
-  // background sweeps are skipped.
-  const auto sparse = serve(16, [](const service::counters& st) {
-    return st.stabilize_skipped > 0;
-  });
-  EXPECT_GT(sparse.stabilize_skipped, 0u);
+  // At stride 16 every tick still runs a round; the overlay's tick chain
+  // lets each clean non-root peer skip the ticks between its background
+  // sweeps.
+  const auto [sparse, sparse_stab] = serve(16);
+  EXPECT_GE(sparse.stabilize_rounds, 3u * 16);
+  EXPECT_GT(sparse_stab.skipped, 0u);
+}
+
+TEST(Service, WallClockStabilizerRepairsSilentDamageWithinThreeStrides) {
+  // At sweep_stride K a clean non-root peer passes once every K rounds,
+  // on its background tick.  Damage that sets no dirty mark, at the peer
+  // whose background tick comes last, waits K rounds for that tick; the
+  // ancestors that folded the damaged MBR into their unions meanwhile
+  // pass again within K more.  Every wall-clock tick runs a round, so
+  // the overlay is legal again within 3K ticks; a daemon that ran rounds
+  // on every K-th tick only while the backlog was empty needed about
+  // K * K.
+  constexpr std::size_t kStride = 8;
+  constexpr int kPeriodMs = 10;
+  service_config cfg;
+  cfg.backend = small_config(3);
+  cfg.backend.dr.sweep_stride = kStride;
+  cfg.backend.dr.trace = obs::trace_mode::ring;
+  cfg.backend.dr.trace_dump = false;
+  cfg.stabilize_every_ms = kPeriodMs;
+  service svc(cfg);
+  auto& be = svc.backend();
+  auto& ov = be.overlay();
+  engine::scenario_runner runner(be);
+  runner.populate(128);
+  ASSERT_GE(runner.converge(200), 0);
+  for (std::size_t r = 0; r < 2 * kStride; ++r) be.step_round();
+  ASSERT_EQ(ov.dirty_pending(), 0u);
+
+  // One window of K rounds, in which every non-root peer passes once;
+  // the victim is the one that passes last.
+  const auto period = ov.config().stabilize_period;
+  const auto t0 = ov.sim().now();
+  for (std::size_t r = 0; r < kStride; ++r) be.step_round();
+  spatial::peer_id victim = spatial::kNoPeer;
+  double victim_pass = t0;
+  for (const auto& rec : ov.trace()->snapshot()) {
+    const auto p = static_cast<spatial::peer_id>(rec.peer);
+    if (rec.kind != static_cast<std::uint16_t>(obs::trace_kind::stab_begin) ||
+        rec.ts <= t0 || ov.peer(p).is_root()) {
+      continue;
+    }
+    if (rec.ts > victim_pass) {
+      victim = p;
+      victim_pass = rec.ts;
+    }
+  }
+  ASSERT_NE(victim, spatial::kNoPeer);
+  ASSERT_GT(victim_pass, t0 + (kStride - 1) * period);
+
+  // Silent damage: the leaf MBR no longer equals the filter, and no mark
+  // tells the scheduler.
+  const auto f = ov.peer(victim).filter();
+  ov.peer(victim).inst(0).mbr =
+      make_rect2(f.lo[0], f.lo[1], f.hi[0] + 50, f.hi[1] + 50);
+  ASSERT_EQ(ov.dirty_pending(), 0u);
+  ASSERT_FALSE(be.legal());
+
+  using clock = std::chrono::steady_clock;
+  const auto start = clock::now();
+  std::thread loop([&svc] { svc.run(); });
+  client c(svc.port());
+  EXPECT_TRUE(c.ok());
+  bool legal = false;
+  auto elapsed = clock::duration::zero();
+  for (int i = 0; i < 2000 && !legal; ++i) {
+    legal = c.stat().legal != 0;
+    elapsed = clock::now() - start;
+    if (!legal) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  svc.stop();
+  loop.join();
+  ASSERT_TRUE(legal);
+  const auto ticks = elapsed / std::chrono::milliseconds(kPeriodMs);
+  EXPECT_LT(ticks, 3 * static_cast<std::int64_t>(kStride))
+      << "legal only after " << ticks << " ticks ("
+      << svc.stats_snapshot().stabilize_rounds << " rounds)";
 }
 
 // ========================================================= introspection
@@ -805,10 +894,10 @@ TEST(Service, StatsSnapshotIsSafeFromAnyThreadWhileServing) {
   service_fixture fx(cfg);
 
   const auto fields = [](const service::counters& c) {
-    return std::array<std::uint64_t, 9>{
+    return std::array<std::uint64_t, 8>{
         c.connections_accepted, c.connections_closed, c.frames_in,
         c.frames_out, c.events_pushed, c.protocol_errors,
-        c.disconnect_unsubscribes, c.stabilize_rounds, c.stabilize_skipped};
+        c.disconnect_unsubscribes, c.stabilize_rounds};
   };
   std::atomic<bool> done{false};
   std::atomic<int> backwards{0};

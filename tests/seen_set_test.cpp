@@ -19,6 +19,7 @@
 
 #include "drtree/overlay.h"
 #include "drtree/seen_set.h"
+#include "engine/backends.h"
 #include "util/rng.h"
 
 #include "alloc_counter.h"
@@ -148,7 +149,8 @@ TEST(SeenSet, FullSetNeverAllocates) {
 
 TEST(SeenSet, OverlayCountsSeenBytesOnlyOnceEventsFlow) {
   dr_config cfg;
-  dr_overlay ov(cfg);
+  engine::drtree_backend be({cfg});
+  auto& ov = be.overlay();
   util::rng rng(3);
   for (int i = 0; i < 32; ++i) {
     const double x = rng.uniform_real(0, 900);
@@ -160,7 +162,7 @@ TEST(SeenSet, OverlayCountsSeenBytesOnlyOnceEventsFlow) {
   const auto arena_total = ov.memory_stats().total_bytes();
 
   const auto publisher = ov.live_peers().front();
-  ov.publish_and_drain(publisher, spatial::pt{{450.0, 450.0}});
+  be.publish(publisher, spatial::pt{{450.0, 450.0}});
   const auto st = ov.memory_stats();
   EXPECT_GT(st.seen_bytes, 0u);
   // One event: each receiver holds one small ring, far below the

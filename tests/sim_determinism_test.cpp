@@ -22,6 +22,7 @@
 
 #include "drtree/corruptor.h"
 #include "drtree/overlay.h"
+#include "engine/backends.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -80,14 +81,16 @@ spatial::box random_box(util::rng& r) {
 }
 
 /// Churn + corruption + dissemination workload over the full overlay
-/// stack, fingerprinted via the simulator trace hook.
+/// stack (publishes go through its one-shard host), fingerprinted via
+/// the simulator trace hook.
 scenario_digest run_scenario(std::uint64_t seed) {
   overlay::dr_config dcfg;
   dcfg.workspace = geo::make_rect2(0, 0, 100, 100);
   sim::simulator_config scfg;
   scfg.seed = seed;
   scfg.link.loss = 0.02;
-  overlay::dr_overlay o(dcfg, scfg);
+  engine::drtree_backend be({dcfg, scfg});
+  auto& o = be.overlay();
 
   scenario_digest d;
   hash_deliveries(o, d);
@@ -101,7 +104,7 @@ scenario_digest run_scenario(std::uint64_t seed) {
       const auto pub = live[geo_rng.index(live.size())];
       const spatial::pt value{
           {geo_rng.uniform_real(0, 100), geo_rng.uniform_real(0, 100)}};
-      o.publish_and_drain(pub, value);
+      be.publish(pub, value);
     }
   };
 

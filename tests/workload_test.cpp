@@ -107,26 +107,5 @@ TEST(Workload, HotspotEventsConcentrate) {
   EXPECT_GT(near_hotspots, n * 8 / 10);
 }
 
-TEST(Workload, PoissonChurnRatesRoughlyMatch) {
-  util::rng rng(29);
-  const auto ops = poisson_churn(2.0, 1.0, 1000.0, rng);
-  std::size_t joins = 0;
-  std::size_t leaves = 0;
-  double prev = 0.0;
-  for (const auto& op : ops) {
-    EXPECT_GE(op.at, prev);  // sorted
-    prev = op.at;
-    EXPECT_LT(op.at, 1000.0);
-    (op.join ? joins : leaves) += 1;
-  }
-  EXPECT_NEAR(static_cast<double>(joins), 2000.0, 250.0);
-  EXPECT_NEAR(static_cast<double>(leaves), 1000.0, 180.0);
-}
-
-TEST(Workload, ZeroRatesYieldNoOps) {
-  util::rng rng(31);
-  EXPECT_TRUE(poisson_churn(0.0, 0.0, 100.0, rng).empty());
-}
-
 }  // namespace
 }  // namespace drt::workload
